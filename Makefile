@@ -1,6 +1,6 @@
 # Convenience wrappers around dune; `make check` is the pre-commit gate.
 
-.PHONY: all build test bench chaos coldpath propagation durability agent colocation load fanout marshal obs check fmt clean
+.PHONY: all build test bench artifacts chaos coldpath propagation durability agent colocation load fanout marshal obs check fmt clean
 
 all: build
 
@@ -12,6 +12,17 @@ test:
 
 bench:
 	dune exec bench/main.exe
+
+# The committed artifacts must reproduce byte for byte: regenerate
+# BENCH_hns.json and BENCH_obs.json in a fresh temporary directory and
+# compare them with the ones in the repository.
+artifacts:
+	dune build bench/main.exe
+	@dir=$$(mktemp -d); \
+	(cd $$dir && $(CURDIR)/_build/default/bench/main.exe --json >/dev/null) \
+	&& cmp $$dir/BENCH_hns.json BENCH_hns.json \
+	&& cmp $$dir/BENCH_obs.json BENCH_obs.json; \
+	status=$$?; rm -rf $$dir; exit $$status
 
 # The chaos availability demo: scheduled crashes with failover and
 # serve-stale degradation (also available as `hns_cli chaos`).
@@ -89,6 +100,7 @@ fmt:
 check: fmt
 	dune build
 	dune runtest
+	$(MAKE) artifacts
 	$(MAKE) chaos
 	$(MAKE) coldpath
 	$(MAKE) propagation

@@ -7,6 +7,11 @@ module S = Workload.Scenario
 module C = Workload.Calib
 module E = Workload.Experiment
 
+(* Per-instance counts, read from the owner's metrics scope. *)
+let net_count net = Obs.Metrics.read (Transport.Netstack.metrics net)
+let meta_count hns = Obs.Metrics.read (Hns.Meta_client.metrics (Hns.Client.meta hns))
+let meta_lookups hns = meta_count hns "hns.meta.remote_lookups"
+
 let import_name (scn : S.t) =
   Hns.Hns_name.make ~context:scn.bind_context ~name:scn.service_host
 
@@ -911,14 +916,15 @@ let compare_broadcast () =
             stacks
         in
         let target = Printf.sprintf "svc-%03d" (n_hosts - 1) in
-        let packets0 = Transport.Netstack.packets_sent net in
+        let packets () = net_count net "transport.netstack.packets_sent" in
+        let packets0 = packets () in
         let t0 = Sim.Engine.time () in
         (match Baseline.Broadcast_locate.locate client target with
         | Ok (Some _) -> ()
         | Ok None -> failwith "broadcast found nobody"
         | Error e -> failwith (Rpc.Control.error_to_string e));
         let latency = Sim.Engine.time () -. t0 in
-        let packets = Transport.Netstack.packets_sent net - packets0 in
+        let packets = packets () - packets0 in
         let bystander_ms = float_of_int (n_hosts - 1) *. 1.5 in
         List.iter Baseline.Broadcast_locate.stop_interpreter interpreters;
         result := Some (latency, packets, bystander_ms));
@@ -1372,14 +1378,13 @@ let stampede (scn : S.t) ?(waiters = 8) ?(stagger_ms = 5.0) () =
         List.init waiters (fun _ -> Sim.Engine.Mailbox.recv mb)
         |> List.sort Stdlib.compare |> List.map snd
       in
-      (latencies, Hns.Meta_client.remote_lookups (Hns.Client.meta hns)))
+      (latencies, meta_lookups hns))
 
 (* --- Cold-path collapse: bundle, preload, coalescing ---------------- *)
 
 let coldpath () =
   let legacy = S.build () in
   let bundle = S.build ~bundle:true () in
-  let meta_lookups hns = Hns.Meta_client.remote_lookups (Hns.Client.meta hns) in
   let service_name (scn : S.t) =
     Hns.Hns_name.make ~context:scn.bind_context ~name:scn.service_host
   in
@@ -1539,7 +1544,7 @@ let prop_measure ~zone_size ~mode () =
   prop_run ~zone_size ~mode (fun ~net ~zone ~secondary ~client ~admin ->
       let key = Hns.Meta_schema.context_key "pctx-new" in
       let t0 = Sim.Engine.time () in
-      let b0 = Transport.Netstack.bytes_sent net in
+      let b0 = net_count net "transport.netstack.bytes_sent" in
       (match
          Hns.Meta_client.store admin ~key ~ty:Hns.Meta_schema.string_ty
            (Wire.Value.str "UW-BIND")
@@ -1563,8 +1568,8 @@ let prop_measure ~zone_size ~mode () =
       in
       wait ();
       ( Sim.Engine.time () -. t0,
-        Transport.Netstack.bytes_sent net - b0,
-        Hns.Meta_client.delta_records client ))
+        net_count net "transport.netstack.bytes_sent" - b0,
+        Obs.Metrics.read (Hns.Meta_client.metrics client) "hns.meta.delta_records" ))
 
 (* Preload-aware admission at [max_entries] far below the zone size:
    the quota caps what preload pins, overflow is skipped outright, and
@@ -1581,10 +1586,11 @@ let prop_admission ~zone_size ~max_entries () =
              ~key:(Hns.Meta_schema.context_key (prop_ctx (zone_size - 1 - i)))
              ~ty:Hns.Meta_schema.string_ty)
       done;
-      ( Hns.Cache.preloaded cache,
-        Hns.Cache.preload_skipped cache,
+      let count = Obs.Metrics.read (Hns.Cache.metrics cache) in
+      ( count "hns.cache.preloaded",
+        count "hns.cache.preload_skipped",
         Hns.Cache.pinned cache,
-        Hns.Cache.lru_evictions cache ))
+        count "hns.cache.evictions" ))
 
 let propagation () =
   let sizes = [ 50; 200; 800 ] in
@@ -1690,12 +1696,13 @@ let dur_spill_run ?(rounds = 8) ?(writers = 4) ?(churn_keys = 4) () =
               Int32.equal (Dns.Zone.serial r.Dns.Durable.zone) live_serial )
         | None -> (0.0, false)
       in
+      let wal_count = Obs.Metrics.read (Store.Wal.metrics (Dns.Durable.wal d)) in
       result :=
         Some
           {
             spill_append_ms = List.rev !samples;
-            spill_appends = Store.Wal.appends (Dns.Durable.wal d);
-            spill_commits = Store.Wal.group_commits (Dns.Durable.wal d);
+            spill_appends = wal_count "store.wal.appends";
+            spill_commits = wal_count "store.wal.group_commits";
             spill_ratio = ratio;
             spill_recovery_ms = recovery_ms;
             spill_recovered = recovered;
@@ -1827,7 +1834,7 @@ let dur_restart ~zone_size ~durable () =
       let now = Sim.Engine.time () in
       if now < heal_at then Sim.Engine.sleep (heal_at -. now +. 1.0);
       let t0 = Sim.Engine.time () in
-      let b0 = Transport.Netstack.bytes_sent net in
+      let b0 = net_count net "transport.netstack.bytes_sent" in
       store_via admin "post-restart";
       let target = Dns.Zone.serial restart_zone in
       let cache_key =
@@ -1849,7 +1856,7 @@ let dur_restart ~zone_size ~durable () =
       wait ();
       let r =
         ( Sim.Engine.time () -. t0,
-          Transport.Netstack.bytes_sent net - b0,
+          net_count net "transport.netstack.bytes_sent" - b0,
           !failed,
           recovery_ms )
       in
@@ -1978,8 +1985,8 @@ let agent_burst (scn : S.t) ?(k = 6) () =
             Sim.Engine.Mailbox.send mb d)
       done;
       let latencies = List.init k (fun _ -> Sim.Engine.Mailbox.recv mb) in
-      let upstream = Hns.Meta_client.remote_lookups (Hns.Client.meta hns) in
-      let coalesced = Hns.Agent.coalesced agent in
+      let upstream = meta_lookups hns in
+      let coalesced = Obs.Metrics.read (Hns.Agent.metrics agent) "hns.agent.coalesced" in
       Hns.Agent.stop agent;
       (upstream, coalesced, latencies))
 
@@ -2001,7 +2008,7 @@ let direct_burst (scn : S.t) ?(k = 6) () =
         Sim.Engine.Mailbox.recv mb
       done;
       List.fold_left
-        (fun acc hns -> acc + Hns.Meta_client.remote_lookups (Hns.Client.meta hns))
+        (fun acc hns -> acc + meta_lookups hns)
         0 clients)
 
 (* One long-lived agent serving a stream of resolves from the host's
@@ -2026,12 +2033,13 @@ let agent_session (scn : S.t) ?(requests = 8) () =
         | Ok _ -> ()
         | Error e -> failwith (Hns.Errors.to_string e)
       done;
+      let count = Obs.Metrics.read (Hns.Agent.metrics agent) in
       let r =
-        ( Hns.Agent.requests agent,
-          Hns.Agent.cache_hits agent,
+        ( count "hns.agent.requests",
+          count "hns.agent.cache_hits",
           Hns.Agent.cache_hit_ratio agent,
-          Hns.Agent.prefetch_seeded agent,
-          Hns.Agent.prefetch_hits agent )
+          meta_count hns "hns.meta.bundle_prefetched",
+          meta_count hns "hns.meta.prefetch_hits" )
       in
       Hns.Agent.stop agent;
       r)

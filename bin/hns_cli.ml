@@ -286,7 +286,9 @@ let preload_cmd =
                       (Hns.Hns_name.to_string name)
                       rendered
                       (Sim.Engine.time () -. t1)
-                      (Hns.Meta_client.remote_lookups (Hns.Client.meta hns));
+                      (Obs.Metrics.read
+                         (Hns.Meta_client.metrics (Hns.Client.meta hns))
+                         "hns.meta.remote_lookups");
                     0
                 | Ok None ->
                     Printf.printf "%s: not found\n" (Hns.Hns_name.to_string name);

@@ -107,5 +107,5 @@ let () =
     (Dns.Server.queries_served scn.meta_bind)
     (Clearinghouse.Ch_server.accesses scn.ch);
   Printf.printf "network: %d packets, %d bytes\n"
-    (Transport.Netstack.packets_sent scn.net)
-    (Transport.Netstack.bytes_sent scn.net)
+    (Obs.Metrics.read (Transport.Netstack.metrics scn.net) "transport.netstack.packets_sent")
+    (Obs.Metrics.read (Transport.Netstack.metrics scn.net) "transport.netstack.bytes_sent")

@@ -3,8 +3,8 @@ type t = {
   plan : Plan.t;
   rng : Sim.Rng.t;
   mutable trace : string list; (* newest first *)
-  mutable injected : int;
   mutable installed : bool;
+  injected : Obs.Metrics.counter;
 }
 
 let m_faults = Obs.Metrics.counter "chaos.injector.faults_injected"
@@ -20,8 +20,7 @@ let matches hosts name = hosts = [] || List.mem name hosts
 let record t ~now fmt =
   Printf.ksprintf
     (fun detail ->
-      t.injected <- t.injected + 1;
-      Obs.Metrics.incr m_faults;
+      Obs.Metrics.incr t.injected;
       t.trace <- Printf.sprintf "%10.3f %s" now detail :: t.trace)
     fmt
 
@@ -106,8 +105,8 @@ let install ?(seed = 0xC4A05L) plan net =
       plan;
       rng = Sim.Rng.create ~seed;
       trace = [];
-      injected = 0;
       installed = true;
+      injected = Obs.Metrics.owned m_faults;
     }
   in
   Transport.Netstack.set_fault_oracle net (fun ~now ~src ~dst ~payload ->
@@ -121,7 +120,7 @@ let uninstall t =
   end
 
 let trace t = List.rev t.trace
-let faults_injected t = t.injected
+let metrics t = Obs.Metrics.scope [ t.injected ]
 let plan t = t.plan
 
 (* --- disk faults ---------------------------------------------------- *)

@@ -25,9 +25,8 @@ val uninstall : t -> unit
     ["  2013.400 drop tonga->niue crash:niue"]. *)
 val trace : t -> string list
 
-(** Faults injected by this injector (the process-wide counter is
-    [chaos.injector.faults_injected]). *)
-val faults_injected : t -> int
+(** This injector's own [chaos.injector.faults_injected]. *)
+val metrics : t -> Obs.Metrics.scope
 
 val plan : t -> Plan.t
 

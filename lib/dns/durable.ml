@@ -15,7 +15,7 @@ type t = {
   disk : Store.Disk.t;
   mutable since_snap : int;
   mutable snap_serial : int32;
-  mutable persisted : int;
+  persisted : Obs.Metrics.counter;
   mutable hook : Zone.hook option; (* None once detached *)
 }
 
@@ -116,8 +116,8 @@ let snapshot t =
 let zone t = t.zone
 let wal t = t.wal
 let disk t = t.disk
-let last_snapshot_serial t = t.snap_serial
-let persisted_deltas t = t.persisted
+let metrics t = Obs.Metrics.scope [ t.persisted ]
+let persisted_deltas t = Obs.Metrics.value t.persisted
 
 let attach ?(config = default_config) disk zone =
   let wal =
@@ -132,7 +132,7 @@ let attach ?(config = default_config) disk zone =
       disk;
       since_snap = 0;
       snap_serial = Int32.minus_one;
-      persisted = 0;
+      persisted = Obs.Metrics.owned m_persisted;
       hook = None;
     }
   in
@@ -153,8 +153,7 @@ let attach ?(config = default_config) disk zone =
            (* Blocks through the WAL group commit: the update is durable
               before the caller can acknowledge it. *)
            Store.Wal.append wal (encode_delta ~origin:(Zone.origin zone) d);
-           t.persisted <- t.persisted + 1;
-           Obs.Metrics.incr m_persisted;
+           Obs.Metrics.incr t.persisted;
            t.since_snap <- t.since_snap + 1;
            if t.since_snap >= config.snapshot_every then snapshot t));
   t

@@ -62,7 +62,12 @@ val compact : t -> float
 val zone : t -> Zone.t
 val wal : t -> Store.Wal.t
 val disk : t -> Store.Disk.t
-val last_snapshot_serial : t -> int32
+
+(** This log's own [dns.durable.persisted_deltas]: deltas appended
+    through the attached hook. *)
+val metrics : t -> Obs.Metrics.scope
+
+(** The same count, read directly. *)
 val persisted_deltas : t -> int
 
 (** What {!recover} rebuilt, with its provenance. *)

@@ -12,7 +12,7 @@ type t = {
   max_bytes : int;
   mutable rev_deltas : (delta * int) list;
   mutable total_bytes : int;
-  mutable truncations : int;
+  truncations : Obs.Metrics.counter;
 }
 
 let m_appends = Obs.Metrics.counter "dns.journal.appends"
@@ -22,7 +22,13 @@ let m_bytes = Obs.Metrics.gauge "dns.journal.bytes"
 let create ?(max_deltas = 64) ?(max_bytes = max_int) () =
   if max_deltas < 1 then invalid_arg "Journal.create: max_deltas < 1";
   if max_bytes < 1 then invalid_arg "Journal.create: max_bytes < 1";
-  { max_deltas; max_bytes; rev_deltas = []; total_bytes = 0; truncations = 0 }
+  {
+    max_deltas;
+    max_bytes;
+    rev_deltas = [];
+    total_bytes = 0;
+    truncations = Obs.Metrics.owned m_truncations;
+  }
 
 let length t = List.length t.rev_deltas
 
@@ -58,8 +64,7 @@ let record t ~from_serial ~to_serial changes =
     if dropped > 0 then begin
       t.rev_deltas <- List.rev kept;
       t.total_bytes <- bytes;
-      t.truncations <- t.truncations + dropped;
-      Obs.Metrics.add m_truncations dropped
+      Obs.Metrics.add t.truncations dropped
     end
   end;
   Obs.Metrics.set m_bytes (float_of_int t.total_bytes)
@@ -88,9 +93,7 @@ let since t ~serial =
       | [] -> None
       | (newest, _) :: _ -> collect [] newest.to_serial rev)
 
-let truncations t = t.truncations
-
-let change_count d = List.length d.changes
+let metrics t = Obs.Metrics.scope [ t.truncations ]
 
 let apply_changes db changes =
   List.iter

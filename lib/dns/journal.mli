@@ -46,16 +46,14 @@ val since : t -> serial:int32 -> delta list option
 (** All retained deltas, oldest first. *)
 val deltas : t -> delta list
 
-(** Deltas dropped to the retention bounds over the journal's life. *)
-val truncations : t -> int
+(** This journal's own [dns.journal.truncations]: deltas dropped to the
+    retention bounds over its life. *)
+val metrics : t -> Obs.Metrics.scope
 
 val length : t -> int
 
 (** Estimated bytes currently held (the [dns.journal.bytes] gauge). *)
 val bytes : t -> int
-
-(** Number of record changes in a delta. *)
-val change_count : delta -> int
 
 (** Replay changes, in order, against a record store: [Put] adds,
     [Del] removes the exact record. *)

@@ -23,8 +23,8 @@ type t = {
   probe_interval_ms : float;
   mutable last_probe_ms : float;
   mutable next_id : int;
-  mutable routed : int;
-  mutable primary_fallbacks : int;
+  routed : Obs.Metrics.counter;
+  primary_fallbacks : Obs.Metrics.counter;
 }
 
 let create stack ~zone ~primary ~replicas ?(half_life_ms = 2000.)
@@ -53,16 +53,14 @@ let create stack ~zone ~primary ~replicas ?(half_life_ms = 2000.)
     probe_interval_ms;
     last_probe_ms = Float.neg_infinity;
     next_id = 0x5e00;
-    routed = 0;
-    primary_fallbacks = 0;
+    routed = Obs.Metrics.owned m_routed;
+    primary_fallbacks = Obs.Metrics.owned m_fallbacks;
   }
 
 let zone t = t.zone
 let primary t = t.primary
-let replica_addrs t = List.map (fun m -> m.addr) t.members
 let size t = List.length t.members
-let routed t = t.routed
-let primary_fallbacks t = t.primary_fallbacks
+let metrics t = Obs.Metrics.scope [ t.routed; t.primary_fallbacks ]
 
 let mass_now t m ~now =
   if m.mass <= 0. then 0.
@@ -151,8 +149,7 @@ let select ?min_serial t =
   in
   match cands with
   | [] ->
-      t.primary_fallbacks <- t.primary_fallbacks + 1;
-      Obs.Metrics.incr m_fallbacks;
+      Obs.Metrics.incr t.primary_fallbacks;
       t.primary
   | first :: rest ->
       let best =
@@ -168,8 +165,7 @@ let select ?min_serial t =
       best.mass <- mass_now t best ~now +. 1.;
       best.mass_at <- now;
       best.selected <- best.selected + 1;
-      t.routed <- t.routed + 1;
-      Obs.Metrics.incr m_routed;
+      Obs.Metrics.incr t.routed;
       best.addr
 
 type member_stats = {

@@ -64,15 +64,14 @@ val refresh_serials : t -> unit
 
 val zone : t -> Name.t
 val primary : t -> Transport.Address.t
-val replica_addrs : t -> Transport.Address.t list
 
 (** Replicas in the set (the primary is not a member). *)
 val size : t -> int
 
-(** Reads routed to replicas / pinned reads that fell back. *)
-val routed : t -> int
-
-val primary_fallbacks : t -> int
+(** This set's own counts: [dns.replica.routed] (reads routed to
+    replicas) and [dns.replica.primary_fallbacks] (reads that fell back
+    to the primary). *)
+val metrics : t -> Obs.Metrics.scope
 
 type member_stats = {
   addr : Transport.Address.t;

@@ -45,7 +45,7 @@ type t = {
   mutable hits : int;
   mutable misses : int;
   mutable neg_hits : int;
-  mutable ref_hits : int;
+  ref_hits : Obs.Metrics.counter;
 }
 
 let create stack ~servers ?(enable_cache = true) ?(max_ttl_ms = 3_600_000.0)
@@ -63,7 +63,7 @@ let create stack ~servers ?(enable_cache = true) ?(max_ttl_ms = 3_600_000.0)
     hits = 0;
     misses = 0;
     neg_hits = 0;
-    ref_hits = 0;
+    ref_hits = Obs.Metrics.owned m_referral_hits;
   }
 
 let min_ttl_ms records =
@@ -298,8 +298,7 @@ let query_iterative t name rtype =
       let result =
         match referral_lookup t name with
         | Some (cut, addrs) -> (
-            t.ref_hits <- t.ref_hits + 1;
-            Obs.Metrics.incr m_referral_hits;
+            Obs.Metrics.incr t.ref_hits;
             (* Start at the cached cut; if its servers have gone bad,
                forget the entry and re-walk from the roots. *)
             match iterate t ~depth:1 addrs name rtype with
@@ -348,11 +347,9 @@ let flush t =
   t.hits <- 0;
   t.misses <- 0;
   t.neg_hits <- 0;
-  t.ref_hits <- 0
+  Obs.Metrics.zero t.ref_hits
 
 let cache_hits t = t.hits
 let cache_misses t = t.misses
-let cache_size t = Cache_tbl.length t.cache
 let negative_hits t = t.neg_hits
-let referral_hits t = t.ref_hits
-let referral_cache_size t = Name_tbl.length t.referrals
+let metrics t = Obs.Metrics.scope [ t.ref_hits ]

@@ -49,19 +49,15 @@ val seed : t -> Name.t -> Rr.rtype -> Rr.t list -> unit
 val flush : t -> unit
 val cache_hits : t -> int
 val cache_misses : t -> int
-val cache_size : t -> int
 
 (** Hits answered from the negative cache (name known absent). When
     [negative_ttl_ms] is 0 (the default, as in 1987 BIND) there are
     none; set it to enable RFC 2308-style negative caching. *)
 val negative_hits : t -> int
 
-(** Iterative resolves that skipped the root walk because the zone
-    cut was already cached (each referral followed is remembered for
-    the NS records' TTL; also counted process-wide as
-    [dns.resolver.referral_hits]). Stale cut entries whose servers
-    stop answering are dropped and the walk restarts from the
-    roots. *)
-val referral_hits : t -> int
-
-val referral_cache_size : t -> int
+(** This resolver's own [dns.resolver.referral_hits]: iterative
+    resolves that skipped the root walk because the zone cut was
+    already cached (each referral followed is remembered for the NS
+    records' TTL). Stale cut entries whose servers stop answering are
+    dropped and the walk restarts from the roots. {!flush} zeroes it. *)
+val metrics : t -> Obs.Metrics.scope

@@ -9,13 +9,12 @@ type t = {
   chain_depth : int;
   zone : Zone.t; (* our replica, registered with [server] *)
   mutable running : bool;
-  mutable transfer_count : int; (* refreshes that moved the replica, full or delta *)
-  mutable full_count : int;
-  mutable ixfr_count : int;
-  mutable delta_records : int;
-  mutable notify_kicks : int;
   mutable fresh_count : int;
   mutable next_id : int;
+  full_transfers : Obs.Metrics.counter;
+  ixfr_applied : Obs.Metrics.counter;
+  delta_records : Obs.Metrics.counter;
+  notify_kicks : Obs.Metrics.counter;
 }
 
 let m_ixfr_applied = Obs.Metrics.counter "dns.secondary.ixfr_applied"
@@ -44,9 +43,7 @@ let adopt t (soa, data) =
   Db.clear db;
   List.iter (Db.add db) data;
   Zone.set_soa t.zone soa;
-  t.transfer_count <- t.transfer_count + 1;
-  t.full_count <- t.full_count + 1;
-  Obs.Metrics.incr m_full_transfers
+  Obs.Metrics.incr t.full_transfers
 
 (* Advance the replica by journal deltas instead of re-transferring. *)
 let apply_deltas t (soa : Rr.soa) changes =
@@ -59,11 +56,8 @@ let apply_deltas t (soa : Rr.soa) changes =
   (* The incremental payload carries only the serial transition; adopt
      the rest of the pushed SOA (refresh/expire may have changed). *)
   Zone.set_soa t.zone soa;
-  t.transfer_count <- t.transfer_count + 1;
-  t.ixfr_count <- t.ixfr_count + 1;
-  t.delta_records <- t.delta_records + List.length changes;
-  Obs.Metrics.incr m_ixfr_applied;
-  Obs.Metrics.add m_delta_records (List.length changes)
+  Obs.Metrics.incr t.ixfr_applied;
+  Obs.Metrics.add t.delta_records (List.length changes)
 
 (* Probe the primary's serial with a plain SOA query. *)
 let primary_serial t =
@@ -135,13 +129,12 @@ let attach server ~primary ~zone ?refresh_ms ?(mode = Ixfr) ?(chain_depth = 1)
         | Some z -> z
         | None -> Zone.simple ~origin:zone []);
       running = true;
-      transfer_count = 0;
-      full_count = 0;
-      ixfr_count = 0;
-      delta_records = 0;
-      notify_kicks = 0;
       fresh_count = 0;
       next_id = 0x5A00;
+      full_transfers = Obs.Metrics.owned m_full_transfers;
+      ixfr_applied = Obs.Metrics.owned m_ixfr_applied;
+      delta_records = Obs.Metrics.owned m_delta_records;
+      notify_kicks = Obs.Metrics.owned m_notify_kicks;
     }
   in
   (match recovered with
@@ -173,8 +166,7 @@ let attach server ~primary ~zone ?refresh_ms ?(mode = Ixfr) ?(chain_depth = 1)
           | None -> true
         in
         if stale then begin
-          t.notify_kicks <- t.notify_kicks + 1;
-          Obs.Metrics.incr m_notify_kicks;
+          Obs.Metrics.incr t.notify_kicks;
           try
             Sim.Engine.spawn_child
               ~name:(Printf.sprintf "secondary-notify:%s" (Name.to_string zone))
@@ -193,10 +185,9 @@ let attach server ~primary ~zone ?refresh_ms ?(mode = Ixfr) ?(chain_depth = 1)
 
 let serial t = Zone.serial t.zone
 let chain_depth t = t.chain_depth
-let transfers t = t.transfer_count
-let full_transfers t = t.full_count
-let ixfr_applied t = t.ixfr_count
-let delta_records t = t.delta_records
-let notify_kicks t = t.notify_kicks
+let metrics t =
+  Obs.Metrics.scope
+    [ t.full_transfers; t.ixfr_applied; t.delta_records; t.notify_kicks ]
+
 let fresh_checks t = t.fresh_count
 let detach t = t.running <- false

@@ -62,21 +62,14 @@ val serial : t -> int32
     primary). *)
 val chain_depth : t -> int
 
-(** Refreshes that moved the replica, full or incremental (1 after
-    attach). *)
-val transfers : t -> int
-
-(** Full zone transfers (AXFR payloads adopted). *)
-val full_transfers : t -> int
-
-(** Incremental refreshes applied from journal deltas. *)
-val ixfr_applied : t -> int
-
-(** Total record changes received over all incremental refreshes. *)
-val delta_records : t -> int
-
-(** NOTIFY pushes that triggered an immediate pull. *)
-val notify_kicks : t -> int
+(** This replica's own counts: [dns.secondary.full_transfers] (AXFR
+    payloads adopted, 1 after a plain attach),
+    [dns.secondary.ixfr_applied] (incremental refreshes from journal
+    deltas), [dns.secondary.delta_records] (record changes those
+    carried) and [dns.secondary.notify_kicks] (NOTIFY pushes that
+    triggered an immediate pull). Refreshes that moved the replica are
+    full transfers plus IXFRs applied. *)
+val metrics : t -> Obs.Metrics.scope
 
 (** Serial probes that found the replica current. *)
 val fresh_checks : t -> int

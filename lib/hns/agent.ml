@@ -40,9 +40,9 @@ type t = {
       (* ivar plus the leader's trace id: a coalesced follower's reply
          was really produced under the leader's trace, and its flight
          record says so *)
-  mutable request_count : int;
-  mutable cache_hit_count : int;
-  mutable coalesced_count : int;
+  requests : Obs.Metrics.counter;
+  cache_hits : Obs.Metrics.counter;
+  coalesced : Obs.Metrics.counter;
   mutable refresher_stop : (unit -> unit) option;
   mutable notify_stop : (unit -> unit) option;
 }
@@ -66,12 +66,10 @@ let singleflight t ~qname ~query_class key compute =
       (* Inside the server's [hrpc_serve] span, so this is the trace
          the calling client propagated over the wire. *)
       Obs.Qlog.note_trace (Obs.Span.current_trace ());
-      t.request_count <- t.request_count + 1;
-      Obs.Metrics.incr m_requests;
+      Obs.Metrics.incr t.requests;
       match Hashtbl.find_opt t.inflight key with
       | Some (iv, leader_trace) ->
-          t.coalesced_count <- t.coalesced_count + 1;
-          Obs.Metrics.incr m_coalesced;
+          Obs.Metrics.incr t.coalesced;
           (* This request rides the leader's in-flight work: its record
              links the trace that actually went upstream, and the
              serving span (the agent's hrpc_serve) says so too. *)
@@ -89,12 +87,14 @@ let singleflight t ~qname ~query_class key compute =
               Hashtbl.remove t.inflight key;
               safe_fill iv (err (Errors.Meta_error "coalesced agent leader failed")))
             (fun () ->
-              let before = Meta_client.remote_lookups (Client.meta t.hns) in
+              let lookups () =
+                Obs.Metrics.read
+                  (Meta_client.metrics (Client.meta t.hns))
+                  "hns.meta.remote_lookups"
+              in
+              let before = lookups () in
               let r = compute () in
-              if Meta_client.remote_lookups (Client.meta t.hns) = before then begin
-                t.cache_hit_count <- t.cache_hit_count + 1;
-                Obs.Metrics.incr m_cache_hits
-              end
+              if lookups () = before then Obs.Metrics.incr t.cache_hits
               else Obs.Qlog.note_outcome Obs.Qlog.Miss;
               safe_fill iv r;
               r))
@@ -113,9 +113,9 @@ let create hns ?(linked_nsms = []) ?port ?(suite = Hrpc.Component.sunrpc_suite)
       server;
       hns;
       inflight = Hashtbl.create 8;
-      request_count = 0;
-      cache_hit_count = 0;
-      coalesced_count = 0;
+      requests = Obs.Metrics.owned m_requests;
+      cache_hits = Obs.Metrics.owned m_cache_hits;
+      coalesced = Obs.Metrics.owned m_coalesced;
       refresher_stop = None;
       notify_stop = None;
     }
@@ -209,16 +209,12 @@ let start_preload_refresher ?interval_ms t =
 
 (* {1 Stats} *)
 
-let requests t = t.request_count
-let cache_hits t = t.cache_hit_count
-let coalesced t = t.coalesced_count
+let metrics t = Obs.Metrics.scope [ t.requests; t.cache_hits; t.coalesced ]
 
 let cache_hit_ratio t =
-  let leaders = t.request_count - t.coalesced_count in
-  if leaders <= 0 then 0.0 else float_of_int t.cache_hit_count /. float_of_int leaders
-
-let prefetch_seeded t = Meta_client.prefetch_seeded (Client.meta t.hns)
-let prefetch_hits t = Meta_client.prefetch_hits (Client.meta t.hns)
+  let leaders = Obs.Metrics.(value t.requests - value t.coalesced) in
+  if leaders <= 0 then 0.0
+  else float_of_int (Obs.Metrics.value t.cache_hits) /. float_of_int leaders
 
 (* {1 Client-side wrappers} *)
 

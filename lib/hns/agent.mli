@@ -87,33 +87,19 @@ val start_notify_listener : ?port:int -> t -> Transport.Address.t
     simulation. *)
 val start_preload_refresher : ?interval_ms:float -> t -> unit
 
-(** {1 Stats}
+(** {1 Stats} *)
 
-    Mirrored in the metrics registry as [hns.agent.requests],
-    [hns.agent.cache_hits] and [hns.agent.coalesced]. *)
+(** This agent's own counts: [hns.agent.requests] (served over all
+    procedures, coalesced followers included), [hns.agent.cache_hits]
+    (answered without any upstream meta lookup) and
+    [hns.agent.coalesced] (joined another process's in-flight identical
+    request). The shared cache's prefetch counts are in its HNS's
+    {!Meta_client.metrics}. *)
+val metrics : t -> Obs.Metrics.scope
 
-(** Requests served over all procedures (coalesced followers
-    included). *)
-val requests : t -> int
-
-(** Requests the agent answered without any upstream meta lookup. *)
-val cache_hits : t -> int
-
-(** Requests that joined another process's in-flight identical
-    request. *)
-val coalesced : t -> int
-
-(** {!cache_hits} over requests that actually computed (followers
+(** Cache hits over requests that actually computed (followers
     excluded); 0 before any traffic. *)
 val cache_hit_ratio : t -> float
-
-(** Prefetched host-address rows admitted to the shared cache
-    ({!Meta_client.prefetch_seeded}). *)
-val prefetch_seeded : t -> int
-
-(** Resolutions whose NSM data round trip a prefetched row eliminated
-    ({!Meta_client.prefetch_hits}). *)
-val prefetch_hits : t -> int
 
 (** {1 Client-side wrappers} *)
 

@@ -29,15 +29,15 @@ type t = {
   max_entries : int option;
   tbl : (string, entry) Hashtbl.t;
   mutable tick : int; (* logical clock for LRU recency *)
-  mutable hit_count : int;
-  mutable miss_count : int;
-  mutable stale_count : int;
-  mutable neg_hit_count : int;
-  mutable lru_eviction_count : int;
-  mutable preloaded_count : int;
   mutable pinned_count : int;
-  mutable preload_skipped_count : int;
-  mutable invalidation_count : int;
+  hits : Obs.Metrics.counter;
+  misses : Obs.Metrics.counter;
+  stale_served : Obs.Metrics.counter;
+  neg_hits : Obs.Metrics.counter;
+  lru_evictions : Obs.Metrics.counter;
+  preloaded : Obs.Metrics.counter;
+  preload_skipped : Obs.Metrics.counter;
+  invalidations : Obs.Metrics.counter;
 }
 
 (* The canonical storage representation for marshalled entries. *)
@@ -82,6 +82,7 @@ let create ~mode
   (match max_entries with
   | Some n when n <= 0 -> invalid_arg "Cache.create: max_entries must be positive"
   | _ -> ());
+  let m = metrics_of mode in
   {
     mode;
     generated_cost;
@@ -94,15 +95,15 @@ let create ~mode
     max_entries;
     tbl = Hashtbl.create 64;
     tick = 0;
-    hit_count = 0;
-    miss_count = 0;
-    stale_count = 0;
-    neg_hit_count = 0;
-    lru_eviction_count = 0;
-    preloaded_count = 0;
     pinned_count = 0;
-    preload_skipped_count = 0;
-    invalidation_count = 0;
+    hits = Obs.Metrics.owned m.m_hits;
+    misses = Obs.Metrics.owned m.m_misses;
+    stale_served = Obs.Metrics.owned m_stale_served;
+    neg_hits = Obs.Metrics.owned m_neg_hits;
+    lru_evictions = Obs.Metrics.owned m_lru_evictions;
+    preloaded = Obs.Metrics.owned m_preloaded;
+    preload_skipped = Obs.Metrics.owned m_preload_skipped;
+    invalidations = Obs.Metrics.owned m_invalidations;
   }
 
 let mode t = t.mode
@@ -187,8 +188,7 @@ type outcome = Hit of Wire.Value.t | Negative_hit | Miss
 let find_outcome t ~key ~ty =
   let m = metrics_of t.mode in
   let miss () =
-    t.miss_count <- t.miss_count + 1;
-    Obs.Metrics.incr m.m_misses;
+    Obs.Metrics.incr t.misses;
     Miss
   in
   let hit_t0 = Obs.Metrics.now_ms () in
@@ -209,16 +209,14 @@ let find_outcome t ~key ~ty =
   | Some ({ stored = Negative_form; _ } as entry) ->
       charge t.hit_overhead_ms;
       touch t entry;
-      t.neg_hit_count <- t.neg_hit_count + 1;
-      Obs.Metrics.incr m_neg_hits;
+      Obs.Metrics.incr t.neg_hits;
       Negative_hit
   | Some entry -> (
       match decode_stored t ~key ~ty entry.stored with
       | None -> miss ()
       | Some v ->
           touch t entry;
-          t.hit_count <- t.hit_count + 1;
-          Obs.Metrics.incr m.m_hits;
+          Obs.Metrics.incr t.hits;
           Obs.Metrics.observe m.m_hit_ms (Obs.Metrics.now_ms () -. hit_t0);
           Hit v)
 
@@ -257,8 +255,7 @@ let find_stale t ~key ~ty =
         | None -> None
         | Some v ->
             touch t entry;
-            t.stale_count <- t.stale_count + 1;
-            Obs.Metrics.incr m_stale_served;
+            Obs.Metrics.incr t.stale_served;
             Some v
       else None
 
@@ -292,8 +289,7 @@ let evict_lru_if_full t ~key =
       | None -> ()
       | Some (k, _) ->
           ignore (remove_key t k);
-          t.lru_eviction_count <- t.lru_eviction_count + 1;
-          Obs.Metrics.incr m_lru_evictions)
+          Obs.Metrics.incr t.lru_evictions)
   | _ -> ()
 
 let insert_stored t ~key ~ttl_ms ?(pinned = false) stored =
@@ -328,12 +324,10 @@ let insert_addr t ~key ?ttl_ms ip =
   insert_stored t ~key ~ttl_ms (Addr_form ip)
 
 let find_addr t ~key =
-  let m = metrics_of t.mode in
   let serve entry ip =
     charge (t.hit_overhead_ms +. t.hit_per_node_ms);
     touch t entry;
-    t.hit_count <- t.hit_count + 1;
-    Obs.Metrics.incr m.m_hits;
+    Obs.Metrics.incr t.hits;
     Some ip
   in
   match Hashtbl.find_opt t.tbl key with
@@ -361,10 +355,7 @@ let insert_negative t ~key ~ttl_ms =
    source). Returns whether anything was cached under the key. *)
 let remove t ~key =
   let removed = remove_key t key in
-  if removed then begin
-    t.invalidation_count <- t.invalidation_count + 1;
-    Obs.Metrics.incr m_invalidations
-  end;
+  if removed then Obs.Metrics.incr t.invalidations;
   removed
 
 (* Preload admission quota: in a bounded cache, pinned (preloaded)
@@ -398,12 +389,8 @@ let preload t entries =
       end
       else incr skipped)
     entries;
-  t.preloaded_count <- t.preloaded_count + !inserted;
-  Obs.Metrics.add m_preloaded !inserted;
-  if !skipped > 0 then begin
-    t.preload_skipped_count <- t.preload_skipped_count + !skipped;
-    Obs.Metrics.add m_preload_skipped !skipped
-  end;
+  Obs.Metrics.add t.preloaded !inserted;
+  Obs.Metrics.add t.preload_skipped !skipped;
   !inserted
 
 (* Bulk native seeding: the prefetch-tail rows of a bundle reply,
@@ -425,31 +412,21 @@ let preload_addrs t rows =
       end
       else incr skipped)
     rows;
-  t.preloaded_count <- t.preloaded_count + !inserted;
-  Obs.Metrics.add m_preloaded !inserted;
-  if !skipped > 0 then begin
-    t.preload_skipped_count <- t.preload_skipped_count + !skipped;
-    Obs.Metrics.add m_preload_skipped !skipped
-  end;
+  Obs.Metrics.add t.preloaded !inserted;
+  Obs.Metrics.add t.preload_skipped !skipped;
   !inserted
 
 let flush t =
   Hashtbl.reset t.tbl;
   t.pinned_count <- 0;
-  t.hit_count <- 0;
-  t.miss_count <- 0;
-  t.stale_count <- 0;
-  t.neg_hit_count <- 0
+  List.iter Obs.Metrics.zero [ t.hits; t.misses; t.stale_served; t.neg_hits ]
 
-let hits t = t.hit_count
-let misses t = t.miss_count
-let stale_served t = t.stale_count
-let negative_hits t = t.neg_hit_count
-let lru_evictions t = t.lru_eviction_count
-let preloaded t = t.preloaded_count
-let preload_skipped t = t.preload_skipped_count
+let metrics t =
+  Obs.Metrics.scope
+    [ t.hits; t.misses; t.stale_served; t.neg_hits; t.lru_evictions; t.preloaded;
+      t.preload_skipped; t.invalidations ]
+
 let pinned t = t.pinned_count
-let invalidations t = t.invalidation_count
 let size t = Hashtbl.length t.tbl
 
 let stored_bytes t =
@@ -461,5 +438,6 @@ let stored_bytes t =
     t.tbl 0
 
 let hit_ratio t =
-  let total = t.hit_count + t.miss_count in
-  if total = 0 then 0.0 else float_of_int t.hit_count /. float_of_int total
+  let hits = Obs.Metrics.value t.hits in
+  let total = hits + Obs.Metrics.value t.misses in
+  if total = 0 then 0.0 else float_of_int hits /. float_of_int total

@@ -100,7 +100,7 @@ type outcome = Hit of Wire.Value.t | Negative_hit | Miss
 
 (** Like {!find} but reporting negative entries explicitly. A
     [Negative_hit] charges only [hit_overhead_ms] (nothing to decode)
-    and counts in [hns.cache.neg_hits], not in {!hits}. *)
+    and counts in [hns.cache.neg_hits], not as a hit. *)
 val find_outcome : t -> key:string -> ty:Wire.Idl.ty -> outcome
 
 (** [peek t ~key] is true when a fresh {e positive} entry is cached
@@ -163,30 +163,19 @@ val remove : t -> key:string -> bool
 val preload :
   t -> (string * Wire.Idl.ty * float * Wire.Value.t) list -> int
 
+(** Drops every entry and zeroes this cache's hit, miss, stale-served
+    and negative-hit counts (the globals keep theirs). *)
 val flush : t -> unit
-val hits : t -> int
-val misses : t -> int
 
-(** Stale answers served by {!find_stale} since creation/flush. *)
-val stale_served : t -> int
-
-(** Negative hits served since creation/flush. *)
-val negative_hits : t -> int
-
-(** Entries evicted by the [max_entries] LRU bound since creation. *)
-val lru_evictions : t -> int
-
-(** Entries seeded via {!preload} since creation. *)
-val preloaded : t -> int
-
-(** Preload rows skipped by the admission quota since creation. *)
-val preload_skipped : t -> int
+(** This cache's own counts: [hns.cache.<mode>.hits] and
+    [hns.cache.<mode>.misses] for its storage mode, plus
+    [hns.cache.stale_served], [hns.cache.neg_hits],
+    [hns.cache.evictions] (the LRU bound), [hns.cache.preloaded],
+    [hns.cache.preload_skipped] and [hns.cache.invalidations]. *)
+val metrics : t -> Obs.Metrics.scope
 
 (** Currently-pinned (preload-sourced) entries. *)
 val pinned : t -> int
-
-(** Entries dropped via {!remove} since creation. *)
-val invalidations : t -> int
 
 val size : t -> int
 

@@ -11,99 +11,6 @@ end)
    subtree under the cut, cached for the NS records' TTL. *)
 type partition = { rs : Dns.Replica_set.t; expires_at : float }
 
-type t = {
-  stack : Transport.Netstack.stack;
-  meta_server : Transport.Address.t;
-  fallback_servers : Transport.Address.t list;
-  replica_set : Dns.Replica_set.t option;
-      (* read routing over the root zone's replica tree *)
-  read_your_writes : bool;
-  referrals : partition N_tbl.t; (* learned partition cuts *)
-  mutable write_floors : (Dns.Name.t * int32) list;
-      (* per zone origin: the serial our last write landed at *)
-  mutable referral_chase_count : int;
-  mutable referral_hit_count : int;
-  cache_ : Cache.t;
-  generated_cost : Wire.Generic_marshal.cost_model;
-  hand_codec : Wire.Hotcodec.cost_model option;
-      (* when set, hot record shapes marshal through the hand codec
-         and charge this model; cold/unknown shapes still fall back to
-         the generated path *)
-  hand_preload_record_ms : float option;
-      (* per-record transfer/delta absorption under the hand codec *)
-  preload_record_ms : float;
-  mapping_overhead_ms : float;
-  enable_bundle : bool;
-  negative_ttl_ms : float;
-  mutable bundle_support : bundle_support;
-  mutable zone_serial : int32 option;
-  mutable zone_refresh_s : int32 option;
-  mutable soa_neg_ttl_ms : float option; (* zone SOA minimum, observed *)
-  mutable delta_refresh_count : int;
-  mutable delta_record_count : int;
-  mutable delta_invalidation_count : int;
-  mutable full_refresh_count : int;
-  mutable notify_kick_count : int;
-  mutable walk : (string * bool * float) list; (* newest first, max 64 *)
-  mutable prefetch_seeded_count : int;
-  mutable prefetch_hit_count : int;
-  prefetched : (string, unit) Hashtbl.t; (* addr cache keys seeded by prefetch *)
-  raw_binding : Hrpc.Binding.t;
-  policy : Rpc.Control.retry_policy option;
-  mutable lookup_count : int;
-  mutable next_id : int;
-}
-
-let create stack ~meta_server ?(fallback_servers = []) ?replica_set
-    ?(read_your_writes = true) ~cache
-    ?(generated_cost = { Wire.Generic_marshal.per_call_ms = 0.0; per_node_ms = 0.0 })
-    ?hand_codec ?hand_preload_record_ms ?(preload_record_ms = 0.0)
-    ?(mapping_overhead_ms = 0.0) ?(enable_bundle = false)
-    ?(negative_ttl_ms = 0.0) ?policy () =
-  {
-    stack;
-    meta_server;
-    fallback_servers;
-    replica_set;
-    read_your_writes;
-    referrals = N_tbl.create 8;
-    write_floors = [];
-    referral_chase_count = 0;
-    referral_hit_count = 0;
-    cache_ = cache;
-    generated_cost;
-    hand_codec;
-    hand_preload_record_ms;
-    preload_record_ms;
-    mapping_overhead_ms;
-    enable_bundle;
-    negative_ttl_ms;
-    bundle_support = B_unknown;
-    zone_serial = None;
-    zone_refresh_s = None;
-    soa_neg_ttl_ms = None;
-    delta_refresh_count = 0;
-    delta_record_count = 0;
-    delta_invalidation_count = 0;
-    full_refresh_count = 0;
-    notify_kick_count = 0;
-    walk = [];
-    prefetch_seeded_count = 0;
-    prefetch_hit_count = 0;
-    prefetched = Hashtbl.create 16;
-    raw_binding =
-      Hrpc.Binding.make ~suite:Hrpc.Component.raw_udp_suite ~server:meta_server
-        ~prog:0 ~vers:0;
-    policy;
-    lookup_count = 0;
-    next_id = 1;
-  }
-
-let cache t = t.cache_
-let remote_lookups t = t.lookup_count
-let bundle_enabled t = t.enable_bundle
-let negative_ttl_ms t = t.negative_ttl_ms
-
 let m_lookups = Obs.Metrics.counter "hns.meta.lookups"
 let m_remote_lookups = Obs.Metrics.counter "hns.meta.remote_lookups"
 let m_lookup_ms = Obs.Metrics.histogram "hns.meta.lookup_ms"
@@ -121,6 +28,103 @@ let m_prefetch_hits = Obs.Metrics.counter "hns.meta.prefetch_hits"
 let m_referral_chases = Obs.Metrics.counter "hns.meta.referral_chases"
 let m_referral_hits = Obs.Metrics.counter "hns.meta.referral_hits"
 let m_routed_reads = Obs.Metrics.counter "hns.meta.routed_reads"
+
+type t = {
+  stack : Transport.Netstack.stack;
+  meta_server : Transport.Address.t;
+  fallback_servers : Transport.Address.t list;
+  replica_set : Dns.Replica_set.t option;
+      (* read routing over the root zone's replica tree *)
+  read_your_writes : bool;
+  referrals : partition N_tbl.t; (* learned partition cuts *)
+  mutable write_floors : (Dns.Name.t * int32) list;
+      (* per zone origin: the serial our last write landed at *)
+  cache_ : Cache.t;
+  generated_cost : Wire.Generic_marshal.cost_model;
+  hand_codec : Wire.Hotcodec.cost_model option;
+      (* when set, hot record shapes marshal through the hand codec
+         and charge this model; cold/unknown shapes still fall back to
+         the generated path *)
+  hand_preload_record_ms : float option;
+      (* per-record transfer/delta absorption under the hand codec *)
+  preload_record_ms : float;
+  mapping_overhead_ms : float;
+  enable_bundle : bool;
+  negative_ttl_ms : float;
+  mutable bundle_support : bundle_support;
+  mutable zone_serial : int32 option;
+  mutable zone_refresh_s : int32 option;
+  mutable soa_neg_ttl_ms : float option; (* zone SOA minimum, observed *)
+  mutable walk : (string * bool * float) list; (* newest first, max 64 *)
+  prefetched : (string, unit) Hashtbl.t; (* addr cache keys seeded by prefetch *)
+  raw_binding : Hrpc.Binding.t;
+  policy : Rpc.Control.retry_policy option;
+  mutable next_id : int;
+  lookups : Obs.Metrics.counter; (* remote round trips *)
+  referral_chases : Obs.Metrics.counter;
+  referral_hits : Obs.Metrics.counter;
+  delta_refreshes : Obs.Metrics.counter;
+  delta_records : Obs.Metrics.counter;
+  delta_invalidations : Obs.Metrics.counter;
+  full_refreshes : Obs.Metrics.counter;
+  notify_kicks : Obs.Metrics.counter;
+  prefetch_seeded : Obs.Metrics.counter;
+  prefetch_hits : Obs.Metrics.counter;
+}
+
+let create stack ~meta_server ?(fallback_servers = []) ?replica_set
+    ?(read_your_writes = true) ~cache
+    ?(generated_cost = { Wire.Generic_marshal.per_call_ms = 0.0; per_node_ms = 0.0 })
+    ?hand_codec ?hand_preload_record_ms ?(preload_record_ms = 0.0)
+    ?(mapping_overhead_ms = 0.0) ?(enable_bundle = false)
+    ?(negative_ttl_ms = 0.0) ?policy () =
+  {
+    stack;
+    meta_server;
+    fallback_servers;
+    replica_set;
+    read_your_writes;
+    referrals = N_tbl.create 8;
+    write_floors = [];
+    cache_ = cache;
+    generated_cost;
+    hand_codec;
+    hand_preload_record_ms;
+    preload_record_ms;
+    mapping_overhead_ms;
+    enable_bundle;
+    negative_ttl_ms;
+    bundle_support = B_unknown;
+    zone_serial = None;
+    zone_refresh_s = None;
+    soa_neg_ttl_ms = None;
+    walk = [];
+    prefetched = Hashtbl.create 16;
+    raw_binding =
+      Hrpc.Binding.make ~suite:Hrpc.Component.raw_udp_suite ~server:meta_server
+        ~prog:0 ~vers:0;
+    policy;
+    next_id = 1;
+    lookups = Obs.Metrics.owned m_remote_lookups;
+    referral_chases = Obs.Metrics.owned m_referral_chases;
+    referral_hits = Obs.Metrics.owned m_referral_hits;
+    delta_refreshes = Obs.Metrics.owned m_delta_refreshes;
+    delta_records = Obs.Metrics.owned m_delta_records;
+    delta_invalidations = Obs.Metrics.owned m_delta_invalidations;
+    full_refreshes = Obs.Metrics.owned m_full_refreshes;
+    notify_kicks = Obs.Metrics.owned m_notify_kicks;
+    prefetch_seeded = Obs.Metrics.owned m_prefetched;
+    prefetch_hits = Obs.Metrics.owned m_prefetch_hits;
+  }
+
+let cache t = t.cache_
+let metrics t =
+  Obs.Metrics.scope
+    [ t.lookups; t.referral_chases; t.referral_hits; t.delta_refreshes;
+      t.delta_records; t.delta_invalidations; t.full_refreshes; t.notify_kicks;
+      t.prefetch_seeded; t.prefetch_hits ]
+let bundle_enabled t = t.enable_bundle
+let negative_ttl_ms t = t.negative_ttl_ms
 
 let charge ms =
   if ms > 0.0 then
@@ -204,8 +208,7 @@ let read_route t key =
   in
   match cut_for t key with
   | Some (cut, part) ->
-      t.referral_hit_count <- t.referral_hit_count + 1;
-      Obs.Metrics.incr m_referral_hits;
+      Obs.Metrics.incr t.referral_hits;
       via part.rs ~zone:cut
   | None -> (
       match t.replica_set with
@@ -274,8 +277,7 @@ let learn_referral t (reply : Dns.Msg.t) =
           let ttl_ms = if Float.is_finite ttl_ms then ttl_ms else 0.0 in
           N_tbl.replace t.referrals cut
             { rs; expires_at = now_ms () +. ttl_ms };
-          t.referral_chase_count <- t.referral_chase_count + 1;
-          Obs.Metrics.incr m_referral_chases)
+          Obs.Metrics.incr t.referral_chases)
 
 (* One raw DNS exchange, paying the generated-stub marshalling price
    on both directions. Reads are routed: through the partition's
@@ -284,8 +286,7 @@ let learn_referral t (reply : Dns.Msg.t) =
    in Timeout-failover order otherwise. Referral replies are chased
    (and the cut cached) up to a bounded depth. *)
 let rec raw_query_routed t ~depth key =
-  t.lookup_count <- t.lookup_count + 1;
-  Obs.Metrics.incr m_remote_lookups;
+  Obs.Metrics.incr t.lookups;
   (* A remote round trip makes the enclosing query at least a miss. *)
   Obs.Qlog.note_outcome Obs.Qlog.Miss;
   let request = Dns.Msg.query ~id:(fresh_id t) key Dns.Rr.T_unspec in
@@ -501,8 +502,7 @@ type bundle_result =
 let note_prefetch_seeded t key n =
   if n > 0 then begin
     Hashtbl.replace t.prefetched key ();
-    t.prefetch_seeded_count <- t.prefetch_seeded_count + 1;
-    Obs.Metrics.incr m_prefetched
+    Obs.Metrics.incr t.prefetch_seeded
   end
 
 let seed_prefetch_row t (rr : Dns.Rr.t) ~context ~host v =
@@ -882,8 +882,7 @@ let adopt_transfer t records =
       match rr.rdata with Dns.Rr.Soa soa -> adopt_soa t soa | _ -> ())
     records;
   let n = Cache.preload t.cache_ (List.filter_map (preload_row t) records) in
-  t.full_refresh_count <- t.full_refresh_count + 1;
-  Obs.Metrics.incr m_full_refreshes;
+  Obs.Metrics.incr t.full_refreshes;
   n
 
 let preload t =
@@ -905,8 +904,7 @@ let apply_change t (change : Dns.Journal.change) =
   match change with
   | Dns.Journal.Del rr ->
       ignore (Cache.remove t.cache_ ~key:(Meta_schema.cache_key rr.Dns.Rr.name));
-      t.delta_invalidation_count <- t.delta_invalidation_count + 1;
-      Obs.Metrics.incr m_delta_invalidations
+      Obs.Metrics.incr t.delta_invalidations
   | Dns.Journal.Put rr -> (
       match preload_row t rr with
       | None -> () (* not a meta record (or undecodable): nothing cached *)
@@ -934,10 +932,8 @@ let refresh t =
       | Ok (Dns.Ixfr.Deltas (soa, changes)) ->
           List.iter (apply_change t) changes;
           adopt_soa t soa;
-          t.delta_refresh_count <- t.delta_refresh_count + 1;
-          t.delta_record_count <- t.delta_record_count + List.length changes;
-          Obs.Metrics.incr m_delta_refreshes;
-          Obs.Metrics.add m_delta_records (List.length changes);
+          Obs.Metrics.incr t.delta_refreshes;
+          Obs.Metrics.add t.delta_records (List.length changes);
           Ok (Applied_deltas (List.length changes))
       | Ok (Dns.Ixfr.Full records) ->
           (* Journal truncated past our serial: the server sent the
@@ -1037,8 +1033,7 @@ let start_notify_listener ?port t =
                  of our snapshot (or carries no serial at all); NOTIFY
                  is best-effort and may arrive duplicated or late. *)
               let kick () =
-                t.notify_kick_count <- t.notify_kick_count + 1;
-                Obs.Metrics.incr m_notify_kicks;
+                Obs.Metrics.incr t.notify_kicks;
                 try
                   Sim.Engine.spawn_child ~name:"hns-notify-refresh" (fun () ->
                       match refresh t with
@@ -1065,8 +1060,7 @@ let start_notify_listener ?port t =
                         | Some live, Some held
                           when Int32.compare live held < 0 ->
                             Obs.Metrics.incr m_serial_regressions;
-                            t.notify_kick_count <- t.notify_kick_count + 1;
-                            Obs.Metrics.incr m_notify_kicks;
+                            Obs.Metrics.incr t.notify_kicks;
                             (match refresh t with
                             | Ok (Applied_deltas _ | Full_reload _) ->
                                 Obs.Metrics.incr m_preload_refreshes
@@ -1082,10 +1076,6 @@ let start_notify_listener ?port t =
   in
   (Transport.Address.make (Transport.Netstack.ip t.stack) port, stop)
 
-let prefetch_seeded t = t.prefetch_seeded_count
-let prefetch_hits t = t.prefetch_hit_count
-let referral_chases t = t.referral_chase_count
-let referral_hits t = t.referral_hit_count
 let replica_set t = t.replica_set
 let read_your_writes t = t.read_your_writes
 
@@ -1097,11 +1087,6 @@ let write_floor t zone =
 let partitions t =
   N_tbl.fold (fun cut part acc -> (cut, part.rs) :: acc) t.referrals []
   |> List.sort (fun (a, _) (b, _) -> Dns.Name.compare a b)
-let delta_refreshes t = t.delta_refresh_count
-let delta_records t = t.delta_record_count
-let delta_invalidations t = t.delta_invalidation_count
-let full_refreshes t = t.full_refresh_count
-let notify_kicks t = t.notify_kick_count
 
 let cache_host_addr t ~context ~host ip =
   let key = Meta_schema.host_addr_cache_key ~context ~host in
@@ -1118,10 +1103,7 @@ let cached_host_addr t ~context ~host =
   let t0 = now_ms () in
   charge_mapping_overhead t;
   let hit ip =
-    if Hashtbl.mem t.prefetched key then begin
-      t.prefetch_hit_count <- t.prefetch_hit_count + 1;
-      Obs.Metrics.incr m_prefetch_hits
-    end;
+    if Hashtbl.mem t.prefetched key then Obs.Metrics.incr t.prefetch_hits;
     log_mapping t key true (now_ms () -. t0);
     Some ip
   in

@@ -76,8 +76,15 @@ val charge_mapping_overhead : t -> unit
 
 val cache : t -> Cache.t
 
-(** Remote lookups actually performed (cache misses). *)
-val remote_lookups : t -> int
+(** This client's own counts: [hns.meta.remote_lookups] (remote
+    round trips, i.e. cache misses), [hns.meta.referral_chases] and
+    [hns.meta.referral_hits] (partition routing),
+    [hns.meta.bundle_prefetched] and [hns.meta.prefetch_hits] (the
+    resolve-tail prefetch), and [hns.meta.delta_refreshes],
+    [hns.meta.delta_records], [hns.meta.delta_invalidations],
+    [hns.meta.full_refreshes] and [hns.meta.notify_kicks] (delta-driven
+    refresh). *)
+val metrics : t -> Obs.Metrics.scope
 
 val bundle_enabled : t -> bool
 
@@ -129,16 +136,9 @@ val find_nsm_bundle :
     answers on the reply ({!Meta_bundle}'s [prefetch]); those rows are
     seeded pinned under the preload quota and later host-address cache
     hits on them are attributed back, so "how much did the prefetch
-    buy" is directly observable. *)
-
-(** Prefetch rows admitted into this cache
-    ([hns.meta.bundle_prefetched]). *)
-val prefetch_seeded : t -> int
-
-(** Host-address cache hits served from prefetched rows — resolves
-    whose trailing NSM data round trip the prefetch eliminated
-    ([hns.meta.prefetch_hits]). *)
-val prefetch_hits : t -> int
+    buy" is directly observable: [hns.meta.bundle_prefetched] counts
+    rows admitted, [hns.meta.prefetch_hits] the resolves whose trailing
+    NSM data round trip a prefetched row eliminated. *)
 
 (** One dynamic-update transaction of raw ops, routed by the first
     op's name: the owning partition's primary when the name is
@@ -173,7 +173,13 @@ val zone_serial : t -> int32 option
     serial — added records are (re)inserted pinned, deleted records
     are invalidated on the spot, and the tracked serial advances. A
     truncated journal degrades to a full reload inside the same
-    exchange; a client with no snapshot yet takes the AXFR path. *)
+    exchange; a client with no snapshot yet takes the AXFR path.
+    [hns.meta.delta_refreshes] counts incremental refreshes applied and
+    [hns.meta.delta_records] the changes they replayed;
+    [hns.meta.delta_invalidations] the entries deltas deleted;
+    [hns.meta.full_refreshes] the AXFR seeds (initial {!preload}s plus
+    truncation fallbacks); [hns.meta.notify_kicks] the NOTIFY pushes
+    that triggered a refresh. *)
 
 type refresh =
   | Unchanged  (** our serial is current; nothing moved *)
@@ -194,23 +200,8 @@ val refresh : t -> (refresh, Errors.t) result
 val start_notify_listener :
   ?port:int -> t -> Transport.Address.t * (unit -> unit)
 
-(** Incremental refreshes applied ([hns.meta.delta_refreshes]). *)
-val delta_refreshes : t -> int
-
-(** Journal changes replayed over all incremental refreshes. *)
-val delta_records : t -> int
-
-(** Cache entries invalidated by delta-carried deletions. *)
-val delta_invalidations : t -> int
-
-(** Full AXFR seeds: initial {!preload}s plus truncation fallbacks. *)
-val full_refreshes : t -> int
-
-(** NOTIFY pushes that triggered a refresh. *)
-val notify_kicks : t -> int
-
 (** Probe the primary's current SOA serial (control-plane traffic,
-    not counted in {!remote_lookups}); [None] if unreachable. *)
+    not counted in [hns.meta.remote_lookups]); [None] if unreachable. *)
 val primary_serial : t -> int32 option
 
 (** [start_preload_refresher ?interval_ms t] spawns a background
@@ -238,14 +229,10 @@ val clear_walk_log : t -> unit
 
 (** {1 Partition routing and read-your-writes}
 
-    See [replica_set] / [read_your_writes] on {!create}. *)
-
-(** Referral chains chased (each learns and caches one partition
-    cut). *)
-val referral_chases : t -> int
-
-(** Reads routed directly from a cached cut, skipping the chase. *)
-val referral_hits : t -> int
+    See [replica_set] / [read_your_writes] on {!create}. Each
+    [hns.meta.referral_chases] learns and caches one partition cut;
+    each [hns.meta.referral_hits] is a read routed straight from a
+    cached cut, skipping the chase. *)
 
 (** The root replica set this client routes through, if any. *)
 val replica_set : t -> Dns.Replica_set.t option

@@ -3,13 +3,14 @@ module Addr_map = Map.Make (Transport.Address)
 type t = {
   stack : Transport.Netstack.stack;
   mutable conns : Transport.Tcp.conn Addr_map.t;
-  mutable reuse_count : int;
+  reuses : Obs.Metrics.counter;
 }
 
 let m_reuses = Obs.Metrics.counter "hrpc.conn_cache.reuses"
 let m_connects = Obs.Metrics.counter "hrpc.conn_cache.connects"
 
-let create stack = { stack; conns = Addr_map.empty; reuse_count = 0 }
+let create stack =
+  { stack; conns = Addr_map.empty; reuses = Obs.Metrics.owned m_reuses }
 
 let drop t addr conn =
   Transport.Tcp.close conn;
@@ -19,8 +20,7 @@ let drop t addr conn =
 let obtain t addr =
   match Addr_map.find_opt addr t.conns with
   | Some conn ->
-      t.reuse_count <- t.reuse_count + 1;
-      Obs.Metrics.incr m_reuses;
+      Obs.Metrics.incr t.reuses;
       Ok (conn, true)
   | None -> (
       match Transport.Tcp.connect t.stack addr with
@@ -139,9 +139,9 @@ let call t (b : Binding.t) ~procnum ~sign ?(timeout = 1000.0) ?attempts v =
                   Error (Rpc.Control.Protocol_error "call in reply position"))))
 
 let live t = Addr_map.cardinal t.conns
-let reuses t = t.reuse_count
+let metrics t = Obs.Metrics.scope [ t.reuses ]
 
 let clear t =
   Addr_map.iter (fun _ conn -> Transport.Tcp.close conn) t.conns;
   t.conns <- Addr_map.empty;
-  t.reuse_count <- 0
+  Obs.Metrics.zero t.reuses

@@ -25,8 +25,9 @@ val call :
 (** Live connections held. *)
 val live : t -> int
 
-(** Number of calls that reused an existing connection. *)
-val reuses : t -> int
+(** This cache's own [hrpc.conn_cache.reuses]: calls that reused an
+    existing connection. *)
+val metrics : t -> Obs.Metrics.scope
 
-(** Close everything. *)
+(** Close everything and zero the reuse count. *)
 val clear : t -> unit

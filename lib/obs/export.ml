@@ -53,45 +53,6 @@ let metrics_json_lines () =
          | other -> Json.to_string other)
   |> String.concat "\n"
 
-let pp_delta ppf ~before ~after =
-  let old name = List.assoc_opt name before in
-  let changes =
-    List.filter_map
-      (fun (name, now) ->
-        match (old name, now) with
-        | Some (Metrics.Count a), Metrics.Count b when a = b -> None
-        | Some (Metrics.Count a), Metrics.Count b -> Some (name, `Count (b - a))
-        | None, Metrics.Count b when b = 0 -> None
-        | None, Metrics.Count b -> Some (name, `Count b)
-        | Some (Metrics.Level a), Metrics.Level b when a = b -> None
-        | _, Metrics.Level b -> Some (name, `Level b)
-        | Some (Metrics.Summary a), Metrics.Summary b when a.n = b.n -> None
-        | prev, Metrics.Summary b ->
-            let a_n, a_total =
-              match prev with
-              | Some (Metrics.Summary a) -> (a.n, a.total)
-              | _ -> (0, 0.0)
-            in
-            let dn = b.n - a_n in
-            Some (name, `Obs (dn, (b.total -. a_total) /. float_of_int dn))
-        | _, Metrics.Count _ -> None)
-      after
-  in
-  if changes = [] then Format.fprintf ppf "(no metric changes)@."
-  else begin
-    let width =
-      List.fold_left (fun acc (name, _) -> Stdlib.max acc (String.length name)) 0 changes
-    in
-    List.iter
-      (fun (name, change) ->
-        match change with
-        | `Count d -> Format.fprintf ppf "%-*s  %+d@." width name d
-        | `Level x -> Format.fprintf ppf "%-*s  -> %g@." width name x
-        | `Obs (n, mean) ->
-            Format.fprintf ppf "%-*s  +%d observations, mean %.2f ms@." width name n mean)
-      changes
-  end
-
 let write_file path contents =
   let oc = open_out path in
   Fun.protect

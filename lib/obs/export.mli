@@ -1,6 +1,6 @@
 (** Exporters for the metrics registry and the span tracer.
 
-    Three audiences: a human at the CLI ({!pp_metrics}, {!pp_delta},
+    Three audiences: a human at the CLI ({!pp_metrics},
     {!Span.pp_tree}), a log pipeline ({!metrics_json_lines}), and the
     bench trajectory ({!write_metrics_snapshot} producing
     [BENCH_obs.json], {!write_bench_json} producing [BENCH_hns.json]). *)
@@ -15,15 +15,6 @@ val metrics_json : unit -> Json.t
 (** One compact JSON object per line per metric
     ([{"metric":...,"type":...,...}]), for line-oriented consumers. *)
 val metrics_json_lines : unit -> string
-
-(** [pp_delta ppf ~before ~after] prints only what changed between two
-    {!Metrics.snapshot}s: counter and gauge deltas, and for histograms
-    the number of new observations with their mean. *)
-val pp_delta :
-  Format.formatter ->
-  before:(string * Metrics.sample) list ->
-  after:(string * Metrics.sample) list ->
-  unit
 
 (** [write_metrics_snapshot ~path ()] publishes every SLO into the
     registry ({!Slo.publish}) and writes it as a [BENCH_obs.json]

@@ -1,6 +1,9 @@
-type counter = { c_name : string; mutable count : int }
-type gauge = { g_name : string; mutable level : float }
-type histogram = { h_name : string; stats_ : Sim.Stats.t }
+(* A global counter has no [rollup]; an owner counter rolls every
+   increment up into the global it was derived from (one level: owners
+   always roll up into a global). *)
+type counter = { c_name : string; mutable count : int; rollup : counter option }
+type gauge = { mutable level : float }
+type histogram = { stats_ : Sim.Stats.t }
 
 type metric =
   | M_counter of counter
@@ -36,26 +39,44 @@ let register name ~make ~cast ~want =
                (kind_name m) want))
   | None ->
       validate_name name;
-      let v = make () in
-      v
+      make ()
 
 let counter name =
   register name ~want:"counter"
     ~cast:(function M_counter c -> Some c | _ -> None)
     ~make:(fun () ->
-      let c = { c_name = name; count = 0 } in
+      let c = { c_name = name; count = 0; rollup = None } in
       Hashtbl.replace registry name (M_counter c);
       c)
 
-let incr c = c.count <- c.count + 1
-let add c n = c.count <- c.count + n
+let add c n =
+  c.count <- c.count + n;
+  match c.rollup with None -> () | Some g -> g.count <- g.count + n
+
+let incr c = add c 1
 let value c = c.count
+let zero c = c.count <- 0
+
+(* Owner counters are never entered in [registry]: the snapshot and
+   [reset] see globals alone. *)
+let owned g =
+  let g = Option.value g.rollup ~default:g in
+  { c_name = g.c_name; count = 0; rollup = Some g }
+
+type scope = counter list
+
+let scope counters = counters
+
+let read s name =
+  match List.find_opt (fun c -> c.c_name = name) s with
+  | Some c -> c.count
+  | None -> invalid_arg (Printf.sprintf "Obs.Metrics.read: %S is not in this scope" name)
 
 let gauge name =
   register name ~want:"gauge"
     ~cast:(function M_gauge g -> Some g | _ -> None)
     ~make:(fun () ->
-      let g = { g_name = name; level = 0.0 } in
+      let g = { level = 0.0 } in
       Hashtbl.replace registry name (M_gauge g);
       g)
 
@@ -66,7 +87,7 @@ let histogram name =
   register name ~want:"histogram"
     ~cast:(function M_histogram h -> Some h | _ -> None)
     ~make:(fun () ->
-      let h = { h_name = name; stats_ = Sim.Stats.create ~name () } in
+      let h = { stats_ = Sim.Stats.create ~name () } in
       Hashtbl.replace registry name (M_histogram h);
       h)
 
@@ -159,9 +180,3 @@ let reset () =
       | M_gauge g -> g.level <- 0.0
       | M_histogram h -> Sim.Stats.clear h.stats_)
     registry
-
-(* The *_name fields exist for future per-instrument rendering; keep
-   the compiler satisfied that they are read. *)
-let _ = fun (c : counter) -> c.c_name
-let _ = fun (g : gauge) -> g.g_name
-let _ = fun (h : histogram) -> h.h_name

@@ -10,7 +10,8 @@
 
     Instruments are cheap enough to leave always-on: callers obtain a
     handle once (one hashtable lookup, typically from a module-level
-    [let]) and then pay one mutable-field update per event. Latency
+    [let]) and then pay one mutable-field update per event (two for
+    an owner counter, which also bumps its global). Latency
     histograms are backed by {!Sim.Stats} and measure {e virtual}
     milliseconds — the same clock every paper reproduction number is
     quoted in. *)
@@ -28,6 +29,33 @@ val counter : string -> counter
 val incr : counter -> unit
 val add : counter -> int -> unit
 val value : counter -> int
+
+(** {1 Owner-scoped counters}
+
+    A component instance that needs its own numbers (one cache, one
+    agent, one network) keeps {e owner} counters derived from the
+    global handles. Bumping an owner counter bumps its global in the
+    same call, so the per-instance count and the panel's total come
+    from one instrument. Owner counters never appear in {!snapshot} or
+    {!find}, and {!reset} leaves them alone. *)
+
+(** [owned g] is a fresh zero counter under [g]'s name that rolls up
+    into [g]. *)
+val owned : counter -> counter
+
+(** An owner's counters, read by name. *)
+type scope
+
+val scope : counter list -> scope
+
+(** [read s name] is the value of [s]'s counter [name]. Raises
+    [Invalid_argument] for a name [s] does not hold, so a typo fails
+    loudly instead of reading 0. *)
+val read : scope -> string -> int
+
+(** [zero c] sets [c] alone to 0; the global an owner counter rolls up
+    into does not move. *)
+val zero : counter -> unit
 
 (** Same get-or-create contract as {!counter}. *)
 val gauge : string -> gauge
@@ -79,7 +107,8 @@ val find : string -> sample option
     instrument kinds — already fail fast at registration.) *)
 val lint : unit -> string list
 
-(** Zero every instrument {e without} invalidating handles held by
-    instrumented modules: counters and gauges go to zero, histograms
-    forget their samples. Registrations survive. *)
+(** Zero every registered instrument {e without} invalidating handles
+    held by instrumented modules: counters and gauges go to zero,
+    histograms forget their samples. Registrations and owner counters
+    survive. *)
 val reset : unit -> unit

@@ -185,15 +185,6 @@ let exemplar_json trace =
       ("records", Json.List (List.map Qlog.record_json records));
     ]
 
-let exemplars_json () =
-  Json.List
-    (List.map
-       (fun e ->
-         match exemplar_json e.ex_trace with
-         | Json.Obj fields -> Json.Obj (("slo", Json.Str e.ex_slo) :: fields)
-         | other -> other)
-       !exemplar_ring)
-
 let clear () =
   Hashtbl.reset registry;
   exemplar_ring := []

@@ -81,7 +81,5 @@ val exemplar_traces : unit -> int list
     reconstituted from the {!Span} and {!Qlog} rings. *)
 val exemplar_json : int -> Json.t
 
-val exemplars_json : unit -> Json.t
-
 (** Drop every SLO and exemplar. *)
 val clear : unit -> unit

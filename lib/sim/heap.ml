@@ -54,7 +54,12 @@ let pop h =
   if h.size = 0 then raise Not_found;
   let top = h.data.(0) in
   h.size <- h.size - 1;
-  if h.size > 0 then begin
+  (* No slot may keep a popped element reachable (for the engine, an
+     event closure over a fiber continuation). The vacated slot keeps
+     the element just moved to the root, which is live; an emptied
+     heap has no live element to fill with, so it drops the array. *)
+  if h.size = 0 then h.data <- [||]
+  else begin
     h.data.(0) <- h.data.(h.size);
     sift_down h 0
   end;

@@ -25,8 +25,8 @@ type t = {
   table : (string, file) Hashtbl.t;
   mutable head_at : string option; (* file under the head, None after sync *)
   mutable oracle : fault_oracle option;
-  mutable crash_count : int;
-  mutable torn_count : int;
+  crashes : Obs.Metrics.counter;
+  torn_writes : Obs.Metrics.counter;
 }
 
 let m_writes = Obs.Metrics.counter "store.disk.writes"
@@ -46,8 +46,8 @@ let create ?(name = "disk0") ?(cost = default_cost) () =
     table = Hashtbl.create 16;
     head_at = None;
     oracle = None;
-    crash_count = 0;
-    torn_count = 0;
+    crashes = Obs.Metrics.owned m_crashes;
+    torn_writes = Obs.Metrics.owned m_torn;
   }
 
 let name t = t.dev_name
@@ -140,8 +140,7 @@ let files t =
 let delete t ~file = Hashtbl.remove t.table file
 
 let crash t =
-  t.crash_count <- t.crash_count + 1;
-  Obs.Metrics.incr m_crashes;
+  Obs.Metrics.incr t.crashes;
   let now = now_ms () in
   (* Deterministic order: judge files sorted by name so a seeded
      oracle draws its randomness in a reproducible sequence. *)
@@ -159,16 +158,11 @@ let crash t =
         | Keep n when n > 0 ->
             let n = min n pending in
             f.durable <- f.durable ^ String.sub (Buffer.contents f.pending) 0 n;
-            t.torn_count <- t.torn_count + 1;
-            Obs.Metrics.incr m_torn
+            Obs.Metrics.incr t.torn_writes
         | Keep _ | Keep_none -> ());
         Buffer.clear f.pending
       end)
     (files t);
   t.head_at <- None
 
-let crashes t = t.crash_count
-let torn_writes t = t.torn_count
-
-let durable_bytes t =
-  Hashtbl.fold (fun _ f acc -> acc + String.length f.durable) t.table 0
+let metrics t = Obs.Metrics.scope [ t.crashes; t.torn_writes ]

@@ -82,12 +82,8 @@ val delete : t -> file:string -> unit
 
 (** Power loss: every file's pending bytes are dropped, except what
     the fault oracle tears into the durable image. The device itself
-    survives (it is the persistent medium); [crashes]/[torn_writes]
-    count events. *)
+    survives (it is the persistent medium). *)
 val crash : t -> unit
 
-val crashes : t -> int
-val torn_writes : t -> int
-
-(** Total durable bytes across all files. *)
-val durable_bytes : t -> int
+(** This device's own [store.disk.crashes] and [store.disk.torn_writes]. *)
+val metrics : t -> Obs.Metrics.scope

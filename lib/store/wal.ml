@@ -71,14 +71,14 @@ type t = {
   group_window_ms : float;
   segment_bytes : int;
   mutable seg_index : int;
-  mutable append_count : int;
-  mutable commit_count : int;
   mutable total_bytes : int; (* framed bytes across live segments *)
   mutable pending_commit : unit Sim.Engine.Ivar.ivar option;
   mutable batch_size : int;
   mutable dirty : string list; (* files awaiting the group fsync *)
   mutable compacting : unit Sim.Engine.Ivar.ivar option;
   mutable compaction_gen : int;
+  appends : Obs.Metrics.counter;
+  group_commits : Obs.Metrics.counter;
 }
 
 let segment_file base i = Printf.sprintf "%s.%06d.wal" base i
@@ -121,22 +121,21 @@ let create ?(base = "wal") ?(group_window_ms = 2.0) ?(segment_bytes = 64 * 1024)
     group_window_ms;
     segment_bytes;
     seg_index;
-    append_count = 0;
-    commit_count = 0;
     total_bytes;
     pending_commit = None;
     batch_size = 0;
     dirty = [];
     compacting = None;
     compaction_gen = 0;
+    appends = Obs.Metrics.owned m_appends;
+    group_commits = Obs.Metrics.owned m_commits;
   }
 
 let disk t = t.disk
 let base t = t.base
 let bytes t = t.total_bytes
 let segments t = List.length (segment_files t.disk ~base:t.base)
-let appends t = t.append_count
-let group_commits t = t.commit_count
+let metrics t = Obs.Metrics.scope [ t.appends; t.group_commits ]
 
 let current_segment t =
   let file = segment_file t.base t.seg_index in
@@ -158,8 +157,7 @@ let flush t =
   t.dirty <- [];
   t.batch_size <- 0;
   List.iter (fun file -> Disk.fsync t.disk ~file) dirty;
-  t.commit_count <- t.commit_count + 1;
-  Obs.Metrics.incr m_commits;
+  Obs.Metrics.incr t.group_commits;
   Obs.Metrics.observe m_batch (float_of_int batch)
 
 let now_ms () = try Sim.Engine.time () with Effect.Unhandled _ -> 0.0
@@ -181,8 +179,7 @@ let append t payload =
   let framed = frame payload in
   let gen = t.compaction_gen in
   ignore (Disk.append t.disk ~file framed);
-  t.append_count <- t.append_count + 1;
-  Obs.Metrics.incr m_appends;
+  Obs.Metrics.incr t.appends;
   if t.compaction_gen <> gen then
     (* A compaction pass ran while this write's time charge slept. The
        frame was buffered before the first yield, so the pass fsynced

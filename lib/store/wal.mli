@@ -60,8 +60,10 @@ val compact : t -> coalesce:(string list -> string list) -> float
 
 val bytes : t -> int
 val segments : t -> int
-val appends : t -> int
-val group_commits : t -> int
+
+(** This log's own [store.wal.appends] and [store.wal.group_commits]. *)
+val metrics : t -> Obs.Metrics.scope
+
 val disk : t -> Disk.t
 val base : t -> string
 

@@ -2,8 +2,8 @@ type udp_handler = src:Address.t -> string -> unit
 
 let ephemeral_base = 32768
 
-(* Process-wide mirrors of the per-netstack counters, so one registry
-   dump covers every simulated network in the process. *)
+(* Process-wide totals; each network scopes its own counters from
+   these, so one registry dump covers every simulated network. *)
 let m_sent = Obs.Metrics.counter "transport.netstack.packets_sent"
 let m_dropped = Obs.Metrics.counter "transport.netstack.packets_dropped"
 let m_received = Obs.Metrics.counter "transport.netstack.packets_received"
@@ -40,10 +40,10 @@ type t = {
   stacks : (int32, stack) Hashtbl.t;
   by_host : (int, stack) Hashtbl.t;
   mutable oracle : fault_oracle option;
-  mutable sent : int;
-  mutable dropped : int;
-  mutable received : int;
-  mutable bytes : int;
+  sent : Obs.Metrics.counter;
+  dropped : Obs.Metrics.counter;
+  received : Obs.Metrics.counter;
+  bytes : Obs.Metrics.counter;
 }
 
 and stack = {
@@ -69,10 +69,10 @@ let create ?(drop_probability = 0.0) ?(seed = 0x9E3779B9L) engine topology =
     stacks = Hashtbl.create 16;
     by_host = Hashtbl.create 16;
     oracle = None;
-    sent = 0;
-    dropped = 0;
-    received = 0;
-    bytes = 0;
+    sent = Obs.Metrics.owned m_sent;
+    dropped = Obs.Metrics.owned m_dropped;
+    received = Obs.Metrics.owned m_received;
+    bytes = Obs.Metrics.owned m_bytes;
   }
 
 let engine t = t.engine
@@ -109,25 +109,20 @@ let find_stack t ip = Hashtbl.find_opt t.stacks ip
 let stack_of_host t h = Hashtbl.find_opt t.by_host h.Sim.Topology.id
 
 let count_sent t ~bytes =
-  t.sent <- t.sent + 1;
-  t.bytes <- t.bytes + bytes;
-  Obs.Metrics.incr m_sent;
-  Obs.Metrics.add m_bytes bytes
+  Obs.Metrics.incr t.sent;
+  Obs.Metrics.add t.bytes bytes
 
 (* Delivery is counted when the packet's arrival event fires, so tests
    can cross-check [sent = received + dropped] once the engine is
    quiescent. *)
 let deliver t k () =
-  t.received <- t.received + 1;
-  Obs.Metrics.incr m_received;
+  Obs.Metrics.incr t.received;
   k ()
 
 let set_fault_oracle t oracle = t.oracle <- Some oracle
 let clear_fault_oracle t = t.oracle <- None
 
-let count_dropped t =
-  t.dropped <- t.dropped + 1;
-  Obs.Metrics.incr m_dropped
+let count_dropped t = Obs.Metrics.incr t.dropped
 
 let random_drop t ~src ~dst =
   let crosses_wire = not (Sim.Topology.same_host src.stack_host dst.stack_host) in
@@ -204,10 +199,7 @@ let transit_ordered t ~src ~dst ~bytes ch k =
       ch.last_arrival <- arrival;
       Sim.Engine.at t.engine (arrival -. now) (deliver t k)
 
-let packets_sent t = t.sent
-let packets_dropped t = t.dropped
-let packets_received t = t.received
-let bytes_sent t = t.bytes
+let metrics t = Obs.Metrics.scope [ t.sent; t.dropped; t.received; t.bytes ]
 
 let register_port table what port v =
   if Hashtbl.mem table port then

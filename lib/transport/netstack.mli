@@ -80,19 +80,15 @@ val channel : unit -> channel
 val transit_ordered :
   t -> src:stack -> dst:stack -> bytes:int -> channel -> (unit -> unit) -> unit
 
-(** {1 Counters for observability}
+(** {1 Counters for observability} *)
 
-    Mirrored process-wide into the {!Obs.Metrics} registry under
-    [transport.netstack.*]. Once the engine is quiescent,
-    [packets_sent = packets_received + packets_dropped]. *)
-
-val packets_sent : t -> int
-val packets_dropped : t -> int
-
-(** Packets whose arrival event has fired (delivery, not send). *)
-val packets_received : t -> int
-
-val bytes_sent : t -> int
+(** This network's own [transport.netstack.packets_sent],
+    [transport.netstack.packets_dropped],
+    [transport.netstack.packets_received] (arrival events fired:
+    delivery, not send) and [transport.netstack.bytes_sent]. Once the
+    engine is quiescent, [packets_sent = packets_received +
+    packets_dropped]. *)
+val metrics : t -> Obs.Metrics.scope
 
 (** {1 Protocol plumbing}
 

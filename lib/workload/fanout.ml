@@ -309,13 +309,18 @@ let run cfg =
               acc secs)
           0 secondaries
       in
-      let sum_clients f = Array.fold_left (fun acc mc -> acc + f mc) 0 mclients in
-      let sum_sets f =
-        sum_clients (fun mc ->
+      let sum_clients name =
+        Array.fold_left
+          (fun acc mc -> acc + Obs.Metrics.read (Hns.Meta_client.metrics mc) name)
+          0 mclients
+      in
+      let sum_sets name =
+        Array.fold_left
+          (fun acc mc ->
             List.fold_left
-              (fun acc (_, rs) -> acc + f rs)
-              0
-              (Hns.Meta_client.partitions mc))
+              (fun acc (_, rs) -> acc + Obs.Metrics.read (Dns.Replica_set.metrics rs) name)
+              acc (Hns.Meta_client.partitions mc))
+          0 mclients
       in
       (* Tear down so the engine drains: detached secondaries stop
          re-arming their poll backstop, stopped servers close their
@@ -340,10 +345,10 @@ let run cfg =
             converge_ms;
             chain_depth;
             stale_reads = !stale;
-            primary_fallbacks = sum_sets Dns.Replica_set.primary_fallbacks;
-            referral_chases = sum_clients Hns.Meta_client.referral_chases;
-            referral_hits = sum_clients Hns.Meta_client.referral_hits;
-            routed_reads = sum_sets Dns.Replica_set.routed;
+            primary_fallbacks = sum_sets "dns.replica.primary_fallbacks";
+            referral_chases = sum_clients "hns.meta.referral_chases";
+            referral_hits = sum_clients "hns.meta.referral_hits";
+            routed_reads = sum_sets "dns.replica.routed";
             duration_ms;
             sim_events = 0;
           });

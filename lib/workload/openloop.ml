@@ -431,7 +431,11 @@ let run cfg =
         before_bind := Dns.Server.queries_served scn.public_bind;
         before_meta := Dns.Server.queries_served scn.meta_bind;
         before_replica := replica_queries ();
-        before_bytes := Transport.Netstack.bytes_sent scn.net;
+        let bytes_sent () =
+          Obs.Metrics.read (Transport.Netstack.metrics scn.net)
+            "transport.netstack.bytes_sent"
+        in
+        before_bytes := bytes_sent ();
         let submit i =
           let e = plan.(i) in
           let scheduled = t0 +. e.at in
@@ -464,7 +468,7 @@ let run cfg =
         bind_q := Dns.Server.queries_served scn.public_bind - !before_bind;
         meta_q := Dns.Server.queries_served scn.meta_bind - !before_meta;
         replica_q := replica_queries () - !before_replica;
-        wire_bytes := Transport.Netstack.bytes_sent scn.net - !before_bytes;
+        wire_bytes := bytes_sent () - !before_bytes;
         S.detach_meta_replicas scn meta_secs;
         (* The agents are left running: straggler duplicates from
            timed-out callers may still be in flight, and a stopped
@@ -482,6 +486,15 @@ let run cfg =
         in
         float_of_int ok /. float_of_int (List.length samples)
   in
+  let sum_agents name =
+    Array.fold_left
+      (fun acc (_, a, _) ->
+        acc
+        + Obs.Metrics.read
+            (Hns.Meta_client.metrics (Hns.Client.meta (Hns.Agent.hns a)))
+            name)
+      0 agents
+  in
   {
     config = cfg;
     arrivals = Array.length plan;
@@ -498,14 +511,8 @@ let run cfg =
       /. duration_s;
     wire_mb = float_of_int !wire_bytes /. (1024.0 *. 1024.0);
     sim_events = Sim.Engine.events_executed scn.engine;
-    prefetch_seeded =
-      Array.fold_left
-        (fun acc (_, a, _) -> acc + Hns.Agent.prefetch_seeded a)
-        0 agents;
-    prefetch_hits =
-      Array.fold_left
-        (fun acc (_, a, _) -> acc + Hns.Agent.prefetch_hits a)
-        0 agents;
+    prefetch_seeded = sum_agents "hns.meta.bundle_prefetched";
+    prefetch_hits = sum_agents "hns.meta.prefetch_hits";
     digest;
   }
 

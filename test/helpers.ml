@@ -41,3 +41,25 @@ let get_ok ~msg = function
   | Error _ -> Alcotest.failf "%s: unexpected Error" msg
 
 let qtest = QCheck_alcotest.to_alcotest
+
+let global_count name = Obs.Metrics.value (Obs.Metrics.counter name)
+
+(* One owner's count of a name, read through its metrics scope. *)
+let net_count net = Obs.Metrics.read (Transport.Netstack.metrics net)
+let meta_count mc = Obs.Metrics.read (Hns.Meta_client.metrics mc)
+let cache_count c = Obs.Metrics.read (Hns.Cache.metrics c)
+let secondary_count sec = Obs.Metrics.read (Dns.Secondary.metrics sec)
+
+(* The owners' own counts of [name] must sum to exactly what the
+   global counter moved by since [before]. *)
+let check_fleet_sum name ~before scopes =
+  check_int
+    (name ^ ": fleet sum = registry delta")
+    (global_count name - before)
+    (List.fold_left (fun acc s -> acc + Obs.Metrics.read s name) 0 scopes)
+
+(* Refreshes that moved a secondary's replica: full transfers plus
+   IXFRs applied. *)
+let secondary_transfers sec =
+  secondary_count sec "dns.secondary.full_transfers"
+  + secondary_count sec "dns.secondary.ixfr_applied"

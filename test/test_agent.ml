@@ -27,7 +27,9 @@ let fresh_agent scn =
   agent
 
 let upstream agent =
-  Hns.Meta_client.remote_lookups (Hns.Client.meta (Hns.Agent.hns agent))
+  meta_count (Hns.Client.meta (Hns.Agent.hns agent)) "hns.meta.remote_lookups"
+
+let coalesced agent = Obs.Metrics.read (Hns.Agent.metrics agent) "hns.agent.coalesced"
 
 (* --- cross-process coalescing --- *)
 
@@ -47,13 +49,16 @@ let burst_find_nsm scn ~waiters =
                  ~query_class:Hns.Query_class.hrpc_binding))
       done;
       let results = List.init waiters (fun _ -> Sim.Engine.Mailbox.recv mb) in
-      let stats = (upstream agent, Hns.Agent.coalesced agent) in
+      let stats = (upstream agent, coalesced agent) in
       Hns.Agent.stop agent;
       (results, stats))
 
 let burst_single_upstream () =
   let scn = Lazy.force agent_scn in
+  let coalesced0 = global_count "hns.agent.coalesced" in
   let results, (lookups, coalesced) = burst_find_nsm scn ~waiters:6 in
+  check_int "the agent's count is the registry delta" coalesced
+    (global_count "hns.agent.coalesced" - coalesced0);
   let answers = List.map (get_ok ~msg:"burst find_nsm") results in
   check_int "one upstream meta query for six processes" 1 lookups;
   check_int "five rode the leader" 5 coalesced;
@@ -96,7 +101,7 @@ let import_coalesces () =
                    name))
         done;
         let results = List.init k (fun _ -> Sim.Engine.Mailbox.recv mb) in
-        let coalesced = Hns.Agent.coalesced agent in
+        let coalesced = coalesced agent in
         Hns.Agent.stop agent;
         (results, coalesced))
   in
@@ -131,7 +136,7 @@ let shared_cache_across_processes () =
         (upstream agent);
       check_bool "warm answer identical" true (a = b);
       check_bool "counted as an agent cache hit" true
-        (Hns.Agent.cache_hits agent >= 1);
+        (Obs.Metrics.read (Hns.Agent.metrics agent) "hns.agent.cache_hits" >= 1);
       check_bool "hit ratio visible" true (Hns.Agent.cache_hit_ratio agent > 0.0);
       Hns.Agent.stop agent)
 
@@ -158,9 +163,9 @@ let prefetch_skips_resolve_tail () =
         (ip = Transport.Netstack.ip scn.S.client_stack);
       check_int "exactly one upstream query" 1 (upstream agent);
       check_bool "prefetch rows admitted to the shared cache" true
-        (Hns.Agent.prefetch_seeded agent >= 3);
+        (meta_count meta "hns.meta.bundle_prefetched" >= 3);
       check_bool "the cold resolve's own tail was prefetched" true
-        (Hns.Meta_client.prefetch_hits meta >= 1);
+        (meta_count meta "hns.meta.prefetch_hits" >= 1);
       (* Other hot hosts: their whole resolution — FindNSM and the
          data step — is already in the shared cache, so no packet
          leaves for the meta server or any NSM. *)
@@ -173,7 +178,7 @@ let prefetch_skips_resolve_tail () =
       check_int "still one upstream query after three resolutions" 1
         (upstream agent);
       check_bool "tail round trips skipped" true
-        (Hns.Meta_client.prefetch_hits meta >= 3);
+        (meta_count meta "hns.meta.prefetch_hits" >= 3);
       Hns.Agent.stop agent)
 
 (* --- graceful degradation: the agent crashes mid-flight --- *)

@@ -149,7 +149,7 @@ let run_cell ~path ~plan_of_t0 ~expect ~traffic ~expect_failover () =
         Chaos.Injector.uninstall inj;
         ( result,
           elapsed,
-          Chaos.Injector.faults_injected inj,
+          Obs.Metrics.read (Chaos.Injector.metrics inj) "chaos.injector.faults_injected",
           Obs.Metrics.value m_failovers - failovers_before ))
   in
   (* No silent hangs: even the worst cell (primary timeout + one
@@ -259,7 +259,7 @@ let cache_serves_stale_within_budget () =
       check_bool "expired entry misses" true (Hns.Cache.find c ~key:"k" ~ty = None);
       check_bool "stale answer served" true
         (Hns.Cache.find_stale c ~key:"k" ~ty = Some (Wire.Value.Str "v"));
-      check_int "stale serves counted" 1 (Hns.Cache.stale_served c);
+      check_int "stale serves counted" 1 (cache_count c "hns.cache.stale_served");
       Sim.Engine.sleep 5_000.0;
       (* past the budget: the entry is gone for good *)
       check_bool "stale past budget refused" true
@@ -275,7 +275,7 @@ let cache_no_budget_no_stale () =
       Sim.Engine.sleep 2_000.0;
       check_bool "zero budget serves nothing stale" true
         (Hns.Cache.find_stale c ~key:"k" ~ty = None);
-      check_int "nothing counted" 0 (Hns.Cache.stale_served c))
+      check_int "nothing counted" 0 (cache_count c "hns.cache.stale_served"))
 
 (* End to end: with the meta server crashed and a short-TTL context
    mapping, a resolution inside the staleness budget still succeeds
@@ -306,7 +306,7 @@ let resolve_serves_stale_under_meta_crash () =
       | Ok (Some _) -> ()
       | _ -> Alcotest.fail "warmup resolve failed");
       Sim.Engine.sleep 2_000.0;
-      let stale_before = Hns.Cache.stale_served (Hns.Client.cache hns) in
+      let stale_before = cache_count (Hns.Client.cache hns) "hns.cache.stale_served" in
       let t0 = Sim.Engine.time () in
       let inj =
         Chaos.Injector.install [ Chaos.Plan.crash ~host:"fiji" ~at:t0 () ] scn.S.net
@@ -318,7 +318,7 @@ let resolve_serves_stale_under_meta_crash () =
           Alcotest.failf "resolve under meta crash failed: %s"
             (Hns.Errors.to_string e));
       check_bool "stale answers served" true
-        (Hns.Cache.stale_served (Hns.Client.cache hns) > stale_before);
+        (cache_count (Hns.Client.cache hns) "hns.cache.stale_served" > stale_before);
       Chaos.Injector.uninstall inj)
 
 (* --- determinism regression --- *)
@@ -387,7 +387,7 @@ let injector_seed_isolated () =
             ~sign ~policy:chaos_policy (Wire.Value.Str "payload")
         in
         Chaos.Injector.uninstall inj;
-        (r, Chaos.Injector.faults_injected inj))
+        (r, Obs.Metrics.read (Chaos.Injector.metrics inj) "chaos.injector.faults_injected"))
   in
   let r1, f1 = run 1L in
   let r2, f2 = run 1L in

@@ -17,8 +17,9 @@ let negative_ttl_expiry_and_non_poisoning () =
       (match Hns.Cache.find_outcome c ~key:"k" ~ty:sample_ty with
       | Hns.Cache.Negative_hit -> ()
       | _ -> Alcotest.fail "expected negative hit");
-      check_int "neg hit counted" 1 (Hns.Cache.negative_hits c);
-      check_int "not a positive hit" 0 (Hns.Cache.hits c);
+      check_int "neg hit counted" 1 (cache_count c "hns.cache.neg_hits");
+      check_int "not a positive hit" 0
+        (cache_count c "hns.cache.demarshalled.hits");
       check_bool "find maps negatives to None" true
         (Hns.Cache.find c ~key:"k" ~ty:sample_ty = None);
       (* A later positive insert overwrites the cached absence: a
@@ -59,7 +60,7 @@ let lru_bound_evicts_least_recently_used () =
       ignore (Hns.Cache.find c ~key:"b" ~ty:sample_ty);
       Hns.Cache.insert c ~key:"d" ~ty:sample_ty sample_value;
       check_int "still at capacity" 3 (Hns.Cache.size c);
-      check_int "one eviction" 1 (Hns.Cache.lru_evictions c);
+      check_int "one eviction" 1 (cache_count c "hns.cache.evictions");
       check_bool "LRU victim gone" true
         (Hns.Cache.find c ~key:"c" ~ty:sample_ty = None);
       check_bool "recently used survive" true
@@ -68,7 +69,7 @@ let lru_bound_evicts_least_recently_used () =
         && Hns.Cache.find c ~key:"d" ~ty:sample_ty <> None);
       (* Overwriting an existing key never evicts. *)
       Hns.Cache.insert c ~key:"d" ~ty:sample_ty sample_value;
-      check_int "replacement is not an insert" 1 (Hns.Cache.lru_evictions c);
+      check_int "replacement is not an insert" 1 (cache_count c "hns.cache.evictions");
       match Hns.Cache.create ~mode:Hns.Cache.Demarshalled ~max_entries:0 () with
       | exception Invalid_argument _ -> ()
       | _ -> Alcotest.fail "max_entries 0 should be rejected")
@@ -82,7 +83,7 @@ let cache_preload_bulk_insert () =
             (Printf.sprintf "key%d" i, sample_ty, 60_000.0, sample_value))
       in
       check_int "all seeded" 5 (Hns.Cache.preload c entries);
-      check_int "counter" 5 (Hns.Cache.preloaded c);
+      check_int "counter" 5 (cache_count c "hns.cache.preloaded");
       check_bool "seeded entries hit" true
         (Hns.Cache.find c ~key:"key3" ~ty:sample_ty <> None))
 
@@ -101,7 +102,7 @@ let cold_find ?enable_bundle ?negative_ttl_ms scn ~query_class =
         Hns.Client.find_nsm hns ~context:scn.Workload.Scenario.bind_context
           ~query_class
       in
-      (r, Hns.Meta_client.remote_lookups (Hns.Client.meta hns)))
+      (r, meta_count (Hns.Client.meta hns) "hns.meta.remote_lookups"))
 
 let bundle_matches_legacy_walk () =
   let legacy = Lazy.force legacy_scn and bundle = Lazy.force bundle_scn in
@@ -153,10 +154,10 @@ let bundle_fallback_memoized () =
                 ~query_class:Hns.Query_class.hrpc_binding))
       in
       find ();
-      let after_first = Hns.Meta_client.remote_lookups (Hns.Client.meta hns) in
+      let after_first = meta_count (Hns.Client.meta hns) "hns.meta.remote_lookups" in
       Hns.Client.flush_cache hns;
       find ();
-      let after_second = Hns.Meta_client.remote_lookups (Hns.Client.meta hns) in
+      let after_second = meta_count (Hns.Client.meta hns) "hns.meta.remote_lookups" in
       (* First cold walk paid the probe + the full walk; the second
          cold walk pays only the walk. *)
       check_int "no second probe" (after_first - 1)
@@ -179,18 +180,18 @@ let negative_cache_absorbs_repeat_misses () =
         | _ -> Alcotest.fail "expected Unknown_context"
       in
       find ();
-      let l1 = Hns.Meta_client.remote_lookups meta in
+      let l1 = meta_count meta "hns.meta.remote_lookups" in
       check_int "one probe for the unknown context" 1 l1;
       find ();
       check_int "negative hit, no second round trip" l1
-        (Hns.Meta_client.remote_lookups meta);
+        (meta_count meta "hns.meta.remote_lookups");
       check_bool "counted as a negative hit" true
-        (Hns.Cache.negative_hits (Hns.Client.cache hns) >= 1);
+        (cache_count (Hns.Client.cache hns) "hns.cache.neg_hits" >= 1);
       (* After the (short) negative TTL the absence is re-verified. *)
       Sim.Engine.sleep 250.0;
       find ();
       check_int "re-probed after expiry" (l1 + 1)
-        (Hns.Meta_client.remote_lookups meta))
+        (meta_count meta "hns.meta.remote_lookups"))
 
 let negative_cache_short_circuits_bundle () =
   (* Same shape with the bundle on: the cached absence must answer
@@ -211,10 +212,10 @@ let negative_cache_short_circuits_bundle () =
         | _ -> Alcotest.fail "expected Unknown_context"
       in
       find ();
-      let l1 = Hns.Meta_client.remote_lookups meta in
+      let l1 = meta_count meta "hns.meta.remote_lookups" in
       find ();
       check_int "no second bundle query" l1
-        (Hns.Meta_client.remote_lookups meta))
+        (meta_count meta "hns.meta.remote_lookups"))
 
 let preload_then_resolve_no_meta_traffic () =
   (* AXFR preload, then a full resolution (FindNSM + remote NSM call):
@@ -240,7 +241,7 @@ let preload_then_resolve_no_meta_traffic () =
             (Wire.Value.Uint
                (Transport.Netstack.ip legacy.Workload.Scenario.service_stack)));
       check_int "zero meta round trips" 0
-        (Hns.Meta_client.remote_lookups (Hns.Client.meta hns));
+        (meta_count (Hns.Client.meta hns) "hns.meta.remote_lookups");
       check_bool "zone serial captured for refresh" true
         (Hns.Meta_client.zone_serial (Hns.Client.meta hns) <> None))
 
@@ -297,7 +298,7 @@ let coalescing_lookups scn ~waiters =
                  ~query_class:Hns.Query_class.hrpc_binding))
       done;
       let results = List.init waiters (fun _ -> Sim.Engine.Mailbox.recv mb) in
-      (results, Hns.Meta_client.remote_lookups (Hns.Client.meta hns)))
+      (results, meta_count (Hns.Client.meta hns) "hns.meta.remote_lookups"))
 
 let coalesced_counter () =
   match Obs.Metrics.value (Obs.Metrics.counter "hns.find_nsm.coalesced") with

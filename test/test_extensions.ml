@@ -202,7 +202,7 @@ let secondary_refresh_override () =
         Sim.Engine.sleep 3_000.0;
         upd "b.z";
         Sim.Engine.sleep 3_000.0;
-        let n = Dns.Secondary.transfers sec in
+        let n = secondary_transfers sec in
         Dns.Secondary.detach sec;
         n)
   in
@@ -294,7 +294,8 @@ let conn_cache_reuses_connections () =
       let (), first = Workload.Scenario.timed (fun () -> ignore (call "a")) in
       let (), second = Workload.Scenario.timed (fun () -> ignore (call "b")) in
       check_int "one live connection" 1 (Hrpc.Conn_cache.live cache);
-      check_int "one reuse" 1 (Hrpc.Conn_cache.reuses cache);
+      check_int "one reuse" 1
+        (Obs.Metrics.read (Hrpc.Conn_cache.metrics cache) "hrpc.conn_cache.reuses");
       check_bool "reuse skips the handshake" true (second < first);
       Hrpc.Conn_cache.clear cache;
       check_int "cleared" 0 (Hrpc.Conn_cache.live cache))

@@ -13,6 +13,7 @@ let str_record ?(ttl = 3600l) key v =
        (Wire.Xdr.to_string Hns.Meta_schema.string_ty (Wire.Value.str v)))
 
 let ctx_key name = Hns.Meta_schema.context_key name
+let routed_reads rs = Obs.Metrics.read (Dns.Replica_set.metrics rs) "dns.replica.routed"
 
 let mk_meta_client ?replica_set ?read_your_writes stack ~meta_server =
   Hns.Meta_client.create stack ~meta_server ?replica_set ?read_your_writes
@@ -63,19 +64,20 @@ let partitioned_world w =
         (Hns.Admin.register_partition admin ~label
            ~primary:(Dns.Server.addr primary) ~replicas:[] ()))
     [ p0; p1 ];
-  (root, p0, p1)
+  (root, p0, p1, admin)
 
 let resolve_crosses_partitions_and_caches_the_cut () =
   let w = make_world ~hosts:5 () in
-  let v0, v1, chases, v0_again, chases_after, hits, cuts =
+  let hits0 = global_count "hns.meta.referral_hits" in
+  let v0, v1, chases, v0_again, chases_after, hits, cuts, fleet =
     in_sim w (fun () ->
-        let root, (_, cut0, _), (_, cut1, _) = partitioned_world w in
+        let root, (_, cut0, _), (_, cut1, _), admin = partitioned_world w in
         let client =
           mk_meta_client w.stacks.(4) ~meta_server:(Dns.Server.addr root)
         in
         let v0 = read_str client (ctx_key "c0.p0") in
         let v1 = read_str client (ctx_key "c0.p1") in
-        let chases = Hns.Meta_client.referral_chases client in
+        let chases = meta_count client "hns.meta.referral_chases" in
         (* Cold again (cache flushed), but the cuts are learned: the
            reads go straight to the owning partitions. *)
         let v0_again = read_str client (ctx_key "c0.p0") in
@@ -87,13 +89,15 @@ let resolve_crosses_partitions_and_caches_the_cut () =
           v1,
           chases,
           v0_again,
-          Hns.Meta_client.referral_chases client,
-          Hns.Meta_client.referral_hits client,
+          meta_count client "hns.meta.referral_chases",
+          meta_count client "hns.meta.referral_hits",
           List.map
             (fun c ->
               List.exists (fun cut -> Dns.Name.equal cut c) cuts)
-            [ cut0; cut1 ] ))
+            [ cut0; cut1 ],
+          List.map Hns.Meta_client.metrics [ admin; client ] ))
   in
+  check_fleet_sum "hns.meta.referral_hits" ~before:hits0 fleet;
   check (Alcotest.option Alcotest.string) "partition 0 record" (Some "UW-BIND") v0;
   check (Alcotest.option Alcotest.string) "partition 1 record" (Some "XEROX-CH") v1;
   check_int "one chase per partition" 2 chases;
@@ -145,13 +149,14 @@ let chained_tree_converges_level_by_level () =
         Sim.Engine.sleep 2_000.0;
         let target = Dns.Zone.serial zone in
         let secs = [ sec1; sec2; sec3 ] in
+        let count name s = secondary_count s name in
         let r =
           ( List.for_all
               (fun s -> Int32.equal (Dns.Secondary.serial s) target)
               secs,
-            List.map Dns.Secondary.notify_kicks secs,
+            List.map (count "dns.secondary.notify_kicks") secs,
             List.map Dns.Secondary.chain_depth secs,
-            List.map Dns.Secondary.full_transfers secs )
+            List.map (count "dns.secondary.full_transfers") secs )
         in
         List.iter Dns.Secondary.detach secs;
         r)
@@ -168,7 +173,8 @@ let chained_tree_converges_level_by_level () =
 
 let crash_rebootstrap_serves_through () =
   let w = make_world ~hosts:4 () in
-  let failures, routed_mid, routed_after, recovered_full, serial_ok =
+  let routed0 = global_count "dns.replica.routed" in
+  let failures, routed_mid, routed_after, recovered_full, serial_ok, rs =
     in_sim w (fun () ->
         let zone =
           Dns.Zone.simple ~origin:Hns.Meta_schema.zone_origin
@@ -236,7 +242,7 @@ let crash_rebootstrap_serves_through () =
         Dns.Durable.detach dur;
         Store.Disk.crash disk;
         read_burst 6 400.0;
-        let routed_mid = Dns.Replica_set.routed rs in
+        let routed_mid = routed_reads rs in
         (* Re-bootstrap from the durable image: a fresh server on the
            same address adopts the recovered zone and catches up by
            IXFR from its durable serial — no full re-transfer. *)
@@ -261,13 +267,15 @@ let crash_rebootstrap_serves_through () =
         let r =
           ( !failures,
             routed_mid,
-            Dns.Replica_set.routed rs,
-            recovered_full + Dns.Secondary.full_transfers sec',
-            Int32.equal (Dns.Secondary.serial sec') (Dns.Zone.serial zone) )
+            routed_reads rs,
+            recovered_full + secondary_count sec' "dns.secondary.full_transfers",
+            Int32.equal (Dns.Secondary.serial sec') (Dns.Zone.serial zone),
+            rs )
         in
         Dns.Secondary.detach sec';
         r)
   in
+  check_fleet_sum "dns.replica.routed" ~before:routed0 [ Dns.Replica_set.metrics rs ];
   check_int "no resolve failed across crash and recovery" 0 failures;
   check_bool "reads kept routing to the replica again" true
     (routed_after > routed_mid);
@@ -356,7 +364,7 @@ let routed_matches_primary writes =
             | _ -> false)
           [ 0; 1; 2; 3; 4; 5 ]
       in
-      let r = agree && Dns.Replica_set.routed rs > 0 in
+      let r = agree && routed_reads rs > 0 in
       Dns.Secondary.detach sec;
       r)
 

@@ -45,9 +45,13 @@ let cache_hit_returns_equal_value () =
       (match Hns.Cache.find c ~key:"k" ~ty:sample_ty with
       | Some v -> check_bool "value survives" true (Wire.Value.equal v sample_value)
       | None -> Alcotest.fail "expected hit");
-      check_int "hits" 1 (Hns.Cache.hits c);
+      let count what =
+        let mode = if mode = Hns.Cache.Marshalled then "marshalled" else "demarshalled" in
+        cache_count c (Printf.sprintf "hns.cache.%s.%s" mode what)
+      in
+      check_int "hits" 1 (count "hits");
       check_bool "miss on other key" true (Hns.Cache.find c ~key:"other" ~ty:sample_ty = None);
-      check_int "misses" 1 (Hns.Cache.misses c))
+      check_int "misses" 1 (count "misses"))
     [ Hns.Cache.Marshalled; Hns.Cache.Demarshalled ]
 
 let cache_ttl_expiry () =
@@ -371,7 +375,7 @@ let preload_seeds_cache () =
           (get_ok ~msg:"find"
              (Hns.Client.find_nsm hns ~context:scn.bind_context
                 ~query_class:Hns.Query_class.hrpc_binding));
-        (seeded, Hns.Meta_client.remote_lookups (Hns.Client.meta hns)))
+        (seeded, meta_count (Hns.Client.meta hns) "hns.meta.remote_lookups"))
   in
   check_bool "many mappings seeded" true (seeded >= 10);
   check_int "no meta lookups after preload" 0 lookups

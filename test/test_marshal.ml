@@ -261,7 +261,7 @@ let prefetch_tail_is_zero_copy () =
       check_bool "cold resolve answered correctly" true
         (ip = Transport.Netstack.ip scn.S.client_stack);
       check_bool "prefetch rows admitted to the shared cache" true
-        (Hns.Agent.prefetch_seeded agent >= 3);
+        (meta_count meta "hns.meta.bundle_prefetched" >= 3);
       check_int "no Value tree materialised on the tail" materialized0
         (Wire.Hotcodec.value_materializations ());
       check_bool "the tail went through the hand codec" true
@@ -274,7 +274,7 @@ let prefetch_tail_is_zero_copy () =
       check_int "warm native reads stay zero-copy" materialized0
         (Wire.Hotcodec.value_materializations ());
       check_bool "tail round trips skipped" true
-        (Hns.Meta_client.prefetch_hits meta >= 1);
+        (meta_count meta "hns.meta.prefetch_hits" >= 1);
       Hns.Agent.stop agent)
 
 (* --- the 512-byte shed boundary --- *)

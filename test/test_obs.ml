@@ -45,6 +45,51 @@ let registry_reset_keeps_handles () =
   Obs.Metrics.incr c;
   check_int "handle survives reset" 1 (Obs.Metrics.value c)
 
+(* --- owner-scoped counters ----------------------------------------- *)
+
+(* Random operations over k owners of one global (n < 0 zeroes the
+   owner, 1 is [incr], any other n is [add n]): the global moves by
+   exactly the owners' increments and never by a zero, and each owner
+   holds its increments since its last zero. *)
+let scoped_rollup =
+  let gen =
+    QCheck.Gen.(pair (int_range 1 4) (list (pair (int_bound 3) (int_range (-1) 50))))
+  in
+  QCheck.Test.make ~name:"scoped counters roll up" ~count:200 (QCheck.make gen)
+    (fun (k, ops) ->
+      let g = Obs.Metrics.counter "test.obs.rollup" in
+      let owners = Array.init k (fun _ -> Obs.Metrics.owned g) in
+      let expect = Array.make k 0 and g0 = Obs.Metrics.value g and total = ref 0 in
+      List.iter
+        (fun (i, n) ->
+          let i = i mod k in
+          if n < 0 then (Obs.Metrics.zero owners.(i); expect.(i) <- 0)
+          else begin
+            if n = 1 then Obs.Metrics.incr owners.(i) else Obs.Metrics.add owners.(i) n;
+            expect.(i) <- expect.(i) + n;
+            total := !total + n
+          end)
+        ops;
+      Obs.Metrics.value g - g0 = !total
+      && Array.for_all2
+           (fun c n -> Obs.Metrics.read (Obs.Metrics.scope [ c ]) "test.obs.rollup" = n)
+           owners expect)
+
+let scoped_outside_registry () =
+  let g = Obs.Metrics.counter "test.obs.owned" in
+  let names () = List.map fst (Obs.Metrics.snapshot ()) in
+  let before = names () in
+  let c = Obs.Metrics.owned g in
+  let s = Obs.Metrics.scope [ c ] in
+  Obs.Metrics.add c 3;
+  check_bool "owners add no snapshot name" true (names () = before);
+  Obs.Metrics.reset ();
+  check_int "reset zeroes the global" 0 (Obs.Metrics.value g);
+  check_int "reset leaves the owner" 3 (Obs.Metrics.read s "test.obs.owned");
+  match Obs.Metrics.read s "test.obs.owend" with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "reading a name the scope lacks should raise"
+
 let histogram_percentiles () =
   Obs.Metrics.reset ();
   let h = Obs.Metrics.histogram "test.obs.latency_ms" in
@@ -251,6 +296,8 @@ let suite =
     Alcotest.test_case "registry kind mismatch" `Quick registry_kind_mismatch;
     Alcotest.test_case "registry snapshot + find" `Quick registry_snapshot_and_find;
     Alcotest.test_case "reset keeps handles" `Quick registry_reset_keeps_handles;
+    qtest scoped_rollup;
+    Alcotest.test_case "scoped counters outside registry" `Quick scoped_outside_registry;
     Alcotest.test_case "histogram percentiles" `Quick histogram_percentiles;
     Alcotest.test_case "empty histogram summary" `Quick histogram_empty_summary;
     Alcotest.test_case "time uses virtual clock" `Quick time_observes_virtual_clock;

@@ -48,10 +48,10 @@ let notify_ixfr_converges_without_polling () =
         Sim.Engine.sleep 2_000.0;
         let r =
           ( Int32.equal (Dns.Secondary.serial secondary) (Dns.Zone.serial zone),
-            Dns.Secondary.notify_kicks secondary,
-            Dns.Secondary.ixfr_applied secondary,
-            Dns.Secondary.full_transfers secondary,
-            Dns.Secondary.delta_records secondary )
+            secondary_count secondary "dns.secondary.notify_kicks",
+            secondary_count secondary "dns.secondary.ixfr_applied",
+            secondary_count secondary "dns.secondary.full_transfers",
+            secondary_count secondary "dns.secondary.delta_records" )
         in
         Dns.Secondary.detach secondary;
         r)
@@ -78,8 +78,8 @@ let truncated_journal_falls_back_to_axfr () =
           update w primary (mk_a (Printf.sprintf "burst%d.z" i) (Int32.of_int i))
         done;
         Sim.Engine.sleep 6_000.0;
-        let fulls_after_burst = Dns.Secondary.full_transfers secondary in
-        let ixfrs_after_burst = Dns.Secondary.ixfr_applied secondary in
+        let fulls_after_burst = secondary_count secondary "dns.secondary.full_transfers" in
+        let ixfrs_after_burst = secondary_count secondary "dns.secondary.ixfr_applied" in
         let caught_up =
           Int32.equal (Dns.Secondary.serial secondary) (Dns.Zone.serial zone)
         in
@@ -92,7 +92,7 @@ let truncated_journal_falls_back_to_axfr () =
                  (Dns.Zone.serial zone),
             fulls_after_burst,
             ixfrs_after_burst,
-            Dns.Secondary.ixfr_applied secondary )
+            secondary_count secondary "dns.secondary.ixfr_applied" )
         in
         Dns.Secondary.detach secondary;
         r)
@@ -134,7 +134,7 @@ let lost_notify_degrades_to_polling () =
         let converged =
           Int32.equal (Dns.Secondary.serial secondary) (Dns.Zone.serial zone)
         in
-        let kicks = Dns.Secondary.notify_kicks secondary in
+        let kicks = secondary_count secondary "dns.secondary.notify_kicks" in
         Chaos.Injector.uninstall inj;
         Dns.Secondary.detach secondary;
         (stale, converged, kicks))
@@ -205,10 +205,10 @@ let client_applies_added_records () =
         in
         let r =
           ( cached,
-            Hns.Meta_client.delta_refreshes client,
-            Hns.Meta_client.full_refreshes client,
-            Hns.Meta_client.notify_kicks client,
-            Hns.Meta_client.remote_lookups client,
+            meta_count client "hns.meta.delta_refreshes",
+            meta_count client "hns.meta.full_refreshes",
+            meta_count client "hns.meta.notify_kicks",
+            meta_count client "hns.meta.remote_lookups",
             Hns.Meta_client.zone_serial client <> s0 )
         in
         stop ();
@@ -242,7 +242,9 @@ let client_invalidates_deleted_records () =
           Hns.Meta_client.lookup client ~key ~ty:Hns.Meta_schema.string_ty
         in
         let r =
-          (gone, Hns.Meta_client.delta_invalidations client, lookup_after)
+          ( gone,
+            meta_count client "hns.meta.delta_invalidations",
+            lookup_after )
         in
         stop ();
         r)
@@ -291,13 +293,13 @@ let negative_ttl_follows_soa_minimum () =
         ask ();
         ask ();
         (* second hit the negative entry *)
-        let two = Hns.Meta_client.remote_lookups client in
+        let two = meta_count client "hns.meta.remote_lookups" in
         Sim.Engine.sleep 6_000.0;
         (* past the SOA-derived 5 s, far under the 60 s cap *)
         ask ();
         ( Hns.Meta_client.effective_negative_ttl_ms client,
           two,
-          Hns.Meta_client.remote_lookups client ))
+          meta_count client "hns.meta.remote_lookups" ))
   in
   check_float_near "SOA minimum wins under the cap" 5_000.0 effective;
   check_int "cached absence suppressed the requery" 1 remote_after_two;

@@ -22,6 +22,21 @@ let heap_empty () =
   Sim.Heap.clear h;
   check_bool "cleared" true (Sim.Heap.is_empty h)
 
+(* Pushes and pops one boxed value, leaving only a weak pointer to it. *)
+let[@inline never] push_pop h w =
+  let x = ref 42 in
+  Weak.set w 0 (Some x);
+  Sim.Heap.push h x;
+  ignore (Sim.Heap.pop h)
+
+let heap_pop_releases () =
+  let h = Sim.Heap.create ~leq:(fun (a : int ref) b -> !a <= !b) and w = Weak.create 1 in
+  push_pop h w;
+  Gc.full_major ();
+  check_bool "popped element collected" false (Weak.check w 0);
+  Sim.Heap.push h (ref 1);
+  check_int "reusable after emptying" 1 !(Sim.Heap.pop h)
+
 let heap_sorts_any_list =
   QCheck.Test.make ~name:"heap sorts like List.sort" ~count:200
     QCheck.(list int)
@@ -287,6 +302,7 @@ let suite =
   [
     Alcotest.test_case "heap pop order" `Quick heap_pop_order;
     Alcotest.test_case "heap empty ops" `Quick heap_empty;
+    Alcotest.test_case "heap pop releases element" `Quick heap_pop_releases;
     qtest heap_sorts_any_list;
     Alcotest.test_case "rng deterministic" `Quick rng_deterministic;
     Alcotest.test_case "rng split" `Quick rng_split_independent;

@@ -53,7 +53,7 @@ let run_soak () =
     !failures,
     Sim.Engine.events_executed scn.engine,
     Sim.Engine.now scn.engine,
-    Transport.Netstack.bytes_sent scn.net )
+    net_count scn.net "transport.netstack.bytes_sent" )
 
 let soak_no_failures () =
   let ok, failures, _, _, _ = run_soak () in
@@ -108,7 +108,7 @@ let chaos_soak () =
           | _ -> incr failures
         done;
         Chaos.Injector.uninstall inj;
-        Chaos.Injector.faults_injected inj)
+        Obs.Metrics.read (Chaos.Injector.metrics inj) "chaos.injector.faults_injected")
   in
   check_int "every resolution accounted for" resolutions (!ok + !failures);
   check_bool "the partitions actually bit" true (faults > 0);
@@ -117,9 +117,9 @@ let chaos_soak () =
     Alcotest.failf "success ratio %.4f below threshold (%d/%d ok)" success !ok
       resolutions;
   check_int "packet conservation: sent = received + dropped"
-    (Transport.Netstack.packets_sent scn.net)
-    (Transport.Netstack.packets_received scn.net
-    + Transport.Netstack.packets_dropped scn.net)
+    (net_count scn.net "transport.netstack.packets_sent")
+    (net_count scn.net "transport.netstack.packets_received"
+    + net_count scn.net "transport.netstack.packets_dropped")
 
 let suite =
   [

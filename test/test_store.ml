@@ -8,6 +8,7 @@ open Helpers
 
 let mk_a name ip = Dns.Rr.make (Dns.Name.of_string name) (Dns.Rr.A ip)
 let zname = Dns.Name.of_string "z"
+let disk_count d = Obs.Metrics.read (Store.Disk.metrics d)
 
 let counter_value name =
   match Obs.Metrics.find name with
@@ -58,8 +59,8 @@ let disk_crash_drops_unsynced_bytes () =
   Store.Disk.crash d;
   check_string "only the synced prefix survives" "hello"
     (Store.Disk.durable_contents d ~file:"f");
-  check_int "one crash counted" 1 (Store.Disk.crashes d);
-  check_int "a clean crash tears nothing" 0 (Store.Disk.torn_writes d)
+  check_int "one crash counted" 1 (disk_count d "store.disk.crashes");
+  check_int "a clean crash tears nothing" 0 (disk_count d "store.disk.torn_writes")
 
 let torn_writes_are_seeded_and_deterministic () =
   let run seed =
@@ -74,7 +75,7 @@ let torn_writes_are_seeded_and_deterministic () =
     let kept = Store.Disk.durable_contents d ~file:"f" in
     let trace = Chaos.Injector.disk_trace inj in
     Chaos.Injector.uninstall_disk inj;
-    (kept, trace, Store.Disk.torn_writes d)
+    (kept, trace, disk_count d "store.disk.torn_writes")
   in
   let kept_a, trace_a, torn_a = run 0x7E57L in
   let kept_b, trace_b, _ = run 0x7E57L in
@@ -137,7 +138,8 @@ let wal_group_commit_shares_fsyncs () =
           ignore (Sim.Engine.Mailbox.recv mb)
         done;
         let r = Store.Wal.replay d in
-        (Store.Wal.appends wal, Store.Wal.group_commits wal, r.Store.Wal.records))
+        let count = Obs.Metrics.read (Store.Wal.metrics wal) in
+        (count "store.wal.appends", count "store.wal.group_commits", r.Store.Wal.records))
   in
   check_int "four appends" 4 appends;
   check_bool "concurrent appends share commits" true (commits < appends);
@@ -269,7 +271,8 @@ let journal_sheds_by_bytes () =
   done;
   check_bool "retention stayed under the byte bound" true
     (Dns.Journal.bytes j <= 400);
-  check_bool "old deltas were shed" true (Dns.Journal.truncations j > 0);
+  check_bool "old deltas were shed" true
+    (Obs.Metrics.read (Dns.Journal.metrics j) "dns.journal.truncations" > 0);
   check_bool "some deltas survive" true (Dns.Journal.length j >= 1);
   match List.rev (Dns.Journal.deltas j) with
   | newest :: _ ->
@@ -357,7 +360,7 @@ let crash_matrix () =
       Sim.Engine.sleep 1.0 (* inside the seek: written, not yet synced *);
       Store.Disk.crash disk;
       Chaos.Injector.uninstall_disk inj;
-      check_int "the tear was recorded" 1 (Store.Disk.torn_writes disk);
+      check_int "the tear was recorded" 1 (disk_count disk "store.disk.torn_writes");
       let r2 =
         match Dns.Durable.recover disk with
         | Some r -> r
@@ -440,9 +443,9 @@ let restarted_primary_resumes_ixfr () =
         (Int32.equal (Dns.Secondary.serial secondary)
            (Dns.Zone.serial r.Dns.Durable.zone));
       check_int "no full transfer after the restart" 1
-        (Dns.Secondary.full_transfers secondary);
+        (secondary_count secondary "dns.secondary.full_transfers");
       check_bool "the catch-up was incremental" true
-        (Dns.Secondary.ixfr_applied secondary >= 1);
+        (secondary_count secondary "dns.secondary.ixfr_applied" >= 1);
       Dns.Secondary.detach secondary;
       Dns.Server.stop primary2;
       Dns.Server.stop replica_server)
@@ -492,9 +495,9 @@ let durable_secondary_bootstraps_by_delta () =
       check_bool "bootstrap converged" true
         (Int32.equal (Dns.Secondary.serial secondary) (Dns.Zone.serial zone));
       check_int "no full transfer: snapshot + deltas only" 0
-        (Dns.Secondary.full_transfers secondary);
+        (secondary_count secondary "dns.secondary.full_transfers");
       check_bool "the catch-up was incremental" true
-        (Dns.Secondary.ixfr_applied secondary >= 1);
+        (secondary_count secondary "dns.secondary.ixfr_applied" >= 1);
       Dns.Secondary.detach secondary;
       Dns.Server.stop primary;
       Dns.Server.stop replica_server)
@@ -562,7 +565,7 @@ let serial_regression_triggers_resync () =
           ( Hns.Cache.peek
               (Hns.Meta_client.cache client)
               ~key:(Hns.Meta_schema.cache_key key),
-            Hns.Meta_client.full_refreshes client,
+            meta_count client "hns.meta.full_refreshes",
             Hns.Meta_client.zone_serial client,
             Dns.Zone.serial zone2 )
         in

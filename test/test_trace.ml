@@ -193,7 +193,8 @@ let followers_link_leader_trace () =
           done;
           List.init waiters (fun _ -> Sim.Engine.Mailbox.recv mb)
           |> List.iter (fun r -> ignore (get_ok ~msg:"burst find_nsm" r));
-          check_int "two followers coalesced" 2 (Hns.Agent.coalesced agent);
+          check_int "two followers coalesced" 2
+            (Obs.Metrics.read (Hns.Agent.metrics agent) "hns.agent.coalesced");
           Hns.Agent.stop agent);
       let records = Obs.Qlog.records () in
       let followers = Obs.Qlog.by_outcome Obs.Qlog.Coalesced records in

@@ -76,7 +76,7 @@ let udp_loss () =
   check_bool "some datagrams lost" true (received < 100);
   check_bool "some datagrams survived" true (received > 0);
   check_bool "drop counter matches" true
-    (Transport.Netstack.packets_dropped w.net = 100 - received)
+    (net_count w.net "transport.netstack.packets_dropped" = 100 - received)
 
 let tcp_connect_and_exchange () =
   let w = make_world ~hosts:2 () in
@@ -163,14 +163,14 @@ let tcp_handshake_costs_rtt () =
 
 let netstack_counters () =
   let w = make_world ~hosts:2 () in
-  let before = Transport.Netstack.packets_sent w.net in
+  let before = net_count w.net "transport.netstack.packets_sent" in
   in_sim w (fun () ->
       let server = Transport.Udp.bind w.stacks.(0) ~port:9100 in
       let client = Transport.Udp.bind_any w.stacks.(1) in
       Transport.Udp.sendto client ~dst:(Transport.Udp.local_addr server) "abc";
       ignore (Transport.Udp.recv server));
-  check_int "one packet" 1 (Transport.Netstack.packets_sent w.net - before);
-  check_bool "bytes counted" true (Transport.Netstack.bytes_sent w.net >= 3)
+  check_int "one packet" 1 (net_count w.net "transport.netstack.packets_sent" - before);
+  check_bool "bytes counted" true (net_count w.net "transport.netstack.bytes_sent" >= 3)
 
 let netstack_delivery_crosscheck () =
   (* At quiescence every sent packet was either delivered or dropped:
@@ -183,9 +183,9 @@ let netstack_delivery_crosscheck () =
         Transport.Udp.sendto client ~dst:(Transport.Udp.local_addr server) "m"
       done;
       Sim.Engine.sleep 100.0);
-  let sent = Transport.Netstack.packets_sent w.net in
-  let received = Transport.Netstack.packets_received w.net in
-  let dropped = Transport.Netstack.packets_dropped w.net in
+  let sent = net_count w.net "transport.netstack.packets_sent" in
+  let received = net_count w.net "transport.netstack.packets_received" in
+  let dropped = net_count w.net "transport.netstack.packets_dropped" in
   check_int "all packets sent" 200 sent;
   check_bool "some dropped" true (dropped > 0);
   check_bool "some delivered" true (received > 0);

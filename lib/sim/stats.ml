@@ -1,7 +1,12 @@
+(* Samples live unboxed in the first [n] slots of [xs], in insertion
+   order; the array doubles when full. [sorted] caches an ascending
+   copy for percentile reads: the first read after an [add] or [clear]
+   makes it, and later reads share it. *)
 type t = {
   stat_name : string;
-  mutable xs : float list; (* reversed insertion order *)
+  mutable xs : Float.Array.t;
   mutable n : int;
+  mutable sorted : Float.Array.t option;
   mutable sum : float;
   mutable sumsq : float;
   mutable lo : float;
@@ -9,13 +14,28 @@ type t = {
 }
 
 let create ?(name = "") () =
-  { stat_name = name; xs = []; n = 0; sum = 0.0; sumsq = 0.0; lo = infinity; hi = neg_infinity }
+  {
+    stat_name = name;
+    xs = Float.Array.create 0;
+    n = 0;
+    sorted = None;
+    sum = 0.0;
+    sumsq = 0.0;
+    lo = infinity;
+    hi = neg_infinity;
+  }
 
 let name t = t.stat_name
 
 let add t x =
-  t.xs <- x :: t.xs;
+  if t.n = Float.Array.length t.xs then begin
+    let xs = Float.Array.create (max 8 (2 * t.n)) in
+    Float.Array.blit t.xs 0 xs 0 t.n;
+    t.xs <- xs
+  end;
+  Float.Array.set t.xs t.n x;
   t.n <- t.n + 1;
+  t.sorted <- None;
   t.sum <- t.sum +. x;
   t.sumsq <- t.sumsq +. (x *. x);
   if x < t.lo then t.lo <- x;
@@ -35,25 +55,45 @@ let stddev t =
 
 let min_value t = t.lo
 let max_value t = t.hi
-let samples t = List.rev t.xs
+
+let samples t =
+  let acc = ref [] in
+  for i = t.n - 1 downto 0 do
+    acc := Float.Array.get t.xs i :: !acc
+  done;
+  !acc
+
+(* A stable sort of the samples newest first, so that samples which
+   compare equal but differ in bits (0. and -0.) come out in the order
+   the list sort this replaced gave them. *)
+let sorted t =
+  match t.sorted with
+  | Some s -> s
+  | None ->
+      let s = Float.Array.init t.n (fun i -> Float.Array.get t.xs (t.n - 1 - i)) in
+      Float.Array.stable_sort Float.compare s;
+      t.sorted <- Some s;
+      s
 
 let percentile t p =
   if t.n = 0 then invalid_arg "Stats.percentile: no samples";
   if p < 0.0 || p > 100.0 then invalid_arg "Stats.percentile: p out of range";
-  let sorted = List.sort compare t.xs |> Array.of_list in
+  let sorted = sorted t in
   let rank = p /. 100.0 *. float_of_int (t.n - 1) in
   let lo_i = int_of_float (floor rank) and hi_i = int_of_float (ceil rank) in
-  if lo_i = hi_i then sorted.(lo_i)
+  if lo_i = hi_i then Float.Array.get sorted lo_i
   else begin
     let frac = rank -. float_of_int lo_i in
-    sorted.(lo_i) +. (frac *. (sorted.(hi_i) -. sorted.(lo_i)))
+    let lo = Float.Array.get sorted lo_i in
+    lo +. (frac *. (Float.Array.get sorted hi_i -. lo))
   end
 
 let median t = percentile t 50.0
 
 let clear t =
-  t.xs <- [];
+  t.xs <- Float.Array.create 0;
   t.n <- 0;
+  t.sorted <- None;
   t.sum <- 0.0;
   t.sumsq <- 0.0;
   t.lo <- infinity;

@@ -59,12 +59,15 @@ agent:
 colocation:
 	dune exec bench/main.exe -- colocation
 
-# The open-loop load harness smoke pair (decayed vs sliding hot
-# ranking) on the CI config, guarded by a fixed sim-event budget so a
-# retry storm or runaway fiber fails the gate instead of tripling the
-# run quietly. `--full` runs the million-client bench suite.
+# The open-loop load harness: the smoke pair (decayed vs sliding hot
+# ranking) on the CI config, then the million-client bench suite
+# (`--full`, storm included), each guarded by a fixed sim-event budget
+# so a retry storm or runaway fiber fails the gate instead of tripling
+# the run quietly. Both budgets keep ~1.9x headroom over the largest
+# config's events (smoke ~32,300; full: storm, 116,899).
 load:
 	dune exec bin/hns_cli.exe -- load --max-events 60000
+	dune exec bin/hns_cli.exe -- load --full --max-events 220000
 
 # The meta-store fan-out sweep: partitioned primaries with IXFR-chained
 # replica trees vs the single-primary baseline, plus the read-your-writes

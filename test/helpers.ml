@@ -42,6 +42,21 @@ let get_ok ~msg = function
 
 let qtest = QCheck_alcotest.to_alcotest
 
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Floats that collide often, including ones that compare equal with
+   different bits (0. and -0.) and ones the order puts first (nan). *)
+let gen_dup_float =
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl [ 0.0; -0.0; 1.0; 2.5; 100.0; Float.nan; Float.infinity ];
+        map (fun i -> float_of_int i /. 4.0) (int_range 0 40);
+      ])
+
+(* The percentiles the reference-model properties compare. *)
+let model_ps = [ 0.0; 1.0; 50.0; 99.0; 99.9; 100.0 ]
+
 let global_count name = Obs.Metrics.value (Obs.Metrics.counter name)
 
 (* One owner's count of a name, read through its metrics scope. *)

@@ -101,6 +101,34 @@ let bechamel_tests () =
         };
     }
   in
+  (* The DNS wire codec alone, on a meta-store query, its one-answer
+     UNSPEC reply, and the six-answer A reply that bench/perf's
+     wire.msg_codec_ns probe round-trips. *)
+  let codec_rows (shape, msg) =
+    let bytes = Dns.Msg.encode msg in
+    [
+      Test.make ~name:("dns encode " ^ shape)
+        (Staged.stage (fun () -> ignore (Dns.Msg.encode msg)));
+      Test.make ~name:("dns decode " ^ shape)
+        (Staged.stage (fun () -> ignore (Dns.Msg.decode bytes)));
+    ]
+  in
+  let meta_key = Hns.Meta_schema.context_key "uw-cs" in
+  let meta_query = Dns.Msg.query ~id:1 meta_key Dns.Rr.T_unspec in
+  let meta_reply =
+    Dns.Msg.response ~request:meta_query
+      [
+        Dns.Rr.make meta_key
+          (Dns.Rr.Unspec
+             (Wire.Xdr.to_string Hns.Meta_schema.string_ty (Wire.Value.str "bind-uw-cs")));
+      ]
+  in
+  let host = Dns.Name.of_string "samoa.cs.washington.edu" in
+  let six_reply =
+    Dns.Msg.response
+      ~request:(Dns.Msg.query ~id:7 host Dns.Rr.T_a)
+      (List.init 6 (fun i -> Dns.Rr.make host (Dns.Rr.A (Int32.of_int (0x0a000001 + i)))))
+  in
   [
     Test.make ~name:"table-3.1 row (all-linked, 3 cache states)"
       (Staged.stage table31);
@@ -116,6 +144,8 @@ let bechamel_tests () =
            let wire = Hns.Hot_codec.encode_nsm_info nsm_specimen in
            ignore (Hns.Hot_codec.decode_nsm_info wire)));
   ]
+  @ List.concat_map codec_rows
+      [ ("meta query", meta_query); ("meta UNSPEC reply", meta_reply); ("6-answer A reply", six_reply) ]
 
 let run_bechamel () =
   let open Bechamel in

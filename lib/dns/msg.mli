@@ -63,17 +63,28 @@ val notify_ack : request:t -> t
 val update_ack : ?rcode:rcode -> request:t -> unit -> t
 
 (** [encode ?compress t] — [compress] (default true) emits RFC 1035
-    suffix pointers; either form decodes identically. *)
+    suffix pointers; either form decodes identically. A suffix is
+    pointed at only when its label list equals one already written, so
+    a name with a ['.'] inside a label never shares a pointer with a
+    different name that prints alike. Each message is written once,
+    into a process-wide writer that no effect can interleave with. *)
 val encode : ?compress:bool -> t -> string
 
+(** [decode s] reads a message in one pass. Each label is checked and
+    case-folded as it is read; a compression pointer to a name already
+    decoded in [s] returns that name's labels, shared rather than read
+    again. Raises [Bad_message], and nothing else, on malformed input,
+    including a name over 255 bytes. *)
 val decode : string -> t
 
 (** The classic UDP payload ceiling (RFC 1035: 512 bytes). *)
 val udp_payload_limit : int
 
-(** [truncate_for_udp t] — when [encode t] exceeds the limit, drop the
-    answer sections and set TC, as 1987 BIND did; otherwise [t]. *)
-val truncate_for_udp : t -> t
+(** [encode_for_udp t] is [(sent, bytes)]: [(t, encode t)] when that
+    fits in {!udp_payload_limit}, encoded once. Otherwise [sent] is [t]
+    with TC set and its answer, authority and additional sections
+    dropped, as 1987 BIND did, and [bytes] is its encoding. *)
+val encode_for_udp : t -> t * string
 
 (** Number of answer records — the quantity the paper's marshalling
     cost model is linear in. *)

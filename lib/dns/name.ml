@@ -18,6 +18,8 @@ let of_labels labels =
   validate_total labels;
   List.map fold_label labels
 
+let of_folded_labels labels = labels
+
 let of_string s =
   let s =
     let n = String.length s in

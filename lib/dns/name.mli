@@ -20,6 +20,13 @@ val to_string : t -> string
 val labels : t -> string list
 
 val of_labels : string list -> t
+
+(** [of_folded_labels labels] is [of_labels labels] for labels already
+    checked and folded: each 1–63 bytes long with no upper-case ASCII
+    byte, and the name at most 255 bytes. It checks and copies nothing,
+    so the list is shared, not copied. The wire decoder, which checks
+    each label as it reads it, is its caller. *)
+val of_folded_labels : string list -> t
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int

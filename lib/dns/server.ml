@@ -407,10 +407,10 @@ let start t =
     match Msg.decode payload with
     | exception Msg.Bad_message _ -> None
     | request ->
-        let reply = Msg.truncate_for_udp (handle ~src t request) in
+        let reply, bytes = Msg.encode_for_udp (handle ~src t request) in
         let cost = marshal_cost t (Msg.answer_count reply) in
         if cost > 0.0 then Sim.Engine.sleep cost;
-        Some (Msg.encode reply)
+        Some bytes
   in
   let stop_udp =
     Rpc.Rawrpc.serve t.stack ~port:t.port ~service_overhead_ms:t.service_overhead_ms

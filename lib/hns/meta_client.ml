@@ -55,7 +55,8 @@ type t = {
   mutable zone_serial : int32 option;
   mutable zone_refresh_s : int32 option;
   mutable soa_neg_ttl_ms : float option; (* zone SOA minimum, observed *)
-  mutable walk : (string * bool * float) list; (* newest first, max 64 *)
+  mutable walk : (string * bool * float) list; (* newest first *)
+  mutable walk_len : int;
   prefetched : (string, unit) Hashtbl.t; (* addr cache keys seeded by prefetch *)
   raw_binding : Hrpc.Binding.t;
   policy : Rpc.Control.retry_policy option;
@@ -99,6 +100,7 @@ let create stack ~meta_server ?(fallback_servers = []) ?replica_set
     zone_refresh_s = None;
     soa_neg_ttl_ms = None;
     walk = [];
+    walk_len = 0;
     prefetched = Hashtbl.create 16;
     raw_binding =
       Hrpc.Binding.make ~suite:Hrpc.Component.raw_udp_suite ~server:meta_server
@@ -304,7 +306,7 @@ let rec raw_query_routed t ~depth key =
   let exchange server =
     let binding = { t.raw_binding with Hrpc.Binding.server } in
     let req_bytes = Dns.Msg.encode request in
-    Obs.Qlog.note_server (Transport.Address.to_string server);
+    if Obs.Qlog.enabled () then Obs.Qlog.note_server (Transport.Address.to_string server);
     let t0 = now_ms () in
     match Hrpc.Client.call_raw t.stack binding ?policy:t.policy req_bytes with
     | Error e ->
@@ -347,17 +349,24 @@ let first_unspec (reply : Dns.Msg.t) =
    key construction, designation logic. *)
 let charge_mapping_overhead t = charge t.mapping_overhead_ms
 
-let log_mapping t key hit cost =
-  let entry = (key, hit, cost) in
-  let rec take n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | x :: rest -> x :: take (n - 1) rest
-  in
-  t.walk <- take 64 (entry :: t.walk)
+(* The walk log keeps the last [walk_cap] mappings. It is trimmed only
+   when it reaches twice that, so logging a mapping is amortised O(1). *)
+let walk_cap = 64
+let newest n walk = List.filteri (fun i _ -> i < n) walk
 
-let walk_log t = List.rev t.walk
-let clear_walk_log t = t.walk <- []
+let log_mapping t key hit cost =
+  t.walk <- (key, hit, cost) :: t.walk;
+  t.walk_len <- t.walk_len + 1;
+  if t.walk_len = 2 * walk_cap then begin
+    t.walk <- newest walk_cap t.walk;
+    t.walk_len <- walk_cap
+  end
+
+let walk_log t = List.rev (newest walk_cap t.walk)
+
+let clear_walk_log t =
+  t.walk <- [];
+  t.walk_len <- 0
 
 (* Remember the zone SOA's minimum field whenever a reply (or a
    transfer) carries one: RFC 2308 makes it the zone's negative TTL,
@@ -385,10 +394,9 @@ let effective_negative_ttl_ms t =
 (* Record a definitive "nothing there" so the next miss on this key
    fails fast instead of repeating the round trip. Inert unless the
    client was created with a positive negative TTL. *)
-let note_negative t key =
+let note_negative t ckey =
   let ttl_ms = effective_negative_ttl_ms t in
-  if ttl_ms > 0.0 then
-    Cache.insert_negative t.cache_ ~key:(Meta_schema.cache_key key) ~ttl_ms
+  if ttl_ms > 0.0 then Cache.insert_negative t.cache_ ~key:ckey ~ttl_ms
 
 (* Decode one UNSPEC record body, charging the cost of whichever codec
    handled it: the hand codec when one is configured and the shape is
@@ -414,7 +422,7 @@ let decode_record t ~ty bytes =
           generic ())
   | _ -> generic ()
 
-let lookup_remote t ~key ~ty =
+let lookup_remote t ~key ~ckey ~ty =
   match () with
   | () -> (
       match raw_query t key with
@@ -426,12 +434,12 @@ let lookup_remote t ~key ~ty =
           observe_authority_soa t reply;
           match reply.rcode with
           | Dns.Msg.Nx_domain ->
-              note_negative t key;
+              note_negative t ckey;
               Ok None
           | Dns.Msg.No_error -> (
               match first_unspec reply with
               | None ->
-                  note_negative t key;
+                  note_negative t ckey;
                   Ok None
               | Some (bytes, ttl_s) -> (
                   match decode_record t ~ty bytes with
@@ -441,7 +449,7 @@ let lookup_remote t ~key ~ty =
                            (Printf.sprintf "malformed record at %s"
                               (Dns.Name.to_string key)))
                   | Some v ->
-                      Cache.insert t.cache_ ~key:(Meta_schema.cache_key key) ~ty
+                      Cache.insert t.cache_ ~key:ckey ~ty
                         ~ttl_ms:(Int32.to_float ttl_s *. 1000.0)
                         v;
                       Ok (Some v)))
@@ -451,15 +459,16 @@ let lookup t ~key ~ty =
   let t0 = now_ms () in
   Obs.Metrics.incr m_lookups;
   charge_mapping_overhead t;
+  let ckey = Meta_schema.cache_key key in
   let finish hit outcome =
     let elapsed = now_ms () -. t0 in
     Obs.Metrics.observe m_lookup_ms elapsed;
     Obs.Span.add_attr "hit" (if hit then "true" else "false");
-    Obs.Qlog.note_hop (Meta_schema.cache_key key) elapsed;
-    log_mapping t (Meta_schema.cache_key key) hit elapsed;
+    Obs.Qlog.note_hop ckey elapsed;
+    log_mapping t ckey hit elapsed;
     outcome
   in
-  match Cache.find_outcome t.cache_ ~key:(Meta_schema.cache_key key) ~ty with
+  match Cache.find_outcome t.cache_ ~key:ckey ~ty with
   | Cache.Hit v -> finish true (Ok (Some v))
   | Cache.Negative_hit ->
       (* A cached absence: answer "no record" without a round trip. *)
@@ -467,11 +476,11 @@ let lookup t ~key ~ty =
       Obs.Qlog.note_outcome Obs.Qlog.Negative;
       finish true (Ok None)
   | Cache.Miss -> (
-      match lookup_remote t ~key ~ty with
+      match lookup_remote t ~key ~ckey ~ty with
       | Error _ as e -> (
           (* Backend unreachable: serve the expired entry if it is
              still within the cache's staleness budget. *)
-          match Cache.find_stale t.cache_ ~key:(Meta_schema.cache_key key) ~ty with
+          match Cache.find_stale t.cache_ ~key:ckey ~ty with
           | Some v ->
               Obs.Span.add_attr "stale" "true";
               Obs.Qlog.note_outcome Obs.Qlog.Stale;
@@ -685,7 +694,7 @@ let find_nsm_bundle t ~context ~query_class =
                       Obs.Span.add_attr "outcome" "no-marker";
                       finish Bundle_unavailable
                   | Some Meta_schema.B_no_context ->
-                      note_negative t ctx_key;
+                      note_negative t ctx_cache_key;
                       Obs.Span.add_attr "outcome" "no-context";
                       finish (Bundle_negative (Errors.Unknown_context context))
                   | Some Meta_schema.B_no_nsm -> (
@@ -693,7 +702,8 @@ let find_nsm_bundle t ~context ~query_class =
                       | None -> finish Bundle_unavailable
                       | Some ns ->
                           note_negative t
-                            (Meta_schema.nsm_name_key ~ns ~query_class);
+                            (Meta_schema.cache_key
+                               (Meta_schema.nsm_name_key ~ns ~query_class));
                           Obs.Span.add_attr "outcome" "no-nsm";
                           finish
                             (Bundle_negative (Errors.No_nsm { ns; query_class }))
@@ -710,7 +720,8 @@ let find_nsm_bundle t ~context ~query_class =
                       match nsm with
                       | None -> finish Bundle_unavailable
                       | Some nsm ->
-                          note_negative t (Meta_schema.nsm_binding_key nsm);
+                          note_negative t
+                            (Meta_schema.cache_key (Meta_schema.nsm_binding_key nsm));
                           Obs.Span.add_attr "outcome" "no-binding";
                           finish (Bundle_negative (Errors.Unknown_nsm nsm)))
                   | Some Meta_schema.B_ok -> (

@@ -41,6 +41,11 @@ module Wr = struct
     Bytes.unsafe_set b.buf (b.len + 1) (Char.unsafe_chr (v land 0xff));
     b.len <- b.len + 2
 
+  let set_u16 b pos v =
+    if pos < 0 || pos + 2 > b.len then invalid_arg "Bytebuf.Wr.set_u16";
+    Bytes.unsafe_set b.buf pos (Char.unsafe_chr ((v lsr 8) land 0xff));
+    Bytes.unsafe_set b.buf (pos + 1) (Char.unsafe_chr (v land 0xff))
+
   let u32 b v =
     let v = Int32.to_int v in
     ensure_capacity b (b.len + 4);

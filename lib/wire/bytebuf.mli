@@ -29,6 +29,11 @@ module Wr : sig
   (** Raw bytes, no length prefix. *)
   val bytes : t -> string -> unit
 
+  (** [set_u16 t pos v] overwrites the two bytes at [pos], which must
+      lie below [length t]: a length field written as a placeholder,
+      then patched once the body after it is written. *)
+  val set_u16 : t -> int -> int -> unit
+
   (** [append t src] blits [src]'s contents onto [t] directly, with no
       intermediate string allocation. *)
   val append : t -> t -> unit

@@ -430,6 +430,23 @@ let compression_reference_vector () =
   check_int "answer owner is a pointer" 0xC0 (Char.code bytes.[21] land 0xC0);
   check_bool "roundtrip" true (Dns.Msg.decode bytes = r)
 
+(* Labels may hold a '.': ["a.b"; "c"] and ["a"; "b.c"] print alike but
+   are different names, so the second must not point at the first. *)
+let compression_dotted_labels_distinct () =
+  let ab_c = Dns.Name.of_labels [ "a.b"; "c" ] in
+  let a_bc = Dns.Name.of_labels [ "a"; "b.c" ] in
+  let q = Dns.Msg.query ~id:4 ab_c Dns.Rr.T_a in
+  let r =
+    Dns.Msg.response ~request:q
+      [ Dns.Rr.make ab_c (Dns.Rr.A 1l); Dns.Rr.make a_bc (Dns.Rr.A 2l) ]
+  in
+  match (Dns.Msg.decode (Dns.Msg.encode r)).Dns.Msg.answers with
+  | [ first; second ] ->
+      check_bool "first owner" true (Dns.Name.equal first.Dns.Rr.name ab_c);
+      check (Alcotest.list Alcotest.string) "second owner keeps its labels"
+        [ "a"; "b.c" ] (Dns.Name.labels second.Dns.Rr.name)
+  | _ -> Alcotest.fail "expected two answers"
+
 let compression_cases =
   [
     Alcotest.test_case "compression shrinks" `Quick compression_shrinks_repeated_names;
@@ -437,9 +454,64 @@ let compression_cases =
     Alcotest.test_case "compression loop rejected" `Quick
       compression_pointer_loop_rejected;
     Alcotest.test_case "compression reference bytes" `Quick compression_reference_vector;
+    Alcotest.test_case "compression keys on labels" `Quick
+      compression_dotted_labels_distinct;
   ]
 
-let suite = suite @ compression_cases
+(* --- the one-pass codec --- *)
+
+(* A query whose name is five 60-byte labels: 305 bytes, over the
+   255-byte limit. *)
+let msg_oversize_name_is_bad_message () =
+  let wr = Wire.Bytebuf.Wr.create () in
+  List.iter (Wire.Bytebuf.Wr.u16 wr) [ 1; 0; 1; 0; 0; 0 ];
+  for _ = 1 to 5 do
+    Wire.Bytebuf.Wr.u8 wr 60;
+    Wire.Bytebuf.Wr.bytes wr (String.make 60 'x')
+  done;
+  Wire.Bytebuf.Wr.u8 wr 0;
+  Wire.Bytebuf.Wr.u16 wr 1;
+  Wire.Bytebuf.Wr.u16 wr 1;
+  match Dns.Msg.decode (Wire.Bytebuf.Wr.contents wr) with
+  | exception Dns.Msg.Bad_message _ -> ()
+  | exception e -> Alcotest.failf "raised %s, not Bad_message" (Printexc.to_string e)
+  | _ -> Alcotest.fail "a 305-byte name must be rejected"
+
+(* The six-answer A reply bench/perf times as [wire.msg_codec_ns]. *)
+let six_answer_reply () =
+  let name = Dns.Name.of_string "samoa.cs.washington.edu." in
+  Dns.Msg.response
+    ~request:(Dns.Msg.query ~id:7 name Dns.Rr.T_a)
+    (List.init 6 (fun i ->
+         Dns.Rr.make ~ttl:3600l name (Dns.Rr.A (Int32.of_int (0x0a000001 + i)))))
+
+(* Minor words one call of [f] allocates, after a warm-up call has
+   grown the codec's scratch. The reference model in msg_model.ml
+   takes 343 words to encode the six-answer reply and 640 to decode it. *)
+let words_of f =
+  ignore (Sys.opaque_identity (f ()));
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. before
+
+let msg_encode_allocation () =
+  let reply = six_answer_reply () in
+  let words = words_of (fun () -> Dns.Msg.encode reply) in
+  if words > 96.0 then Alcotest.failf "encoding the six-answer reply allocated %.0f words" words
+
+let msg_decode_allocation () =
+  let bytes = Dns.Msg.encode (six_answer_reply ()) in
+  let words = words_of (fun () -> Dns.Msg.decode bytes) in
+  if words > 300.0 then Alcotest.failf "decoding the six-answer reply allocated %.0f words" words
+
+let codec_cases =
+  [
+    Alcotest.test_case "oversize name is Bad_message" `Quick msg_oversize_name_is_bad_message;
+    Alcotest.test_case "encode allocation" `Quick msg_encode_allocation;
+    Alcotest.test_case "decode allocation" `Quick msg_decode_allocation;
+  ]
+
+let suite = suite @ compression_cases @ codec_cases
 
 (* --- truncation and TCP fallback --- *)
 

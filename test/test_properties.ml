@@ -90,15 +90,182 @@ let dns_msg_roundtrip =
     arb_msg
     (fun m -> Dns.Msg.decode (Dns.Msg.encode m) = m)
 
+(* Bytes shaped like a DNS message: a header with small counts, then
+   labels (upper-case bytes included), runs of long labels that make a
+   name over 255 bytes, pointers, terminators, an A/IN type and class,
+   and stray bytes. *)
+let gen_wire_shaped =
+  QCheck.Gen.(
+    let header =
+      map3
+        (fun flags qdcount counts ->
+          let b = Buffer.create 12 in
+          Buffer.add_uint16_be b 7;
+          Buffer.add_uint16_be b flags;
+          List.iter (Buffer.add_uint16_be b) (qdcount :: counts);
+          Buffer.contents b)
+        (oneofl [ 0x0000; 0x8400; 0x2000; 0x2800 ])
+        (int_range 1 2)
+        (list_repeat 3 (int_range 0 1))
+    in
+    let label len c = String.make 1 (Char.chr len) ^ String.make len c in
+    let token =
+      frequency
+        [
+          (6, map2 label (int_range 1 63) (char_range 'A' 'z'));
+          (1, map (fun len -> String.concat "" (List.init 5 (fun _ -> label len 'x'))) (int_range 40 63));
+          (2, map (fun off -> Printf.sprintf "\xC0%c" (Char.chr off)) (int_range 0 80));
+          (2, return "\x00");
+          (2, return "\x00\x01\x00\x01");
+          (1, map (String.make 1) char);
+        ]
+    in
+    map2 (fun h tokens -> h ^ String.concat "" tokens) header (list_size (int_bound 14) token))
+
 let dns_msg_decode_total =
   (* decode never raises anything but Bad_message on arbitrary bytes *)
   QCheck.Test.make ~name:"DNS decode is total" ~count:500
-    QCheck.(string_of_size (Gen.int_bound 64))
+    (QCheck.make ~print:String.escaped
+       QCheck.Gen.(oneof [ string_size (int_bound 600); gen_wire_shaped ]))
     (fun s ->
       match Dns.Msg.decode s with
       | _ -> true
       | exception Dns.Msg.Bad_message _ -> true
       | exception _ -> false)
+
+(* --- the DNS codec against its reference model (msg_model.ml) --- *)
+
+(* A small label pool makes names share suffixes, so compression
+   pointers are common. *)
+let gen_pool_label =
+  QCheck.Gen.(oneof [ oneofl [ "a"; "b"; "cs"; "edu"; "hns-meta" ]; gen_label ])
+
+(* Labels holding a '.': ["a.b"; "cs"] and ["a"; "b.cs"] print alike. *)
+let gen_dotted_label =
+  QCheck.Gen.(oneof [ gen_pool_label; oneofl [ "a.b"; "b.cs"; "a.b.cs"; "."; "cs.edu" ] ])
+
+let gen_codec_msg gen_label =
+  QCheck.Gen.(
+    let name = map Dns.Name.of_labels (list_size (int_range 0 4) gen_label) in
+    let owner = map2 Dns.Name.prepend gen_label name in
+    let rdata =
+      oneof
+        [
+          map (fun ip -> Dns.Rr.A (Int32.of_int ip)) int;
+          map (fun n -> Dns.Rr.Cname n) name;
+          map2 (fun pref n -> Dns.Rr.Mx (pref land 0xFFFF, n)) small_int name;
+          map2
+            (fun m r ->
+              Dns.Rr.Soa
+                {
+                  Dns.Rr.mname = m;
+                  rname = r;
+                  serial = 1l;
+                  refresh = 2l;
+                  retry = 3l;
+                  expire = 4l;
+                  minimum = 5l;
+                })
+            name name;
+          map (fun s -> Dns.Rr.Unspec s) (string_size (int_range 0 80));
+        ]
+    in
+    let rr = map2 (fun n rd -> Dns.Rr.make n rd) owner rdata in
+    let query = map2 (fun n qtype -> Dns.Msg.query ~id:9 n qtype) owner gen_qtype in
+    let response answers = map (fun q -> Dns.Msg.response ~request:q answers) query in
+    let op =
+      oneof
+        [
+          map (fun r -> Dns.Msg.Add r) rr;
+          map (fun n -> Dns.Msg.Delete_rrset (n, Dns.Rr.T_a)) owner;
+          map2 (fun n rd -> Dns.Msg.Delete_rr (n, rd)) owner rdata;
+          map (fun n -> Dns.Msg.Delete_name n) owner;
+        ]
+    in
+    (* A first answer this large puts the later names either side of
+       0x4000, the last offset a pointer can reach. *)
+    let near_pointer_limit =
+      map3
+        (fun pad (first, rest) q ->
+          Dns.Msg.response ~request:q
+            (Dns.Rr.make first (Dns.Rr.Unspec (String.make pad 'p')) :: rest))
+        (int_range 0x3F80 0x4010) (pair owner (list_size (int_range 1 6) rr)) query
+    in
+    oneof
+      [
+        query;
+        list_size (int_bound 8) rr >>= response;
+        triple (list_size (int_bound 4) rr) (list_size (int_bound 3) rr)
+          (list_size (int_bound 3) rr)
+        >>= (fun (answers, authority, additional) ->
+        map
+          (fun r -> { r with Dns.Msg.authority; additional })
+          (response answers));
+        map2
+          (fun zone ops -> Dns.Msg.update_request ~id:3 ~zone ops)
+          name (list_size (int_range 1 6) op);
+        (* replies around the 512-byte UDP limit *)
+        list_size (int_range 4 12) rr >>= response;
+        near_pointer_limit;
+      ])
+
+let arb_codec_msg gen_label =
+  QCheck.make (gen_codec_msg gen_label) ~print:(Format.asprintf "%a" Dns.Msg.pp)
+
+let rdata_names : Dns.Rr.rdata -> Dns.Name.t list = function
+  | Ns n | Cname n | Ptr n | Mx (_, n) -> [ n ]
+  | Soa s -> [ s.mname; s.rname ]
+  | A _ | Hinfo _ | Txt _ | Unspec _ -> []
+
+let msg_names (m : Dns.Msg.t) =
+  let rr (r : Dns.Rr.t) = r.name :: rdata_names r.rdata in
+  let op = function
+    | Dns.Msg.Add r -> rr r
+    | Delete_rrset (n, _) | Delete_name n -> [ n ]
+    | Delete_rr (n, rd) -> n :: rdata_names rd
+  in
+  List.map (fun (q : Dns.Msg.question) -> q.qname) m.questions
+  @ List.concat_map rr (m.answers @ m.authority @ m.additional)
+  @ List.concat_map op m.updates
+
+let canonical n = Dns.Name.equal n (Dns.Name.of_labels (Dns.Name.labels n))
+
+let codec_matches_reference_bytes =
+  QCheck.Test.make ~name:"DNS encode: the reference model's bytes" ~count:300
+    (arb_codec_msg gen_pool_label)
+    (fun m ->
+      Dns.Msg.encode m = Msg_model.encode m
+      && Dns.Msg.encode ~compress:false m = Msg_model.encode ~compress:false m)
+
+let codec_roundtrip_dotted =
+  QCheck.Test.make ~name:"DNS decode (encode m) = m, dotted labels too" ~count:300
+    (arb_codec_msg gen_dotted_label)
+    (fun m ->
+      Dns.Msg.decode (Dns.Msg.encode m) = m
+      && Dns.Msg.decode (Dns.Msg.encode ~compress:false m) = m)
+
+(* Upper-case some label bytes on the wire, chosen by [bits]. *)
+let mixed_case bits label =
+  String.mapi
+    (fun i c -> if (bits lsr (i mod 30)) land 1 = 1 then Char.uppercase_ascii c else c)
+    label
+
+let codec_decodes_canonical_names =
+  QCheck.Test.make ~name:"DNS decode: mixed case folds, names canonical" ~count:300
+    (QCheck.pair (arb_codec_msg gen_pool_label) QCheck.int)
+    (fun (m, bits) ->
+      let wire = Msg_model.encode ~label_case:(mixed_case bits) m in
+      let decoded = Dns.Msg.decode wire in
+      decoded = m && decoded = Msg_model.decode wire
+      && List.for_all canonical (msg_names decoded))
+
+let codec_udp_matches_reference =
+  QCheck.Test.make ~name:"DNS encode_for_udp: reference truncate, then encode" ~count:300
+    (arb_codec_msg gen_pool_label)
+    (fun m ->
+      let sent, bytes = Dns.Msg.encode_for_udp m in
+      let expected = Msg_model.truncate_for_udp m in
+      sent = expected && bytes = Msg_model.encode expected)
 
 (* --- sun rpc / courier wire fuzz --- *)
 
@@ -209,6 +376,10 @@ let suite =
   [
     qtest dns_msg_roundtrip;
     qtest dns_msg_decode_total;
+    qtest codec_matches_reference_bytes;
+    qtest codec_roundtrip_dotted;
+    qtest codec_decodes_canonical_names;
+    qtest codec_udp_matches_reference;
     qtest sunrpc_decode_total;
     qtest courier_decode_total;
     qtest binding_bytes_stable;

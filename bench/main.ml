@@ -129,6 +129,20 @@ let bechamel_tests () =
       ~request:(Dns.Msg.query ~id:7 host Dns.Rr.T_a)
       (List.init 6 (fun i -> Dns.Rr.make host (Dns.Rr.A (Int32.of_int (0x0a000001 + i)))))
   in
+  (* The hot-name ranking behind every hinted bundle reply: a
+     1,024-name group, four sightings a name on average, spread so that
+     slot order is not score order. *)
+  let hot =
+    Dns.Hotrank.create ~strategy:(Dns.Hotrank.Decayed { half_life_ms = 30_000.0 }) ()
+  in
+  let hot_names =
+    Array.init 1024 (fun i ->
+        Dns.Name.of_labels [ Printf.sprintf "h%04d" i; "cs"; "washington"; "edu" ])
+  in
+  for i = 0 to (4 * 1024) - 1 do
+    Dns.Hotrank.note hot ~group:"g" ~now_ms:(float_of_int i)
+      hot_names.(if i < 1024 then i else i * i * 7919 mod 1024)
+  done;
   [
     Test.make ~name:"table-3.1 row (all-linked, 3 cache states)"
       (Staged.stage table31);
@@ -143,6 +157,11 @@ let bechamel_tests () =
       (Staged.stage (fun () ->
            let wire = Hns.Hot_codec.encode_nsm_info nsm_specimen in
            ignore (Hns.Hot_codec.decode_nsm_info wire)));
+    Test.make ~name:"hotrank top 9 of 1,024 names"
+      (Staged.stage (fun () -> ignore (Dns.Hotrank.top hot ~group:"g" ~now_ms:5_000.0 ~k:9)));
+    Test.make ~name:"hotrank note (name present)"
+      (Staged.stage (fun () ->
+           Dns.Hotrank.note hot ~group:"g" ~now_ms:5_000.0 hot_names.(0)));
   ]
   @ List.concat_map codec_rows
       [ ("meta query", meta_query); ("meta UNSPEC reply", meta_reply); ("6-answer A reply", six_reply) ]

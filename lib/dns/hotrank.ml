@@ -2,17 +2,29 @@ type strategy =
   | Sliding_count of { window_ms : float }
   | Decayed of { half_life_ms : float }
 
-type entry = {
-  mutable score : float;  (* window count (Sliding) / decayed mass (Decayed) *)
-  mutable last_ms : float;  (* instant of the most recent sighting *)
-  mutable ttl_ms : float;  (* freshness horizon from that sighting's rrset *)
+module Names = Hashtbl.Make (Name)
+
+(* One group's entries as dense parallel arrays. Slot [i < len] holds a
+   name, its score (window count for Sliding, decayed mass for Decayed),
+   the instant of its most recent sighting and the freshness horizon
+   from that sighting's rrset; [slot] maps each name to its index.
+   The arrays start at 16 slots and double up to the capacity. Removal
+   moves the last slot into the freed one, so slot order is arbitrary:
+   every result is ordered by [ranks_before] alone. *)
+type group = {
+  slot : int Names.t;
+  mutable names : Name.t array;
+  mutable score : Float.Array.t;
+  mutable last_ms : Float.Array.t;
+  mutable ttl_ms : Float.Array.t;
+  mutable len : int;
 }
 
 type t = {
   strategy : strategy;
   default_ttl_ms : float;
   capacity : int;
-  groups : (string, (Name.t, entry) Hashtbl.t) Hashtbl.t;
+  groups : (string, group) Hashtbl.t;
 }
 
 let create ?(default_ttl_ms = 3_600_000.0) ?(capacity = 4096) ~strategy () =
@@ -29,123 +41,197 @@ let strategy t = t.strategy
 
 let group_table t group =
   match Hashtbl.find_opt t.groups group with
-  | Some tbl -> tbl
+  | Some g -> g
   | None ->
-      let tbl = Hashtbl.create 64 in
-      Hashtbl.replace t.groups group tbl;
-      tbl
+      let n = min 16 t.capacity in
+      let g =
+        {
+          slot = Names.create 64;
+          names = Array.make n Name.root;
+          score = Float.Array.create n;
+          last_ms = Float.Array.create n;
+          ttl_ms = Float.Array.create n;
+          len = 0;
+        }
+      in
+      Hashtbl.replace t.groups group g;
+      g
 
-let expired e ~now_ms = now_ms -. e.last_ms > e.ttl_ms
+(* Double the slot arrays, never past [capacity]. *)
+let grow g ~capacity =
+  let n = min capacity (2 * Array.length g.names) in
+  let names = Array.make n Name.root in
+  Array.blit g.names 0 names 0 g.len;
+  g.names <- names;
+  let widen a =
+    let b = Float.Array.create n in
+    Float.Array.blit a 0 b 0 g.len;
+    b
+  in
+  g.score <- widen g.score;
+  g.last_ms <- widen g.last_ms;
+  g.ttl_ms <- widen g.ttl_ms
 
-(* The score a ranking pass sees at [now_ms]: the sliding count is
-   taken at face value inside its window; the decayed mass is brought
-   forward from the last sighting. *)
-let current_score t e ~now_ms =
-  match t.strategy with
-  | Sliding_count { window_ms } ->
-      if now_ms -. e.last_ms > window_ms then None else Some e.score
-  | Decayed { half_life_ms } ->
-      Some (e.score *. Float.exp2 (-.(now_ms -. e.last_ms) /. half_life_ms))
+let remove g i =
+  Names.remove g.slot g.names.(i);
+  let last = g.len - 1 in
+  if i < last then begin
+    let moved = g.names.(last) in
+    g.names.(i) <- moved;
+    Float.Array.set g.score i (Float.Array.get g.score last);
+    Float.Array.set g.last_ms i (Float.Array.get g.last_ms last);
+    Float.Array.set g.ttl_ms i (Float.Array.get g.ttl_ms last);
+    Names.replace g.slot moved i
+  end;
+  g.names.(last) <- Name.root (* keep no removed name reachable *);
+  g.len <- last
 
-let live_score t e ~now_ms =
-  if expired e ~now_ms then None else current_score t e ~now_ms
+let[@inline] expired g i ~now_ms =
+  now_ms -. Float.Array.get g.last_ms i > Float.Array.get g.ttl_ms i
+
+(* The score a ranking pass sees for slot [i] at [now_ms]: the sliding
+   count is taken at face value inside its window; the decayed mass is
+   brought forward from the last sighting. An entry past its window or
+   its TTL scores [-1.0], below every live score. Inlined, so the
+   ranking loops never box it. *)
+let[@inline] live_score t g i ~now_ms =
+  if expired g i ~now_ms then -1.0
+  else
+    let age = now_ms -. Float.Array.get g.last_ms i in
+    match t.strategy with
+    | Sliding_count { window_ms } ->
+        if age > window_ms then -1.0 else Float.Array.get g.score i
+    | Decayed { half_life_ms } ->
+        Float.Array.get g.score i *. Float.exp2 (-.age /. half_life_ms)
+
+(* The ranking order: score descending, then Name.compare. It is a
+   strict total order on distinct names. *)
+let[@inline] ranks_before (s1 : float) n1 (s2 : float) n2 =
+  s1 > s2 || (s1 = s2 && Name.compare n1 n2 < 0)
 
 (* Deterministic eviction when a group's table is full: drop the entry
-   with the lowest current score, highest name last among equals. *)
-let evict_one t tbl ~now_ms =
-  let victim =
-    Hashtbl.fold
-      (fun name e acc ->
-        let s =
-          match live_score t e ~now_ms with Some s -> s | None -> -1.0
-        in
-        match acc with
-        | None -> Some (name, s)
-        | Some (_, best_s) when s < best_s -> Some (name, s)
-        | Some (best_n, best_s) when s = best_s && Name.compare name best_n > 0
-          ->
-            Some (name, s)
-        | acc -> acc)
-      tbl None
-  in
-  match victim with None -> () | Some (name, _) -> Hashtbl.remove tbl name
+   that ranks last, a dead one before any live one. *)
+let evict_one t g ~now_ms =
+  let victim = ref 0 and victim_s = ref (live_score t g 0 ~now_ms) in
+  for i = 1 to g.len - 1 do
+    let s = live_score t g i ~now_ms in
+    if ranks_before !victim_s g.names.(!victim) s g.names.(i) then begin
+      victim := i;
+      victim_s := s
+    end
+  done;
+  remove g !victim
 
 let note t ~group ~now_ms ?ttl_ms name =
   let ttl_ms = Option.value ~default:t.default_ttl_ms ttl_ms in
-  let tbl = group_table t group in
-  match Hashtbl.find_opt tbl name with
-  | Some e ->
-      (match t.strategy with
-      | Sliding_count { window_ms } ->
-          if now_ms -. e.last_ms > window_ms then e.score <- 0.0;
-          e.score <- e.score +. 1.0
-      | Decayed { half_life_ms } ->
-          e.score <-
-            (e.score *. Float.exp2 (-.(now_ms -. e.last_ms) /. half_life_ms))
-            +. 1.0);
-      e.last_ms <- now_ms;
-      e.ttl_ms <- ttl_ms
-  | None ->
-      if Hashtbl.length tbl >= t.capacity then evict_one t tbl ~now_ms;
-      Hashtbl.replace tbl name { score = 1.0; last_ms = now_ms; ttl_ms }
+  let g = group_table t group in
+  match Names.find g.slot name with
+  | i ->
+      let s = Float.Array.get g.score i
+      and age = now_ms -. Float.Array.get g.last_ms i in
+      let s =
+        match t.strategy with
+        | Sliding_count { window_ms } ->
+            (if age > window_ms then 0.0 else s) +. 1.0
+        | Decayed { half_life_ms } ->
+            (s *. Float.exp2 (-.age /. half_life_ms)) +. 1.0
+      in
+      Float.Array.set g.score i s;
+      Float.Array.set g.last_ms i now_ms;
+      Float.Array.set g.ttl_ms i ttl_ms
+  | exception Not_found ->
+      if g.len >= t.capacity then evict_one t g ~now_ms;
+      if g.len = Array.length g.names then grow g ~capacity:t.capacity;
+      let i = g.len in
+      g.names.(i) <- name;
+      Float.Array.set g.score i 1.0;
+      Float.Array.set g.last_ms i now_ms;
+      Float.Array.set g.ttl_ms i ttl_ms;
+      Names.add g.slot name i;
+      g.len <- i + 1
 
 let score t ~group ~now_ms name =
   match Hashtbl.find_opt t.groups group with
   | None -> None
-  | Some tbl -> (
-      match Hashtbl.find_opt tbl name with
+  | Some g -> (
+      match Names.find_opt g.slot name with
       | None -> None
-      | Some e -> live_score t e ~now_ms)
+      | Some i ->
+          let s = live_score t g i ~now_ms in
+          if s >= 0.0 then Some s else None)
 
-let rec take n = function
-  | [] -> []
-  | _ when n <= 0 -> []
-  | x :: rest -> x :: take (n - 1) rest
+(* Bounded selection: the best [k] (score, name) pairs offered so far,
+   best first. *)
+type best = {
+  b_names : Name.t array;
+  b_scores : Float.Array.t;
+  mutable b_len : int;
+}
 
-let rank scored ~k =
-  List.sort
-    (fun (n1, s1) (n2, s2) ->
-      if s1 <> s2 then compare s2 s1 else Name.compare n1 n2)
-    scored
-  |> take k
+let best k =
+  let k = max 0 k in
+  { b_names = Array.make k Name.root; b_scores = Float.Array.create k; b_len = 0 }
+
+(* Offer a pair to [b]. It enters only if it beats the current k-th,
+   which a full buffer then drops. Inlined, so the selection never
+   boxes a score. *)
+let[@inline] offer b s name =
+  let k = Array.length b.b_names in
+  if
+    b.b_len < k
+    || k > 0
+       && ranks_before s name (Float.Array.get b.b_scores (k - 1)) b.b_names.(k - 1)
+  then begin
+    let j = ref (min b.b_len (k - 1)) in
+    while
+      !j > 0
+      && ranks_before s name (Float.Array.get b.b_scores (!j - 1)) b.b_names.(!j - 1)
+    do
+      b.b_names.(!j) <- b.b_names.(!j - 1);
+      Float.Array.set b.b_scores !j (Float.Array.get b.b_scores (!j - 1));
+      decr j
+    done;
+    b.b_names.(!j) <- name;
+    Float.Array.set b.b_scores !j s;
+    if b.b_len < k then b.b_len <- b.b_len + 1
+  end
+
+let ranked b = List.init b.b_len (fun i -> (b.b_names.(i), Float.Array.get b.b_scores i))
 
 let top t ~group ~now_ms ~k =
   match Hashtbl.find_opt t.groups group with
   | None -> []
-  | Some tbl ->
-      (* Opportunistic GC: TTL-expired entries are dead weight and
-         would only distort capacity eviction; collect them here. *)
-      let dead =
-        Hashtbl.fold
-          (fun name e acc -> if expired e ~now_ms then name :: acc else acc)
-          tbl []
-      in
-      List.iter (Hashtbl.remove tbl) dead;
-      let scored =
-        Hashtbl.fold
-          (fun name e acc ->
-            match live_score t e ~now_ms with
-            | Some s -> (name, s) :: acc
-            | None -> acc)
-          tbl []
-      in
-      rank scored ~k
+  | Some g ->
+      let b = best (min k g.len) in
+      let i = ref 0 in
+      while !i < g.len do
+        (* Opportunistic GC: TTL-expired entries are dead weight and
+           would only distort capacity eviction; collect them here. The
+           last slot moves into [i], which is then looked at again. *)
+        if expired g !i ~now_ms then remove g !i
+        else begin
+          let s = live_score t g !i ~now_ms and name = g.names.(!i) in
+          if s >= 0.0 then offer b s name;
+          incr i
+        end
+      done;
+      ranked b
 
 let top_merged t ~now_ms ~k =
-  let best = Hashtbl.create 64 in
+  let merged = Names.create 64 in
   Hashtbl.iter
-    (fun _group tbl ->
-      Hashtbl.iter
-        (fun name e ->
-          match live_score t e ~now_ms with
-          | None -> ()
-          | Some s -> (
-              match Hashtbl.find_opt best name with
-              | Some s' when s' >= s -> ()
-              | _ -> Hashtbl.replace best name s))
-        tbl)
+    (fun _group g ->
+      for i = 0 to g.len - 1 do
+        let s = live_score t g i ~now_ms in
+        if s >= 0.0 then
+          match Names.find merged g.names.(i) with
+          | s' when s' >= s -> ()
+          | _ | (exception Not_found) -> Names.replace merged g.names.(i) s
+      done)
     t.groups;
-  rank (Hashtbl.fold (fun name s acc -> (name, s) :: acc) best []) ~k
+  let b = best (min k (Names.length merged)) in
+  Names.iter (fun name s -> offer b s name) merged;
+  ranked b
 
 let groups t =
   List.sort String.compare (Hashtbl.fold (fun g _ acc -> g :: acc) t.groups [])

@@ -30,7 +30,16 @@
     expired is worse than no hint.
 
     Everything is deterministic: ties break on {!Dns.Name.compare},
-    and iteration order never leaks into results. *)
+    and iteration order never leaks into results.
+
+    Costs, for a group of [n] entries: {!note} is amortised O(1); a
+    {!note} that finds the group at capacity first evicts in one pass
+    over it. {!top} is one pass over the group that allocates O(k)
+    words, its result and a k-slot buffer, however large [n] is. Each
+    group keeps its entries in slots in no meaningful order. The
+    ranking order (score descending, then {!Name.compare}) is a strict
+    total order on distinct names, so slot order never shows in a
+    result. *)
 
 type strategy =
   | Sliding_count of { window_ms : float }

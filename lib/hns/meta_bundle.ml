@@ -111,27 +111,26 @@ type prefetch = {
 let prefetch_rrs pf ~context =
   if pf.contexts <> [] && not (List.mem context pf.contexts) then []
   else begin
-    let rec take n = function
+    (* Rows are built only until [pf.k] exist: the ranking offers a few
+       spare names for those without an address. *)
+    let rec rows n = function
       | [] -> []
       | _ when n = 0 -> []
-      | x :: rest -> x :: take (n - 1) rest
+      | (name, _score) :: rest -> (
+          match pf.addr_of name with
+          | None -> rows n rest
+          | Some ip ->
+              let row =
+                Dns.Rr.make ~ttl:pf.ttl_s
+                  (Meta_schema.host_addr_key ~context
+                     ~host:(Dns.Name.to_string name))
+                  (* Hand-encoded per row, reusing one pooled buffer
+                     across the whole tail. *)
+                  (Dns.Rr.Unspec (Hot_codec.encode_host_addr ip))
+              in
+              (name, row) :: rows (n - 1) rest)
     in
-    let rows =
-      pf.hot ~context
-      |> List.filter_map (fun (name, _score) ->
-             match pf.addr_of name with
-             | None -> None
-             | Some ip ->
-                 Some
-                   ( name,
-                     Dns.Rr.make ~ttl:pf.ttl_s
-                       (Meta_schema.host_addr_key ~context
-                          ~host:(Dns.Name.to_string name))
-                       (* Hand-encoded per row, reusing one pooled
-                          buffer across the whole tail. *)
-                       (Dns.Rr.Unspec (Hot_codec.encode_host_addr ip)) ))
-      |> take pf.k
-    in
+    let rows = rows pf.k (pf.hot ~context) in
     Obs.Metrics.add m_prefetch_offered (List.length rows);
     rows
   end

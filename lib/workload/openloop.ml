@@ -311,24 +311,13 @@ let run cfg =
     Obs.Slo.get_or_create ~target_ms:cfg.slo_target_ms
       ~objective:cfg.slo_objective ("load-" ^ slug)
   in
-  let debug = Sys.getenv_opt "OPENLOOP_DEBUG" <> None in
-  let error_kinds : (string, int) Hashtbl.t = Hashtbl.create 7 in
-  let note_error e =
-    if debug then
-      let k = Hns.Errors.to_string e in
-      Hashtbl.replace error_kinds k
-        (1 + Option.value ~default:0 (Hashtbl.find_opt error_kinds k))
-  in
   let resolve_legacy hns hname =
     match
       Hns.Client.resolve hns ~query_class:Hns.Query_class.host_address
         ~payload_ty:Hns.Nsm_intf.host_address_payload_ty hname
     with
     | Ok (Some _) -> true
-    | Ok None -> false
-    | Error e ->
-        note_error e;
-        false
+    | Ok None | Error _ -> false
   in
   let before_bind = ref 0 and before_meta = ref 0 and before_bytes = ref 0 in
   let bind_q = ref 0 and meta_q = ref 0 and wire_bytes = ref 0 in
@@ -366,17 +355,6 @@ let run cfg =
             ignore (resolve_legacy hns ch_name))
           legacy;
         Sim.Engine.sleep 2_000.0;
-        (if Sys.getenv_opt "OPENLOOP_DEBUG" <> None then
-           let group = Dns.Name.to_string (Dns.Zone.origin scn.public_zone) in
-           Sim.Engine.spawn_child ~name:"openloop.debug" (fun () ->
-               for _ = 1 to 6 do
-                 Printf.eprintf "t=%.0f top:" (Sim.Engine.time ());
-                 List.iter (fun (n, s) ->
-                     Printf.eprintf " %s=%.1f" (Dns.Name.to_string n) s)
-                   (Dns.Server.hot_ranked scn.public_bind ~group ~k:8 ());
-                 prerr_newline ();
-                 Sim.Engine.sleep 12_000.0
-               done));
         let t0 = Sim.Engine.time () in
         let t_end = t0 +. cfg.duration_ms in
         (* Agent cache churn, staggered across the fleet: flush the
@@ -441,15 +419,10 @@ let run cfg =
           let scheduled = t0 +. e.at in
           let ok =
             match e.epath with
-            | Agent_path h -> (
+            | Agent_path h ->
                 let stack, _, binding = agents.(h) in
-                match
-                  Hns.Agent.remote_resolve_addr stack ~agent:binding e.hname
-                with
-                | Ok _ -> true
-                | Error err ->
-                    note_error err;
-                    false)
+                Result.is_ok
+                  (Hns.Agent.remote_resolve_addr stack ~agent:binding e.hname)
             | Legacy_path h -> resolve_legacy (snd legacy.(h)) e.hname
           in
           let lat = Sim.Engine.time () -. scheduled in
@@ -461,10 +434,6 @@ let run cfg =
           ok
         in
         let result = drive ~times ~submit () in
-        if debug then
-          Hashtbl.iter
-            (fun k n -> Printf.eprintf "error[%s] x%d\n" k n)
-            error_kinds;
         bind_q := Dns.Server.queries_served scn.public_bind - !before_bind;
         meta_q := Dns.Server.queries_served scn.meta_bind - !before_meta;
         replica_q := replica_queries () - !before_replica;

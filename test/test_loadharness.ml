@@ -1,6 +1,7 @@
 (* The open-loop load harness: schedule determinism, open- vs
    closed-loop queueing visibility, arrival-process statistics, the
-   Hotrank scoring laws behind the flash-crowd A/B, and a sim-event
+   Hotrank scoring laws behind the flash-crowd A/B, the ranking held to
+   its reference model and to an allocation bound, and a sim-event
    budget guard on the harness itself. *)
 
 open Helpers
@@ -239,6 +240,146 @@ let tie_break_pinned () =
       Dns.Hotrank.Decayed { half_life_ms = 1_000.0 };
     ]
 
+(* --- Hotrank against its reference model (hotrank_model.ml) ------- *)
+
+type hot_op =
+  | Note of { group : int; name : int; ttl_ms : float option }
+  | Top of { group : int; k : int }
+  | Top_merged of int
+  | Score of { group : int; name : int }
+  | Groups
+  | Clear
+
+(* A sequence runs on one table configuration; each op runs [dt] ms
+   after the one before, often 0 ms, so scores tie and names compete on
+   Name.compare alone. Windows, half-lives and TTLs are a few ops long,
+   so entries decay, leave their window and expire, and capacities of
+   1-8 against a 12-name pool keep eviction busy. *)
+type hot_case = {
+  groups : int;
+  capacity : int;
+  default_ttl : float;
+  horizon : float;  (* window (Sliding) or half-life (Decayed), ms *)
+  ops : (float * hot_op) list;
+}
+
+let hot_group g = Printf.sprintf "zone%d" g
+let hot_name i = name_of_string (Printf.sprintf "h%02d" i)
+
+let gen_hot_case =
+  let open QCheck.Gen in
+  let ms lo hi = map float_of_int (int_range lo hi) in
+  let* groups = int_range 1 3 in
+  let* capacity = int_range 1 8 in
+  let* default_ttl = ms 20 400 in
+  let* horizon = ms 5 200 in
+  let group = int_range 0 (groups - 1) and name = int_range 0 11 in
+  let op =
+    frequency
+      [
+        ( 6,
+          map3
+            (fun group name ttl_ms -> Note { group; name; ttl_ms })
+            group name
+            (frequency [ (1, return None); (2, map Option.some (ms 1 150)) ]) );
+        (3, map2 (fun group k -> Top { group; k }) group (int_range 0 10));
+        (1, map (fun k -> Top_merged k) (int_range 0 26));
+        (2, map2 (fun group name -> Score { group; name }) group name);
+        (1, return Groups);
+        (1, return Clear);
+      ]
+  in
+  let dt = frequency [ (3, return 0.0); (2, ms 1 20); (1, ms 21 200) ] in
+  let+ ops = list_size (int_range 0 80) (pair dt op) in
+  { groups; capacity; default_ttl; horizon; ops }
+
+let print_hot_case c =
+  let op = function
+    | Note { group; name; ttl_ms } ->
+        Printf.sprintf "note g%d h%02d%s" group name
+          (match ttl_ms with None -> "" | Some t -> Printf.sprintf " ttl=%g" t)
+    | Top { group; k } -> Printf.sprintf "top g%d k=%d" group k
+    | Top_merged k -> Printf.sprintf "top_merged k=%d" k
+    | Score { group; name } -> Printf.sprintf "score g%d h%02d" group name
+    | Groups -> "groups"
+    | Clear -> "clear"
+  in
+  Printf.sprintf "groups=%d capacity=%d default_ttl=%g horizon=%g\n%s" c.groups
+    c.capacity c.default_ttl c.horizon
+    (String.concat "\n"
+       (List.map (fun (dt, o) -> Printf.sprintf "+%g %s" dt (op o)) c.ops))
+
+let same_ranked =
+  List.equal (fun (n1, s1) (n2, s2) -> Dns.Name.equal n1 n2 && same_bits s1 s2)
+
+let hotrank_matches_model =
+  QCheck.Test.make ~count:500
+    ~name:"hot ranking: every result bit-identical to the list-and-sort model"
+    (QCheck.make ~print:print_hot_case gen_hot_case)
+    (fun c ->
+      List.for_all
+        (fun strategy ->
+          let default_ttl_ms = c.default_ttl and capacity = c.capacity in
+          let t = Dns.Hotrank.create ~default_ttl_ms ~capacity ~strategy ()
+          and m = Hotrank_model.create ~default_ttl_ms ~capacity ~strategy () in
+          let now = ref 0.0 in
+          List.for_all
+            (fun (dt, op) ->
+              now := !now +. dt;
+              let now_ms = !now in
+              match op with
+              | Note { group; name; ttl_ms } ->
+                  let group = hot_group group and name = hot_name name in
+                  Dns.Hotrank.note t ~group ~now_ms ?ttl_ms name;
+                  Hotrank_model.note m ~group ~now_ms ?ttl_ms name;
+                  true
+              | Top { group; k } ->
+                  let group = hot_group group in
+                  same_ranked
+                    (Dns.Hotrank.top t ~group ~now_ms ~k)
+                    (Hotrank_model.top m ~group ~now_ms ~k)
+              | Top_merged k ->
+                  same_ranked
+                    (Dns.Hotrank.top_merged t ~now_ms ~k)
+                    (Hotrank_model.top_merged m ~now_ms ~k)
+              | Score { group; name } ->
+                  let group = hot_group group and name = hot_name name in
+                  Option.equal same_bits
+                    (Dns.Hotrank.score t ~group ~now_ms name)
+                    (Hotrank_model.score m ~group ~now_ms name)
+              | Groups -> Dns.Hotrank.groups t = Hotrank_model.groups m
+              | Clear ->
+                  Dns.Hotrank.clear t;
+                  Hotrank_model.clear m;
+                  true)
+            c.ops)
+        [
+          Dns.Hotrank.Sliding_count { window_ms = c.horizon };
+          Dns.Hotrank.Decayed { half_life_ms = c.horizon };
+        ])
+
+(* One bundle reply's ranking: a 1,024-name group at k = 9, the
+   open-loop configs' prefetch_k + 4. The reference model in
+   hotrank_model.ml sorts the whole group and allocates 44,105 words a
+   call, 43 per entry; the one-pass selection allocates about 100.
+   Sightings are spread so that slot order is not score order. *)
+let hotrank_top_allocation () =
+  let t =
+    Dns.Hotrank.create ~strategy:(Dns.Hotrank.Decayed { half_life_ms = 30_000.0 }) ()
+  in
+  let names = Array.init 1024 (fun i -> name_of_string (Printf.sprintf "h%04d" i)) in
+  for i = 0 to 4 * 1024 - 1 do
+    Dns.Hotrank.note t ~group:"g" ~now_ms:(float_of_int i)
+      names.(if i < 1024 then i else i * i * 7919 mod 1024)
+  done;
+  let top () = Dns.Hotrank.top t ~group:"g" ~now_ms:5_000.0 ~k:9 in
+  ignore (Sys.opaque_identity (top ()));
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (top ()));
+  let words = Gc.minor_words () -. before in
+  if words > 2.0 *. 1024.0 then
+    Alcotest.failf "top 9 of 1,024 names allocated %.0f words" words
+
 (* --- the confederation harness ------------------------------------ *)
 
 (* A miniature config: big enough to exercise churn, flash and both
@@ -315,6 +456,8 @@ let suite =
     qtest prop_flash_bounded;
     qtest prop_ttl_expiry;
     Alcotest.test_case "hot ranking tie-break pinned" `Quick tie_break_pinned;
+    qtest hotrank_matches_model;
+    Alcotest.test_case "hot ranking top allocation" `Quick hotrank_top_allocation;
     Alcotest.test_case "harness determinism" `Quick harness_deterministic;
     Alcotest.test_case "harness event budget" `Quick harness_event_budget;
   ]

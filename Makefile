@@ -63,8 +63,8 @@ colocation:
 # ranking) on the CI config, then the million-client bench suite
 # (`--full`, storm included), each guarded by a fixed sim-event budget
 # so a retry storm or runaway fiber fails the gate instead of tripling
-# the run quietly. Both budgets keep ~1.9x headroom over the largest
-# config's events (smoke ~32,300; full: storm, 116,899).
+# the run quietly. Both budgets keep ~2x headroom over the largest
+# config's events (smoke ~30,400; full: storm, 110,251).
 load:
 	dune exec bin/hns_cli.exe -- load --max-events 60000
 	dune exec bin/hns_cli.exe -- load --full --max-events 220000

@@ -143,6 +143,30 @@ let bechamel_tests () =
     Dns.Hotrank.note hot ~group:"g" ~now_ms:(float_of_int i)
       hot_names.(if i < 1024 then i else i * i * 7919 mod 1024)
   done;
+  (* The engine alone, one whole run each: timed waits that each get
+     their answer 0.1 ms in, beside plain sleeps as the per-event
+     baseline. *)
+  let engine_answered_waits () =
+    let e = Sim.Engine.create () and mb = Sim.Engine.Mailbox.create () in
+    Sim.Engine.spawn e (fun () ->
+        for _ = 1 to 1_000 do
+          ignore (Sim.Engine.Mailbox.recv_timeout mb 1000.0)
+        done);
+    Sim.Engine.spawn e (fun () ->
+        for i = 1 to 1_000 do
+          Sim.Engine.sleep 0.1;
+          Sim.Engine.Mailbox.send mb i
+        done);
+    Sim.Engine.run e
+  in
+  let engine_sleeps () =
+    let e = Sim.Engine.create () in
+    Sim.Engine.spawn e (fun () ->
+        for _ = 1 to 1_000 do
+          Sim.Engine.sleep 0.1
+        done);
+    Sim.Engine.run e
+  in
   [
     Test.make ~name:"table-3.1 row (all-linked, 3 cache states)"
       (Staged.stage table31);
@@ -162,6 +186,9 @@ let bechamel_tests () =
     Test.make ~name:"hotrank note (name present)"
       (Staged.stage (fun () ->
            Dns.Hotrank.note hot ~group:"g" ~now_ms:5_000.0 hot_names.(0)));
+    Test.make ~name:"engine: 1,000 recv_timeouts answered after 0.1 ms"
+      (Staged.stage engine_answered_waits);
+    Test.make ~name:"engine: 1,000 sleeps" (Staged.stage engine_sleeps);
   ]
   @ List.concat_map codec_rows
       [ ("meta query", meta_query); ("meta UNSPEC reply", meta_reply); ("6-answer A reply", six_reply) ]

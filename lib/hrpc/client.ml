@@ -30,8 +30,10 @@ let resolve_policy ?timeout ?attempts ?policy () =
    escalates by [timeout_multiplier]. The jitter stream is seeded from
    the caller's address and the call's virtual start time, so a whole
    simulation replays byte-for-byte yet concurrent callers do not
-   retry in lockstep. TCP gets a single attempt (the transport itself
-   is reliable); its connect is bounded by the attempt timeout. *)
+   retry in lockstep. The schedule is built at the first retry, which
+   most calls never make. TCP gets a single attempt (the transport
+   itself is reliable); its connect is bounded by the attempt
+   timeout. *)
 let exchange stack (b : Binding.t) ~(policy : Rpc.Control.retry_policy) ~matches
     payload =
   let t0 = Sim.Engine.time () in
@@ -46,13 +48,13 @@ let exchange stack (b : Binding.t) ~(policy : Rpc.Control.retry_policy) ~matches
           (Int64.of_int32 (Netstack.ip stack))
           (Int64.bits_of_float t0)
       in
-      let schedule = Rpc.Control.backoff_schedule policy ~seed in
+      let schedule = lazy (Rpc.Control.backoff_schedule policy ~seed) in
       let rec attempt i =
         if i > policy.Rpc.Control.attempts then timed_out ()
         else begin
           if i > 1 then begin
             Obs.Metrics.incr m_retries;
-            let pause = schedule.(i - 2) in
+            let pause = (Lazy.force schedule).(i - 2) in
             Obs.Metrics.observe m_backoff_ms pause;
             Sim.Engine.sleep pause
           end;

@@ -34,15 +34,29 @@ val at : t -> time -> (unit -> unit) -> unit
 (** Run until no events remain. Processes blocked forever (e.g. servers
     waiting for requests) do not prevent termination. Exceptions
     escaping a process are re-raised out of [run], wrapped in
-    {!Process_failure}. *)
+    {!Process_failure}.
+
+    A timeout ({!Ivar.read_timeout}, {!Mailbox.recv_timeout}) whose
+    wait is answered early never runs. [run] still ends with the clock
+    at the latest deadline any such timeout had, when that is later
+    than the last event that ran: where firing it would have left the
+    clock. *)
 val run : t -> unit
 
 (** [run_until t deadline] runs events with timestamp [<= deadline],
-    then sets the clock to [deadline] if it advanced past it. *)
+    then sets the clock to [deadline] if the clock is behind it. *)
 val run_until : t -> time -> unit
 
-(** Number of events executed so far (a determinism fingerprint). *)
+(** Number of events run so far (a determinism fingerprint). A timeout
+    whose wait was answered early never runs and is not counted. *)
 val events_executed : t -> int
+
+(** Number of events in the queue, counting the timeouts of answered
+    waits that it has not yet dropped. The engine drops those in one
+    pass once there are at least 32 and they are more than half of the
+    queue, so it never holds more than twice its live events, or 31
+    more than them, whichever is larger. *)
+val pending : t -> int
 
 exception Process_failure of string * exn
 
@@ -92,7 +106,8 @@ module Ivar : sig
   val read : 'a ivar -> 'a
 
   (** [read_timeout iv d] is [Some v] if [iv] is filled within [d] ms,
-      [None] otherwise. Must be called from within a process. *)
+      [None] otherwise. A fill cancels the timeout. Must be called from
+      within a process. *)
   val read_timeout : 'a ivar -> time -> 'a option
 end
 
@@ -109,7 +124,8 @@ module Mailbox : sig
   (** Block until a message is available. In-process only. *)
   val recv : 'a mailbox -> 'a
 
-  (** [recv_timeout mb d] waits at most [d] ms. In-process only. *)
+  (** [recv_timeout mb d] waits at most [d] ms; a message cancels the
+      timeout. In-process only. *)
   val recv_timeout : 'a mailbox -> time -> 'a option
 
   val try_recv : 'a mailbox -> 'a option

@@ -65,6 +65,28 @@ let pop h =
   end;
   top
 
+let filter h keep =
+  let n = h.size in
+  let kept = ref 0 in
+  for i = 0 to n - 1 do
+    let x = h.data.(i) in
+    if keep x then begin
+      h.data.(!kept) <- x;
+      incr kept
+    end
+  done;
+  h.size <- !kept;
+  if h.size = 0 then h.data <- [||]
+  else begin
+    (* As in [pop]: every slot past the kept elements, including the
+       spare capacity [grow] filled, gets a live element, so none keeps
+       a dropped one reachable. *)
+    Array.fill h.data h.size (Array.length h.data - h.size) h.data.(0);
+    for i = (h.size / 2) - 1 downto 0 do
+      sift_down h i
+    done
+  end
+
 let clear h =
   h.data <- [||];
   h.size <- 0

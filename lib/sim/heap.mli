@@ -2,7 +2,8 @@
 
     The heap is polymorphic in its element type; ordering is fixed at
     creation time by a [leq] total preorder. All operations are the
-    textbook O(log n) except [of_list] which is O(n log n). *)
+    textbook O(log n) except [of_list], which is O(n log n), and
+    [filter]. *)
 
 type 'a t
 
@@ -21,6 +22,13 @@ val pop : 'a t -> 'a
 (** [peek h] is a minimal element without removing it. Raises
     [Not_found] on an empty heap. *)
 val peek : 'a t -> 'a
+
+(** [filter h keep] removes every element for which [keep] is false
+    and restores heap order. It takes time linear in the length of the
+    array behind [h]: at most twice the most elements [h] has held
+    since it was last empty, or 16. No slot keeps a removed element
+    reachable. *)
+val filter : 'a t -> ('a -> bool) -> unit
 
 val clear : 'a t -> unit
 val of_list : leq:('a -> 'a -> bool) -> 'a list -> 'a t

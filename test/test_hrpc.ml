@@ -235,6 +235,50 @@ let hrpc_timeout_cumulative_elapsed () =
   | Error e -> Alcotest.failf "expected Timeout, got %a" Rpc.Control.pp_error e
   | Ok _ -> Alcotest.fail "call to a dead port cannot succeed"
 
+(* The retry pauses are the backoff schedule seeded from the caller's
+   address and the call's start time, even though the schedule is built
+   only when the call first retries. *)
+let hrpc_backoff_seeded_at_call_start () =
+  let w = make_world () in
+  let policy =
+    {
+      Rpc.Control.default_policy with
+      Rpc.Control.attempts = 3;
+      attempt_timeout_ms = 100.0;
+      timeout_multiplier = 2.0;
+      backoff_base_ms = 50.0;
+      backoff_multiplier = 2.0;
+      backoff_cap_ms = 1000.0;
+      jitter_ratio = 0.1;
+    }
+  in
+  let dead =
+    Hrpc.Binding.make ~suite:Hrpc.Component.sunrpc_suite
+      ~server:(Transport.Address.make (Transport.Netstack.ip w.stacks.(0)) 19999)
+      ~prog:1 ~vers:1
+  in
+  let r, t0 =
+    in_sim w (fun () ->
+        Sim.Engine.sleep 7.0;
+        let t0 = Sim.Engine.time () in
+        let r =
+          Hrpc.Client.call w.stacks.(1) dead ~procnum:1 ~sign:echo_sign ~policy
+            (Wire.Value.Str "void")
+        in
+        (r, t0))
+  in
+  let seed =
+    Int64.logxor (Int64.of_int32 (Transport.Netstack.ip w.stacks.(1))) (Int64.bits_of_float t0)
+  in
+  let pauses = Rpc.Control.backoff_schedule policy ~seed in
+  match r with
+  | Error (Rpc.Control.Timeout { elapsed_ms }) ->
+      check_float_near "attempt timeouts plus the start-seeded pauses"
+        (100.0 +. 200.0 +. 400.0 +. pauses.(0) +. pauses.(1))
+        elapsed_ms
+  | Error e -> Alcotest.failf "expected Timeout, got %a" Rpc.Control.pp_error e
+  | Ok _ -> Alcotest.fail "call to a dead port cannot succeed"
+
 (* --- binding protocols --- *)
 
 let bind_protocol_static () =
@@ -335,6 +379,8 @@ let suite =
     Alcotest.test_case "wrong prog" `Quick hrpc_wrong_prog;
     Alcotest.test_case "timeout carries cumulative elapsed" `Quick
       hrpc_timeout_cumulative_elapsed;
+    Alcotest.test_case "backoff seeded at call start" `Quick
+      hrpc_backoff_seeded_at_call_start;
     Alcotest.test_case "static binding" `Quick bind_protocol_static;
     Alcotest.test_case "portmapper binding" `Quick bind_protocol_portmapper;
     Alcotest.test_case "clearinghouse binding" `Quick bind_protocol_clearinghouse;

@@ -44,6 +44,32 @@ let heap_sorts_any_list =
       let h = Sim.Heap.of_list ~leq:(fun a b -> a <= b) xs in
       Sim.Heap.to_sorted_list h = List.sort compare xs)
 
+let heap_filter_keeps_order =
+  QCheck.Test.make ~name:"heap filter drains like List.sort of the kept" ~count:200
+    QCheck.(triple (list small_int) (int_range 1 4) (list small_int))
+    (fun (xs, m, ys) ->
+      let keep x = x mod m <> 0 in
+      let h = Sim.Heap.of_list ~leq:(fun a b -> a <= b) xs in
+      Sim.Heap.filter h keep;
+      List.iter (Sim.Heap.push h) ys;
+      Sim.Heap.to_sorted_list h = List.sort compare (List.filter keep xs @ ys))
+
+(* Filters one boxed value out of a heap, leaving only a weak pointer to
+   it. Pushed first, it also fills the spare capacity [grow] made. *)
+let[@inline never] push_filter_out h w =
+  let x = ref 42 in
+  Weak.set w 0 (Some x);
+  Sim.Heap.push h x;
+  Sim.Heap.push h (ref 1);
+  Sim.Heap.filter h (fun y -> y != x)
+
+let heap_filter_releases () =
+  let h = Sim.Heap.create ~leq:(fun (a : int ref) b -> !a <= !b) and w = Weak.create 1 in
+  push_filter_out h w;
+  Gc.full_major ();
+  check_bool "filtered element collected" false (Weak.check w 0);
+  check_int "kept element" 1 !(Sim.Heap.pop h)
+
 (* --- Rng --- *)
 
 let rng_deterministic () =
@@ -214,6 +240,225 @@ let engine_determinism () =
   let a = run () and b = run () in
   check_bool "identical executions" true (a = b)
 
+(* --- Engine against its reference model --- *)
+
+(* The part of an engine the generated programs use, so that one program
+   runs on Sim.Engine and on Engine_model. *)
+module type ENGINE = sig
+  type t
+
+  val create : unit -> t
+  val spawn : t -> ?name:string -> (unit -> unit) -> unit
+  val run : t -> unit
+  val run_until : t -> float -> unit
+  val now : t -> float
+  val events_executed : t -> int
+  val sleep : float -> unit
+  val time : unit -> float
+
+  module Ivar : sig
+    type 'a ivar
+
+    val create : unit -> 'a ivar
+    val fill_if_empty : 'a ivar -> 'a -> bool
+    val is_full : 'a ivar -> bool
+    val read_timeout : 'a ivar -> float -> 'a option
+  end
+
+  module Mailbox : sig
+    type 'a mailbox
+
+    val create : unit -> 'a mailbox
+    val send : 'a mailbox -> 'a -> unit
+    val recv_timeout : 'a mailbox -> float -> 'a option
+    val length : 'a mailbox -> int
+  end
+end
+
+(* Every fiber shares one mailbox and [n_ivars] ivars. *)
+type sim_op =
+  | Sleep of float
+  | Send
+  | Recv of float  (* timeout *)
+  | Fill of int  (* ivar *)
+  | Read of int * float  (* ivar, timeout *)
+
+type sim_program = { fibers : sim_op list list; until : float option }
+
+let n_ivars = 3
+
+type sim_result = {
+  log : (int * int * float * int) list;  (* fiber, op index, time (), result *)
+  now_after_until : float option;
+  now_after_run : float;
+  executed : int;
+  answered : int;  (* timed waits that blocked, then got their answer *)
+}
+
+module Exec (E : ENGINE) = struct
+  (* A wait's result is the value it got, or -1 on timeout; a fill's is
+     1 when it filled. Each fiber sends and fills its own values. *)
+  let run p =
+    let e = E.create () in
+    let mb = E.Mailbox.create () in
+    let ivs = Array.init n_ivars (fun _ -> E.Ivar.create ()) in
+    let log = ref [] and answered = ref 0 in
+    let waited blocks = function
+      | Some v ->
+          if blocks then incr answered;
+          v
+      | None -> -1
+    in
+    List.iteri
+      (fun f ops ->
+        E.spawn e (fun () ->
+            List.iteri
+              (fun i op ->
+                let v = (1000 * f) + i in
+                let result =
+                  match op with
+                  | Sleep d ->
+                      E.sleep d;
+                      0
+                  | Send ->
+                      E.Mailbox.send mb v;
+                      0
+                  | Recv d ->
+                      let blocks = E.Mailbox.length mb = 0 in
+                      waited blocks (E.Mailbox.recv_timeout mb d)
+                  | Fill n -> Bool.to_int (E.Ivar.fill_if_empty ivs.(n) v)
+                  | Read (n, d) ->
+                      let blocks = not (E.Ivar.is_full ivs.(n)) in
+                      waited blocks (E.Ivar.read_timeout ivs.(n) d)
+                in
+                log := (f, i, E.time (), result) :: !log)
+              ops))
+      p.fibers;
+    let now_after_until =
+      Option.map
+        (fun deadline ->
+          E.run_until e deadline;
+          E.now e)
+        p.until
+    in
+    E.run e;
+    {
+      log = List.rev !log;
+      now_after_until;
+      now_after_run = E.now e;
+      executed = E.events_executed e;
+      answered = !answered;
+    }
+end
+
+module On_engine = Exec (Sim.Engine)
+module On_model = Exec (Engine_model)
+
+let print_sim_program p =
+  let op = function
+    | Sleep d -> Printf.sprintf "sleep %g" d
+    | Send -> "send"
+    | Recv d -> Printf.sprintf "recv %g" d
+    | Fill n -> Printf.sprintf "fill i%d" n
+    | Read (n, d) -> Printf.sprintf "read i%d %g" n d
+  in
+  Printf.sprintf "until=%s %s"
+    (Option.fold ~none:"-" ~some:string_of_float p.until)
+    (String.concat " | "
+       (List.map (fun ops -> String.concat "; " (List.map op ops)) p.fibers))
+
+(* Small whole-millisecond steps make answers, timeouts and ties at one
+   instant all common. A fiber either answers (each send or fill after a
+   sleep), waits, or draws any op at each step. In half the programs the
+   waits are mostly 1000 ms, which outlives the program: the answered
+   ones pile up cancelled timers past the compaction threshold while
+   other fibers' events are queued, and the clock rule alone sets where
+   [run] ends. *)
+let gen_sim_program =
+  let open QCheck.Gen in
+  let step = oneofl [ 0.0; 1.0; 2.0; 3.0 ] in
+  let ivar = int_bound (n_ivars - 1) in
+  let fiber timeout =
+    let send = return Send and fill = map (fun n -> Fill n) ivar in
+    let recv = map (fun d -> Recv d) timeout
+    and read = map2 (fun n d -> Read (n, d)) ivar timeout in
+    let answer =
+      map2 (fun d op -> [ Sleep d; op ]) step (frequency [ (4, send); (1, fill) ])
+    and wait = map (fun op -> [ op ]) (frequency [ (4, recv); (1, read) ])
+    and any =
+      map
+        (fun op -> [ op ])
+        (frequency
+           [ (2, map (fun d -> Sleep d) step); (4, send); (4, recv); (1, fill); (2, read) ])
+    in
+    let* chunk = oneofl [ answer; wait; any ] in
+    map List.concat (list_size (int_range 0 120) chunk)
+  in
+  let timeout =
+    oneofl
+      [
+        frequency [ (3, step); (2, oneofl [ 50.0; 1000.0 ]) ];
+        frequency [ (1, step); (4, return 1000.0) ];
+      ]
+  in
+  let until = opt ~ratio:0.3 (oneofl [ 0.0; 1.0; 2.5; 10.0; 60.0 ]) in
+  let* timeout in
+  map2
+    (fun fibers until -> { fibers; until })
+    (list_size (int_range 1 4) (fiber timeout))
+    until
+
+(* Bit for bit the same log and clocks as the reference engine. Every
+   timed wait that blocked and then got its answer is one event fewer:
+   the model runs its timer as a no-op, the engine cancels it. So the
+   counts are equal exactly when no such wait happened. *)
+let engine_matches_model =
+  QCheck.Test.make ~name:"engine: log, clock and count match the reference model"
+    ~count:300
+    (QCheck.make ~print:print_sim_program gen_sim_program)
+    (fun p ->
+      let got = On_engine.run p and want = On_model.run p in
+      let same_entry (f, i, t, r) (f', i', t', r') =
+        f = f' && i = i' && same_bits t t' && r = r'
+      in
+      List.equal same_entry got.log want.log
+      && Option.equal same_bits got.now_after_until want.now_after_until
+      && same_bits got.now_after_run want.now_after_run
+      && got.executed <= want.executed
+      && got.executed + got.answered = want.executed)
+
+(* One timed wait answered at 1 ms: its timeout never runs, but [run]
+   still ends at its deadline, as the model's no-op firing does. *)
+let engine_answered_timeout_keeps_clock wait () =
+  let p = { fibers = [ [ wait ]; [ Sleep 1.0; Send; Fill 0 ] ]; until = None } in
+  let got = On_engine.run p and want = On_model.run p in
+  check (Alcotest.list (Alcotest.float 0.0)) "answered at 1 ms" [ 1.0; 1.0; 1.0; 1.0 ]
+    (List.map (fun (_, _, t, _) -> t) got.log);
+  check_float_near "run ends at the deadline" 1000.0 got.now_after_run;
+  check_float_near "as the model's does" want.now_after_run got.now_after_run;
+  check_int "one event fewer than the model" (want.executed - 1) got.executed
+
+(* A wait answered 0.1 ms after it starts, 10,000 times: cancelled
+   timeouts are dropped, so the queue stays near its live events instead
+   of holding each timeout for its whole second. *)
+let engine_pending_bounded () =
+  let e = Sim.Engine.create () and mb = Sim.Engine.Mailbox.create () in
+  let peak = ref 0 and answered = ref 0 in
+  Sim.Engine.spawn e (fun () ->
+      for _ = 1 to 10_000 do
+        if Sim.Engine.Mailbox.recv_timeout mb 1000.0 <> None then incr answered;
+        peak := max !peak (Sim.Engine.pending e)
+      done);
+  Sim.Engine.spawn e (fun () ->
+      for i = 1 to 10_000 do
+        Sim.Engine.sleep 0.1;
+        Sim.Engine.Mailbox.send mb i
+      done);
+  Sim.Engine.run e;
+  check_int "every wait answered" 10_000 !answered;
+  check_int "queue drained" 0 (Sim.Engine.pending e);
+  if !peak > 100 then Alcotest.failf "the queue reached %d events" !peak
+
 (* --- Stats --- *)
 
 let stats_basic () =
@@ -373,6 +618,8 @@ let suite =
     Alcotest.test_case "heap empty ops" `Quick heap_empty;
     Alcotest.test_case "heap pop releases element" `Quick heap_pop_releases;
     qtest heap_sorts_any_list;
+    qtest heap_filter_keeps_order;
+    Alcotest.test_case "heap filter releases element" `Quick heap_filter_releases;
     Alcotest.test_case "rng deterministic" `Quick rng_deterministic;
     Alcotest.test_case "rng split" `Quick rng_split_independent;
     qtest rng_int_in_range;
@@ -389,6 +636,12 @@ let suite =
     Alcotest.test_case "process failure propagates" `Quick engine_process_failure;
     Alcotest.test_case "run_until" `Quick engine_run_until;
     Alcotest.test_case "determinism" `Quick engine_determinism;
+    qtest engine_matches_model;
+    Alcotest.test_case "answered recv_timeout keeps the clock" `Quick
+      (engine_answered_timeout_keeps_clock (Recv 1000.0));
+    Alcotest.test_case "answered read_timeout keeps the clock" `Quick
+      (engine_answered_timeout_keeps_clock (Read (0, 1000.0)));
+    Alcotest.test_case "pending stays bounded" `Quick engine_pending_bounded;
     Alcotest.test_case "stats basics" `Quick stats_basic;
     Alcotest.test_case "stats stddev" `Quick stats_stddev;
     qtest stats_percentile_interpolates;

@@ -1,7 +1,9 @@
 (* The experiment implementations behind every table and figure of the
    paper's evaluation. Each function builds (or receives) a calibrated
    scenario, exercises the system on the virtual clock, and prints a
-   paper-vs-measured table. See DESIGN.md section 4 for the index. *)
+   paper-vs-measured table. See DESIGN.md section 4 for the index; the
+   registry at the end of this file gives each experiment its BENCH
+   rows and its gate. *)
 
 module S = Workload.Scenario
 module C = Workload.Calib
@@ -1075,7 +1077,6 @@ type chaos_report = {
   stale_served : int;
   faults_injected : int;
   errors : int;
-  metrics_text : string;
 }
 
 let chaos_resolve (scn : S.t) hns =
@@ -1201,29 +1202,28 @@ let count_errors phase =
          | _ -> true)
        phase.outcomes)
 
-(* The whole chaos availability experiment. With [reset_metrics] (the
-   default) the registry is zeroed first, making the returned
-   [metrics_text] — and everything else — byte-reproducible across
-   runs of the same seed. *)
-let chaos_run ?(reset_metrics = true) () =
-  if reset_metrics then Obs.Metrics.reset ();
-  let failover_phase = chaos_failover_phase () in
-  let stale_phase = chaos_stale_phase () in
+(* The whole chaos availability experiment. The counts are read as
+   deltas over the run, so they do not depend on what ran before it in
+   the process, and the registry keeps everything else it holds. *)
+let chaos_run () =
   let count name =
     match Obs.Metrics.find name with Some (Obs.Metrics.Count n) -> n | _ -> 0
   in
+  let failovers = count "hns.find_nsm.failovers" in
+  let stale_served = count "hns.cache.stale_served" in
+  let faults_injected = count "chaos.injector.faults_injected" in
+  let failover_phase = chaos_failover_phase () in
+  let stale_phase = chaos_stale_phase () in
   {
     failover_phase;
     stale_phase;
-    failovers = count "hns.find_nsm.failovers";
-    stale_served = count "hns.cache.stale_served";
-    faults_injected = count "chaos.injector.faults_injected";
+    failovers = count "hns.find_nsm.failovers" - failovers;
+    stale_served = count "hns.cache.stale_served" - stale_served;
+    faults_injected = count "chaos.injector.faults_injected" - faults_injected;
     errors = count_errors failover_phase + count_errors stale_phase;
-    metrics_text = Obs.Export.metrics_json_lines ();
   }
 
-let chaos () =
-  let r = chaos_run () in
+let chaos_table r =
   let phase_rows phase =
     List.map
       (fun o ->
@@ -2125,11 +2125,29 @@ let mode_slug = function
   | Hns.Cache.Marshalled -> "marshalled"
   | Hns.Cache.Demarshalled -> "demarshalled"
 
+(* [n] imports per cache state (miss, HNS hit, both hit) under
+   [arrangement], rotating over the varied-length alternate services:
+   same target program, different request sizes. *)
+let import_samples ~n (scn : S.t) arrangement =
+  let miss = Sim.Stats.create () in
+  let hns_hit = Sim.Stats.create () in
+  let both_hit = Sim.Stats.create () in
+  for i = 0 to n - 1 do
+    let service =
+      List.nth scn.alt_service_names (i mod List.length scn.alt_service_names)
+    in
+    let a, b, c = measure_table_3_1_row ~service scn arrangement in
+    Sim.Stats.add miss a;
+    Sim.Stats.add hns_hit b;
+    Sim.Stats.add both_hit c
+  done;
+  (miss, hns_hit, both_hit)
+
 (* Cold/warm import probes across the full matrix: five Table 3.1
    arrangements x {marshalled, demarshalled}, against a bundle-enabled
    testbed. Returns BENCH rows named
    coldpath.<arrangement>.<mode>.import_{cold,warm}. *)
-let colocation_matrix ?(n = 4) () =
+let colocation_matrix ~n =
   List.concat_map
     (fun mode ->
       let scn = S.build ~cache_mode:mode ~bundle:true () in
@@ -2139,23 +2157,12 @@ let colocation_matrix ?(n = 4) () =
             Printf.sprintf "coldpath.%s.%s" (arrangement_slug arrangement)
               (mode_slug mode)
           in
-          let cold = Sim.Stats.create ~name:(prefix ^ ".import_cold") () in
-          let warm = Sim.Stats.create ~name:(prefix ^ ".import_warm") () in
-          for i = 0 to n - 1 do
-            let service =
-              List.nth scn.S.alt_service_names
-                (i mod List.length scn.S.alt_service_names)
-            in
-            let a, _, c = measure_table_3_1_row ~service scn arrangement in
-            Sim.Stats.add cold a;
-            Sim.Stats.add warm c
-          done;
+          let cold, _, warm = import_samples ~n scn arrangement in
           [ (prefix ^ ".import_cold", cold); (prefix ^ ".import_warm", warm) ])
         Hns.Import.all_arrangements)
     [ Hns.Cache.Marshalled; Hns.Cache.Demarshalled ]
 
-let colocation () =
-  let rows = colocation_matrix () in
+let colocation_table rows =
   let value name =
     match List.assoc_opt name rows with
     | Some s -> Printf.sprintf "%.0f" (Sim.Stats.mean s)
@@ -2186,19 +2193,10 @@ let colocation () =
 
 module O = Workload.Openloop
 
-(* Run each config, optionally narrating the reports, and return the
-   bench rows. The flash pair is the PR's proof obligation: decayed
-   ranking must keep the steady p99 inside the SLO where the naive
-   sliding count breaches it. *)
-let loadharness_rows ?(verbose = false) ?(configs = O.bench_configs ()) () =
-  List.concat_map
-    (fun cfg ->
-      let r = O.run cfg in
-      if verbose then Format.printf "%a@." O.pp_report r;
-      O.report_rows r)
-    configs
-
-let loadharness () =
+(* The flash pair is the harness's proof obligation: decayed ranking
+   must keep the steady p99 inside the SLO where the naive sliding
+   count breaches it. [rows] are the reports' bench rows. *)
+let load_table reports rows =
   print_endline
     "Open-loop load harness: a million-client confederation (virtual time)";
   print_endline
@@ -2206,7 +2204,7 @@ let loadharness () =
   print_endline
     "  agent fleets with cache churn, flash crowd A/B on the hot ranking";
   print_newline ();
-  let rows = loadharness_rows ~verbose:true () in
+  List.iter (Format.printf "%a@." O.pp_report) reports;
   let steady label =
     List.assoc_opt (Printf.sprintf "loadharness.%s.steady_ms" label) rows
   in
@@ -2517,13 +2515,6 @@ let marshal () =
     C.generated_cost.Wire.Generic_marshal.per_node_ms
     C.hand_cost.Wire.Hotcodec.per_call_ms C.hand_cost.Wire.Hotcodec.per_record_ms
 
-(* --- JSON artifacts ------------------------------------------------- *)
-
-(* Per-experiment latency distributions for BENCH_hns.json. Each row
-   repeats a compact workload [n] times on the virtual clock, varying
-   the target host / query class / service name per iteration (see
-   [resolve_target]) so the document carries real p50/p95, not eight
-   copies of one sample. *)
 (* --- Fan-out: sharded + replicated meta-store ---------------------- *)
 
 module F = Workload.Fanout
@@ -2533,8 +2524,9 @@ module F = Workload.Fanout
    partition primary) versus the replicated arm (a chained replica
    tree absorbing the reads). Primary QPS flat in one arm and linear
    in the other is the whole story; the rww table shows what serial
-   pinning buys. *)
-let fanout () =
+   pinning buys. [sweep] holds the sweep's runs, each baseline before
+   its replicated arm; [rww] the read-your-writes runs. *)
+let fanout_tables sweep rww =
   let sweep_row (r : F.report) =
     [
       r.F.config.F.label;
@@ -2546,12 +2538,6 @@ let fanout () =
       Printf.sprintf "%d/%d" r.F.routed_reads r.F.reads;
       Printf.sprintf "%d hit / %d chased" r.F.referral_hits r.F.referral_chases;
     ]
-  in
-  let rows =
-    List.concat_map
-      (fun (base, tree) ->
-        [ sweep_row (F.run base); sweep_row (F.run tree) ])
-      (F.sweep ())
   in
   E.print_table
     ~title:
@@ -2569,12 +2555,11 @@ let fanout () =
         "routed";
         "referrals";
       ]
-    rows;
-  let rww pinned =
-    let r = F.run (F.rww_config ~pinned ()) in
+    (List.map sweep_row sweep);
+  let rww_row (r : F.report) =
     [
       r.F.config.F.label;
-      (if pinned then "on" else "off");
+      (if r.F.config.F.read_your_writes then "on" else "off");
       Printf.sprintf "%d/%d" r.F.stale_reads r.F.config.F.rww_rounds;
       string_of_int r.F.primary_fallbacks;
     ]
@@ -2585,218 +2570,336 @@ let fanout () =
       \  (pinning restricts routed reads to caught-up replicas, falling back\n\
       \   to the primary; without it the router may hit a stale replica)"
     ~header:[ "arm"; "pinning"; "stale reads"; "primary fallbacks" ]
-    [ rww true; rww false ]
+    (List.map rww_row rww)
 
-let json_rows ?(n = 8) () =
-  let scn = S.build () in
-  let sampled_on scn name f =
+
+(* --- The experiment registry ---------------------------------------- *)
+
+(* One run of an experiment: its BENCH_hns.json rows, its gate failures
+   (one "FAIL: ..." line each) and the printer of its table. Load,
+   fanout, chaos and colocation print the reports their rows and gates
+   read; the other printers run probes of their own when called. *)
+type outcome = {
+  rows : (string * Sim.Stats.t) list;
+  failures : string list;
+  print : unit -> unit;
+}
+
+(* [run ~n scn]: each row repeats a compact workload [n] times on the
+   virtual clock, varying the target host / query class / service name
+   per iteration (see [resolve_name]) so the document carries real
+   p50/p95, not [n] copies of one sample; [n <= 4] also picks the small
+   load and fan-out configs. [scn] is the scenario that table-3.1,
+   coldpath and overhead sample rows on (see [run_order]). *)
+type experiment = {
+  name : string;
+  title : string;
+  run : n:int -> S.t Lazy.t -> outcome;
+}
+
+(* The committed artifact and the printed tables sample [artifact_n]
+   times; the tier-1 artifact test and the CI load smoke pair
+   [smoke_n]. *)
+let artifact_n = 8
+let smoke_n = 2
+
+(* Sim-event budgets per run, so a retry storm or a runaway fiber fails
+   the gate instead of tripling the run quietly. The load budgets keep
+   about 2x headroom over the largest config's events (smoke ~30,400;
+   full: storm, 110,251); the fan-out budget catches referral loops and
+   a replica poll that never detaches. *)
+let load_smoke_budget = 60_000
+let load_full_budget = 220_000
+let fanout_budget = 20_000
+
+let events_gate ~label ~budget events =
+  if events > budget then
+    [ Printf.sprintf "FAIL: %s executed %d sim events (budget %d)" label events budget ]
+  else []
+
+let load_gate ~budget (r : O.report) =
+  events_gate ~label:r.O.config.O.label ~budget r.O.sim_events
+
+(* Every fan-out run: no failed reads, inside the budget; a pinned
+   read-your-writes run: no stale own-write reads. *)
+let fanout_gate (r : F.report) =
+  (if r.F.failed_reads > 0 then
+     [ Printf.sprintf "FAIL: %s had %d failed reads" r.F.config.F.label r.F.failed_reads ]
+   else [])
+  @ events_gate ~label:r.F.config.F.label ~budget:fanout_budget r.F.sim_events
+  @
+  if r.F.config.F.read_your_writes && r.F.stale_reads > 0 then
+    [
+      Printf.sprintf "FAIL: pinned read-your-writes saw %d stale own-write reads"
+        r.F.stale_reads;
+    ]
+  else []
+
+let sampled ~n scn name f =
+  let stats = Sim.Stats.create ~name () in
+  for i = 0 to n - 1 do
+    Sim.Stats.add stats (f scn i)
+  done;
+  (name, stats)
+
+let import_rows ~n scn =
+  List.concat_map
+    (fun (label, arrangement) ->
+      let miss, hns_hit, both_hit = import_samples ~n scn arrangement in
+      [
+        (label ^ ".miss", miss);
+        (label ^ ".hns_hit", hns_hit);
+        (label ^ ".both_hit", both_hit);
+      ])
+    [
+      ("import.all_linked", Hns.Import.All_linked);
+      ("import.all_remote", Hns.Import.All_remote);
+    ]
+
+(* The overhead rows, sampled in the reverse of their row order (see
+   [run_order]). *)
+let resolve_rows ~n scn =
+  let find_nsm_warm = sampled ~n scn "find_nsm.warm" find_nsm_warm in
+  let find_nsm_cold = sampled ~n scn "find_nsm.cold" find_nsm_cold in
+  let resolve_warm = sampled ~n scn "resolve.warm" resolve_warm in
+  [ sampled ~n scn "resolve.cold" resolve_cold; resolve_warm; find_nsm_cold; find_nsm_warm ]
+
+(* The collapsed cold path: the cold probes against a bundle-enabled
+   testbed, preload-then-resolve on the shared scenario, and the
+   coalesced stampede. *)
+let coldpath_rows ~n scn =
+  let bscn = S.build ~bundle:true () in
+  let stampede_stats = Sim.Stats.create ~name:"coldpath.stampede.find_nsm_ms" () in
+  let latencies, _lookups = stampede bscn ~waiters:(max 2 n) () in
+  List.iter (Sim.Stats.add stampede_stats) latencies;
+  let resolve = sampled ~n bscn "coldpath.bundle.resolve_cold" resolve_cold in
+  let find_nsm = sampled ~n bscn "coldpath.bundle.find_nsm_cold" find_nsm_cold in
+  let preload = sampled ~n scn "coldpath.preload.first_resolve" preload_then_resolve in
+  [ resolve; find_nsm; preload; ("coldpath.stampede.find_nsm_ms", stampede_stats) ]
+
+(* Convergence latency and wire bytes for one update, over [count] zone
+   sizes from 150 records up, so the distributions carry real
+   spread. *)
+let converge_rows label count measure =
+  let ms = Sim.Stats.create () in
+  let bytes = Sim.Stats.create () in
+  for i = 0 to count - 1 do
+    let m, b = measure ~zone_size:(150 + (50 * i)) in
+    Sim.Stats.add ms m;
+    Sim.Stats.add bytes (float_of_int b)
+  done;
+  [ (label ^ ".converge_ms", ms); (label ^ ".bytes", bytes) ]
+
+(* Change propagation: AXFR-refreshing vs delta-refreshing consumers. *)
+let propagation_rows ~n =
+  let arm label mode =
+    converge_rows label n (fun ~zone_size ->
+        let m, b, _ = prop_measure ~zone_size ~mode () in
+        (m, b))
+  in
+  let axfr = arm "propagation.axfr" Dns.Secondary.Axfr in
+  axfr @ arm "propagation.ixfr" Dns.Secondary.Ixfr
+
+(* Durable meta-store: the spill path's ack latency and group-commit
+   sharing, recovery cost, compaction ratio, and the restart A/B
+   (baseline empty-journal restart vs snapshot+WAL recovery). *)
+let durability_rows ~n =
+  let append_ms = Sim.Stats.create ~name:"durability.wal_append_ms" () in
+  let group = Sim.Stats.create ~name:"durability.group_commit" () in
+  let rec_ms = Sim.Stats.create ~name:"durability.recovery_ms" () in
+  let ratio = Sim.Stats.create ~name:"durability.compaction_ratio" () in
+  for _ = 1 to min n 4 do
+    let s = dur_spill_run () in
+    List.iter (Sim.Stats.add append_ms) s.spill_append_ms;
+    Sim.Stats.add group
+      (float_of_int s.spill_appends /. float_of_int (max 1 s.spill_commits));
+    Sim.Stats.add rec_ms s.spill_recovery_ms;
+    Sim.Stats.add ratio s.spill_ratio
+  done;
+  let arm label durable =
+    converge_rows label (min n 4) (fun ~zone_size ->
+        let m, b, failed, _ = dur_restart ~zone_size ~durable () in
+        if failed > 0 then failwith "durability row: failed resolves";
+        (m, b))
+  in
+  let axfr = arm "propagation.restart.axfr" false in
+  [
+    ("durability.wal_append_ms", append_ms);
+    ("durability.group_commit", group);
+    ("durability.recovery_ms", rec_ms);
+    ("durability.compaction_ratio", ratio);
+  ]
+  @ axfr
+  @ arm "propagation.restart.ixfr" true
+
+(* Shared agent v2: the prefetched agent-mediated cold resolve, and the
+   upstream-call collapse of a cross-process burst (with its agentless
+   control). *)
+let agent_rows ~n =
+  let pscn = S.build ~bundle:true ~prefetch:true () in
+  warm_hot_tracker pscn;
+  let resolve = sampled ~n pscn "agent.resolve_cold" agent_resolve_cold in
+  (* The same cold resolve with the fleet on the hand codec: the bundle
+     decode and the prefetch tail charge Calib.hand_cost instead of the
+     generated stubs' walk. *)
+  let hscn = S.build ~bundle:true ~prefetch:true ~hand_codec:true () in
+  warm_hot_tracker hscn;
+  let resolve_hand = sampled ~n hscn "agent.resolve_cold_hand" agent_resolve_cold in
+  let upstream = Sim.Stats.create ~name:"agent.burst.upstream_calls" () in
+  let direct = Sim.Stats.create ~name:"agent.burst.upstream_calls_direct" () in
+  (* Deterministic per iteration; a few repetitions confirm that, and
+     the row keeps the document's requested sample count. *)
+  for _ = 1 to min n 3 do
+    let u, _, _ = agent_burst pscn () in
+    Sim.Stats.add upstream (float_of_int u);
+    Sim.Stats.add direct (float_of_int (direct_burst pscn ()))
+  done;
+  [
+    resolve;
+    resolve_hand;
+    ("agent.burst.upstream_calls", upstream);
+    ("agent.burst.upstream_calls_direct", direct);
+  ]
+
+let with_rows rows print = { rows; failures = []; print }
+let print_only print ~n:_ _ = with_rows [] print
+
+(* Resolve latency under the fault plans, split by phase: one run, not
+   [n], since each phase is already 20 samples on the virtual clock. *)
+let chaos_entry ~n:_ _ =
+  let r = chaos_run () in
+  let stats_of name phase =
     let stats = Sim.Stats.create ~name () in
-    for i = 0 to n - 1 do
-      Sim.Stats.add stats (f scn i)
-    done;
+    List.iter (fun o -> Sim.Stats.add stats o.ms) phase.outcomes;
     (name, stats)
   in
-  let sampled name f = sampled_on scn name f in
-  let import_rows =
-    List.concat_map
-      (fun (label, arrangement) ->
-        let miss = Sim.Stats.create () in
-        let hns_hit = Sim.Stats.create () in
-        let both_hit = Sim.Stats.create () in
-        for i = 0 to n - 1 do
-          (* Rotate over the varied-length alternate services: same
-             target program, different request sizes. *)
-          let service =
-            List.nth scn.alt_service_names
-              (i mod List.length scn.alt_service_names)
-          in
-          let a, b, c = measure_table_3_1_row ~service scn arrangement in
-          Sim.Stats.add miss a;
-          Sim.Stats.add hns_hit b;
-          Sim.Stats.add both_hit c
-        done;
-        [
-          (label ^ ".miss", miss);
-          (label ^ ".hns_hit", hns_hit);
-          (label ^ ".both_hit", both_hit);
-        ])
-      [
-        ("import.all_linked", Hns.Import.All_linked);
-        ("import.all_remote", Hns.Import.All_remote);
-      ]
-  in
-  (* The collapsed cold path: same probes against a bundle-enabled
-     testbed, plus preload-then-resolve and the coalesced stampede. *)
-  let coldpath_rows =
-    let bscn = S.build ~bundle:true () in
-    let stampede_stats =
-      let stats = Sim.Stats.create ~name:"coldpath.stampede.find_nsm_ms" () in
-      let latencies, _lookups = stampede bscn ~waiters:(max 2 n) () in
-      List.iter (Sim.Stats.add stats) latencies;
-      ("coldpath.stampede.find_nsm_ms", stats)
-    in
-    [
-      sampled_on bscn "coldpath.bundle.resolve_cold" resolve_cold;
-      sampled_on bscn "coldpath.bundle.find_nsm_cold" find_nsm_cold;
-      sampled "coldpath.preload.first_resolve" preload_then_resolve;
-      stampede_stats;
-    ]
-  in
-  (* Chaos availability: resolve latency under the fault plans, split
-     by phase. One run (not [n]) — each phase is already 20 samples on
-     the virtual clock. Keeps the chaos.* counters nonzero in the
-     metrics snapshot written alongside. *)
-  let chaos_rows =
-    let r = chaos_run ~reset_metrics:false () in
-    let stats_of name phase =
-      let stats = Sim.Stats.create ~name () in
-      List.iter (fun o -> Sim.Stats.add stats o.ms) phase.outcomes;
-      (name, stats)
-    in
+  with_rows
     [
       stats_of "chaos.failover.resolve_ms" r.failover_phase;
       stats_of "chaos.stale.resolve_ms" r.stale_phase;
     ]
-  in
-  (* Change propagation: convergence latency and wire bytes for one
-     update, AXFR-refreshing vs delta-refreshing consumers. Zone size
-     varies per iteration so the distributions carry real spread. *)
-  let propagation_rows =
-    let per_mode label mode =
-      let ms = Sim.Stats.create ~name:(label ^ ".converge_ms") () in
-      let bytes = Sim.Stats.create ~name:(label ^ ".bytes") () in
-      for i = 0 to n - 1 do
-        let m, b, _ = prop_measure ~zone_size:(150 + (50 * i)) ~mode () in
-        Sim.Stats.add ms m;
-        Sim.Stats.add bytes (float_of_int b)
-      done;
-      [ (label ^ ".converge_ms", ms); (label ^ ".bytes", bytes) ]
-    in
-    per_mode "propagation.axfr" Dns.Secondary.Axfr
-    @ per_mode "propagation.ixfr" Dns.Secondary.Ixfr
-  in
-  (* Durable meta-store: the spill path's ack latency and group-commit
-     sharing, recovery cost, compaction ratio, and the restart A/B
-     (baseline empty-journal restart vs snapshot+WAL recovery). *)
-  let durability_rows =
-    let append_ms = Sim.Stats.create ~name:"durability.wal_append_ms" () in
-    let group = Sim.Stats.create ~name:"durability.group_commit" () in
-    let rec_ms = Sim.Stats.create ~name:"durability.recovery_ms" () in
-    let ratio = Sim.Stats.create ~name:"durability.compaction_ratio" () in
-    for _ = 1 to min n 4 do
-      let s = dur_spill_run () in
-      List.iter (Sim.Stats.add append_ms) s.spill_append_ms;
-      Sim.Stats.add group
-        (float_of_int s.spill_appends /. float_of_int (max 1 s.spill_commits));
-      Sim.Stats.add rec_ms s.spill_recovery_ms;
-      Sim.Stats.add ratio s.spill_ratio
-    done;
-    let restart_arm label durable =
-      let ms = Sim.Stats.create ~name:(label ^ ".converge_ms") () in
-      let bytes = Sim.Stats.create ~name:(label ^ ".bytes") () in
-      for i = 0 to min (n - 1) 3 do
-        let m, b, failed, _ =
-          dur_restart ~zone_size:(150 + (50 * i)) ~durable ()
-        in
-        if failed > 0 then failwith "durability row: failed resolves";
-        Sim.Stats.add ms m;
-        Sim.Stats.add bytes (float_of_int b)
-      done;
-      [ (label ^ ".converge_ms", ms); (label ^ ".bytes", bytes) ]
-    in
-    [
-      ("durability.wal_append_ms", append_ms);
-      ("durability.group_commit", group);
-      ("durability.recovery_ms", rec_ms);
-      ("durability.compaction_ratio", ratio);
-    ]
-    @ restart_arm "propagation.restart.axfr" false
-    @ restart_arm "propagation.restart.ixfr" true
-  in
-  (* Shared agent v2: the prefetched agent-mediated cold resolve, and
-     the upstream-call collapse of a cross-process burst (with its
-     agentless control). *)
-  let agent_rows =
-    let pscn = S.build ~bundle:true ~prefetch:true () in
-    warm_hot_tracker pscn;
-    let resolve_stats = Sim.Stats.create ~name:"agent.resolve_cold" () in
-    for i = 0 to n - 1 do
-      Sim.Stats.add resolve_stats (agent_resolve_cold pscn i)
-    done;
-    (* The same cold resolve with the fleet on the hand codec: the
-       bundle decode and the prefetch tail charge Calib.hand_cost
-       instead of the generated stubs' walk. *)
-    let hscn = S.build ~bundle:true ~prefetch:true ~hand_codec:true () in
-    warm_hot_tracker hscn;
-    let resolve_hand = Sim.Stats.create ~name:"agent.resolve_cold_hand" () in
-    for i = 0 to n - 1 do
-      Sim.Stats.add resolve_hand (agent_resolve_cold hscn i)
-    done;
-    let upstream = Sim.Stats.create ~name:"agent.burst.upstream_calls" () in
-    let direct = Sim.Stats.create ~name:"agent.burst.upstream_calls_direct" () in
-    (* Deterministic per iteration; a few repetitions confirm that,
-       and the row keeps the document's requested sample count. *)
-    for _ = 1 to min n 3 do
-      let u, _, _ = agent_burst pscn () in
-      Sim.Stats.add upstream (float_of_int u);
-      Sim.Stats.add direct (float_of_int (direct_burst pscn ()))
-    done;
-    [
-      ("agent.resolve_cold", resolve_stats);
-      ("agent.resolve_cold_hand", resolve_hand);
-      ("agent.burst.upstream_calls", upstream);
-      ("agent.burst.upstream_calls_direct", direct);
-    ]
-  in
-  (* Meta-store fan-out: the scale-out sweep (primary QPS + tree
-     convergence per arm) and the read-your-writes A/B. The artifact
-     regression test (small [n]) keeps one scale point; the full
-     artifact carries the whole sweep — three replica-count points
-     against their baselines. *)
-  let fanout_rows =
-    let pairs =
-      if n <= 4 then [ List.hd (F.sweep ()) ] else F.sweep ()
-    in
-    let sweep_rows =
-      List.concat_map
-        (fun (base, tree) ->
-          F.report_rows (F.run base) @ F.report_rows (F.run tree))
-        pairs
-    in
-    let rww_arms = if n <= 4 then [ true ] else [ true; false ] in
-    let rww_rows =
-      List.concat_map
-        (fun pinned -> F.report_rows (F.run (F.rww_config ~pinned ())))
-        rww_arms
-    in
-    sweep_rows @ rww_rows
-  in
-  let colocation_rows = colocation_matrix ~n:(min n 4) () in
-  [
-    sampled "resolve.cold" resolve_cold;
-    sampled "resolve.warm" resolve_warm;
-    sampled "find_nsm.cold" find_nsm_cold;
-    sampled "find_nsm.warm" find_nsm_warm;
-  ]
-  (* Small [n] (the artifact regression test) gets the CI smoke pair;
-     the full artifact carries the million-client bench suite. *)
-  @ import_rows @ coldpath_rows @ chaos_rows @ propagation_rows
-  @ durability_rows @ fanout_rows @ agent_rows
-  @ colocation_rows
-  @ marshal_rows ()
-  @ loadharness_rows
-      ~configs:
-        (if n <= 4 then [ O.smoke (); O.smoke ~ranking:O.Sliding () ]
-         else O.bench_configs ())
-      ()
+    (fun () -> chaos_table r)
 
-(* Write BENCH_hns.json (latency distributions) and BENCH_obs.json (the
-   metrics registry as left by everything this process ran). Returns
-   both paths. *)
-let write_json_artifacts ?(dir = ".") ?n () =
-  let rows = json_rows ?n () in
-  let bench_path = Filename.concat dir "BENCH_hns.json" in
-  Obs.Export.write_bench_json ~path:bench_path rows;
-  let obs_path = Filename.concat dir "BENCH_obs.json" in
-  Obs.Export.write_metrics_snapshot ~path:obs_path ();
-  (bench_path, obs_path)
+(* The scale-out sweep and the read-your-writes A/B. Small [n] keeps
+   one scale point and the pinned arm; the artifact carries the whole
+   sweep, three replica-count points against their baselines. *)
+let fanout_entry ~n _ =
+  let pairs = if n <= 4 then [ List.hd (F.sweep ()) ] else F.sweep () in
+  let sweep =
+    List.concat_map
+      (fun (base, tree) ->
+        let base = F.run base in
+        [ base; F.run tree ])
+      pairs
+  in
+  let rww =
+    List.map
+      (fun pinned -> F.run (F.rww_config ~pinned ()))
+      (if n <= 4 then [ true ] else [ true; false ])
+  in
+  let runs = sweep @ rww in
+  {
+    rows = List.concat_map F.report_rows runs;
+    failures = List.concat_map fanout_gate runs;
+    print = (fun () -> fanout_tables sweep rww);
+  }
+
+(* Small [n] runs the CI smoke pair; the artifact, the million-client
+   bench suite. *)
+let load_entry ~n _ =
+  let configs, budget =
+    if n <= 4 then ([ O.smoke (); O.smoke ~ranking:O.Sliding () ], load_smoke_budget)
+    else (O.bench_configs (), load_full_budget)
+  in
+  let reports = List.map O.run configs in
+  let rows = List.concat_map O.report_rows reports in
+  {
+    rows;
+    failures = List.concat_map (load_gate ~budget) reports;
+    print = (fun () -> load_table reports rows);
+  }
+
+let registry =
+  let entry name title run = { name; title; run } in
+  let shared rows print ~n scn = with_rows (rows ~n (Lazy.force scn)) print in
+  let own rows print ~n _ = with_rows (rows ~n) print in
+  [
+    entry "table-3.1" "Table 3.1: binding cost by colocation x cache state"
+      (shared import_rows table_3_1);
+    entry "table-3.2" "Table 3.2: marshalling costs on cache access speed"
+      (print_only table_3_2);
+    entry "figure-2.1" "Figure 2.1: HNS query processing walk-through"
+      (print_only figure_2_1);
+    entry "overhead" "Section 3: FindNSM and NSM-call overheads"
+      (shared resolve_rows overhead);
+    entry "compare" "Section 3: underlying services and baselines" (print_only compare);
+    entry "preload" "Section 3: cache preloading and break-even" (print_only preload);
+    entry "eq1" "Equation (1): colocation break-even analysis" (print_only eq1);
+    entry "hit-sweep" "Locality sweep: hit ratio vs Zipf skew" (print_only hit_sweep);
+    entry "same-host" "Same-host colocation saving" (print_only same_host);
+    entry "ablation-collapsed" "Ablation: collapsed vs separate FindNSM mappings"
+      (print_only ablation_collapsed);
+    entry "ablation-demarshalled" "Ablation: Table 3.1 with the demarshalled cache"
+      (print_only ablation_demarshalled);
+    entry "ablation-ttl" "Ablation: TTL invalidation vs staleness" (print_only ablation_ttl);
+    entry "compare-broadcast" "V-style broadcast location vs the HNS"
+      (print_only compare_broadcast);
+    entry "scale-types" "Scaling in the heterogeneity dimension" (print_only scale_types);
+    entry "chaos" "Chaos availability: failover and serve-stale under faults" chaos_entry;
+    entry "coldpath" "Cold-path collapse: bundled meta queries, preloading, coalescing"
+      (shared coldpath_rows coldpath);
+    entry "propagation" "Change propagation: journal, NOTIFY push, IXFR vs AXFR"
+      (own propagation_rows propagation);
+    entry "durability" "Durable meta-store: WAL group commit, crash recovery, restart A/B"
+      (own durability_rows durability);
+    entry "fanout" "Meta-store fan-out: partitions, replica trees, routed reads" fanout_entry;
+    entry "agent" "Shared host agent v2: cache, coalescing, resolve-tail prefetch"
+      (own agent_rows agent);
+    entry "colocation" "Colocation matrix: arrangements x cache mode, cold/warm"
+      (fun ~n _ ->
+        let rows = colocation_matrix ~n:(min n 4) in
+        with_rows rows (fun () -> colocation_table rows));
+    entry "load" "Open-loop load harness: million clients, flash-crowd ranking A/B" load_entry;
+    entry "marshal" "Hand codec vs generated stubs: wall-clock A/B on the hot shapes"
+      (fun ~n:_ _ -> with_rows (marshal_rows ()) marshal);
+  ]
+
+let find name = List.find_opt (fun e -> e.name = name) registry
+
+(* The experiments behind BENCH_hns.json, in the order they run; every
+   other entry only prints. table-3.1's import rows,
+   coldpath.preload.first_resolve and overhead's resolve.* / find_nsm.*
+   rows share one scenario, so each of them reads the caches that the
+   rows sampled before it left, and the SLO gauges in BENCH_obs.json
+   read every run in order: the committed artifacts hold for this
+   order only. overhead runs last, but its rows lead BENCH_hns.json. *)
+let run_order =
+  [ "table-3.1"; "coldpath"; "chaos"; "propagation"; "durability"; "fanout"; "agent";
+    "colocation"; "marshal"; "load"; "overhead" ]
+
+(* Runs every experiment once at sample count [n], [run_order] first,
+   and writes BENCH_hns.json (the rows) and BENCH_obs.json (the metrics
+   registry as left by the runs) into [dir]. Returns the runs, for
+   their printers, and their gate failures. *)
+let write_json_artifacts ?(dir = ".") ~n () =
+  let scn = lazy (S.build ()) in
+  let first = List.map (fun name -> Option.get (find name)) run_order in
+  let runs =
+    List.map
+      (fun e -> (e, e.run ~n scn))
+      (first @ List.filter (fun e -> not (List.memq e first)) registry)
+  in
+  let overhead, rest = List.partition (fun (e, _) -> e.name = "overhead") runs in
+  Obs.Export.write_bench_json
+    ~path:(Filename.concat dir "BENCH_hns.json")
+    (List.concat_map (fun (_, o) -> o.rows) (overhead @ rest));
+  Obs.Export.write_metrics_snapshot ~path:(Filename.concat dir "BENCH_obs.json") ();
+  (runs, List.concat_map (fun (_, o) -> o.failures) runs)
+
+(* Runs one experiment on its own: prints its table, then its gate
+   failures on stderr. Returns the exit status. *)
+let run_one ~n e =
+  let o = e.run ~n (lazy (S.build ())) in
+  o.print ();
+  List.iter prerr_endline o.failures;
+  if o.failures = [] then 0 else 1

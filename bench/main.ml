@@ -1,54 +1,14 @@
-(* The benchmark harness: regenerates every table and figure of the
-   paper's evaluation (printing ours/paper side by side), then runs a
-   Bechamel wall-clock benchmark of each experiment's simulated
-   workload — one Test.make per table/figure.
+(* The benchmark harness: runs every experiment of the registry once,
+   writes BENCH_hns.json and BENCH_obs.json from those runs, prints
+   every table and figure of the paper's evaluation (ours/paper side by
+   side), then runs a Bechamel wall-clock benchmark of the simulated
+   workloads. Exits 1 if an experiment's gate fails.
 
    Usage:
      dune exec bench/main.exe              # everything
      dune exec bench/main.exe -- table-3.1 # one experiment
      dune exec bench/main.exe -- --list    # available names
      dune exec bench/main.exe -- --no-bechamel *)
-
-let experiments =
-  [
-    ("table-3.1", "Table 3.1: binding cost by colocation x cache state", Experiments.table_3_1);
-    ("table-3.2", "Table 3.2: marshalling costs on cache access speed", Experiments.table_3_2);
-    ("figure-2.1", "Figure 2.1: HNS query processing walk-through", Experiments.figure_2_1);
-    ("overhead", "Section 3: FindNSM and NSM-call overheads", Experiments.overhead);
-    ("compare", "Section 3: underlying services and baselines", Experiments.compare);
-    ("preload", "Section 3: cache preloading and break-even", Experiments.preload);
-    ("eq1", "Equation (1): colocation break-even analysis", Experiments.eq1);
-    ("hit-sweep", "Locality sweep: hit ratio vs Zipf skew", Experiments.hit_sweep);
-    ("same-host", "Same-host colocation saving", Experiments.same_host);
-    ("ablation-collapsed", "Ablation: collapsed vs separate FindNSM mappings",
-     Experiments.ablation_collapsed);
-    ("ablation-demarshalled", "Ablation: Table 3.1 with the demarshalled cache",
-     Experiments.ablation_demarshalled);
-    ("ablation-ttl", "Ablation: TTL invalidation vs staleness",
-     Experiments.ablation_ttl);
-    ("compare-broadcast", "V-style broadcast location vs the HNS",
-     Experiments.compare_broadcast);
-    ("scale-types", "Scaling in the heterogeneity dimension",
-     Experiments.scale_types);
-    ("chaos", "Chaos availability: failover and serve-stale under faults",
-     Experiments.chaos);
-    ("coldpath", "Cold-path collapse: bundled meta queries, preloading, coalescing",
-     Experiments.coldpath);
-    ("propagation", "Change propagation: journal, NOTIFY push, IXFR vs AXFR",
-     Experiments.propagation);
-    ("durability", "Durable meta-store: WAL group commit, crash recovery, restart A/B",
-     Experiments.durability);
-    ("fanout", "Meta-store fan-out: partitions, replica trees, routed reads",
-     Experiments.fanout);
-    ("agent", "Shared host agent v2: cache, coalescing, resolve-tail prefetch",
-     Experiments.agent);
-    ("colocation", "Colocation matrix: arrangements x cache mode, cold/warm",
-     Experiments.colocation);
-    ("load", "Open-loop load harness: million clients, flash-crowd ranking A/B",
-     Experiments.loadharness);
-    ("marshal", "Hand codec vs generated stubs: wall-clock A/B on the hot shapes",
-     Experiments.marshal);
-  ]
 
 (* --- Bechamel: wall-clock cost of each experiment's workload -------- *)
 
@@ -218,11 +178,6 @@ let run_bechamel () =
     (List.map (fun t -> Test.make_grouped ~name:"" [ t ]) (bechamel_tests ()));
   print_newline ()
 
-let write_artifacts () =
-  let bench_path, obs_path = Experiments.write_json_artifacts () in
-  Printf.printf "wrote %s (latency distributions) and %s (metrics registry)\n"
-    bench_path obs_path
-
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
   let args = List.filter (fun a -> a <> "--") args in
@@ -230,28 +185,34 @@ let () =
   let args = List.filter (fun a -> a <> "--no-bechamel") args in
   match args with
   | [ "--list" ] ->
-      List.iter (fun (name, descr, _) -> Printf.printf "%-12s %s\n" name descr) experiments
-  | [ "--json" ] ->
-      (* Just the machine-readable artifacts. *)
-      write_artifacts ()
+      List.iter
+        (fun e -> Printf.printf "%-12s %s\n" e.Experiments.name e.Experiments.title)
+        Experiments.registry
   | [] ->
       print_endline "HNS evaluation: reproducing every table and figure (SOSP 1987)";
       print_endline "================================================================";
       print_newline ();
+      (* The artifacts come from the registry's runs alone, before any
+         printer's own probes or Bechamel add to the metrics registry. *)
+      let runs, failures = Experiments.write_json_artifacts ~n:Experiments.artifact_n () in
+      print_endline
+        "wrote BENCH_hns.json (latency distributions) and BENCH_obs.json (metrics registry)";
+      print_newline ();
       List.iter
-        (fun (_, _, f) ->
-          f ();
+        (fun e ->
+          (List.assq e runs).Experiments.print ();
           print_endline "%%";
           print_newline ())
-        experiments;
+        Experiments.registry;
       if with_bechamel then run_bechamel ();
-      write_artifacts ()
+      List.iter prerr_endline failures;
+      if failures <> [] then exit 1
   | names ->
-      List.iter
-        (fun name ->
-          match List.find_opt (fun (n, _, _) -> n = name) experiments with
-          | Some (_, _, f) -> f ()
-          | None ->
-              Printf.eprintf "unknown experiment %S (try --list)\n" name;
-              exit 1)
-        names
+      let run name =
+        match Experiments.find name with
+        | Some e -> Experiments.run_one ~n:Experiments.artifact_n e
+        | None ->
+            Printf.eprintf "unknown experiment %S (try --list)\n" name;
+            exit 1
+      in
+      exit (List.fold_left (fun status name -> max status (run name)) 0 names)

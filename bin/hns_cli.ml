@@ -725,21 +725,54 @@ let lint_cmd =
           structure.")
     Term.(const run $ const ())
 
-(* --- chaos --- *)
+(* --- chaos, load, fanout: the registry's experiments --- *)
 
+(* Each runs as bench/main.exe runs it: the table, then any gate
+   failures on stderr (exit 1). *)
+let experiment ~n name = Experiments.run_one ~n (Option.get (Experiments.find name))
+
+let experiment_cmd name ~doc =
+  let run () = experiment ~n:Experiments.artifact_n name in
+  Cmd.v (Cmd.info name ~doc) Term.(const run $ const ())
+
+(* The bench experiment is the canonical demo: crash the NSM host and
+   fail over, crash the meta host and serve stale. *)
 let chaos_cmd =
-  let run () =
-    (* The bench experiment is the canonical demo: crash the NSM host
-       and fail over, crash the meta host and serve stale. *)
-    Experiments.chaos ();
-    0
+  experiment_cmd "chaos"
+    ~doc:
+      "Run the chaos availability experiment: scheduled host crashes with \
+       failover across alternate NSMs and serve-stale degradation."
+
+let load_cmd =
+  let full_arg =
+    Arg.(
+      value & flag
+      & info [ "full" ]
+          ~doc:
+            "Run the full bench suite (million-client configurations, \
+             including the flash-crowd ranking A/B). Slower; the default is \
+             the CI smoke pair.")
+  in
+  let run full =
+    experiment ~n:(if full then Experiments.artifact_n else Experiments.smoke_n) "load"
   in
   Cmd.v
-    (Cmd.info "chaos"
+    (Cmd.info "load"
        ~doc:
-         "Run the chaos availability experiment: scheduled host crashes with \
-          failover across alternate NSMs and serve-stale degradation.")
-    Term.(const run $ const ())
+         "Drive the open-loop load harness: Poisson/diurnal arrivals over \
+          agent fleets with cache churn, optional flash crowd and partition \
+          storms, all on the virtual clock. Fails if a run exceeds its \
+          sim-event budget.")
+    Term.(const run $ full_arg)
+
+let fanout_cmd =
+  experiment_cmd "fanout"
+    ~doc:
+      "Drive the meta-store fan-out harness: context-delegated partitions, \
+       IXFR-chained replica trees and load-aware routed reads, swept across \
+       replica counts against the single-primary baseline, plus the \
+       read-your-writes A/B. Fails on a failed read, a run over its \
+       sim-event budget or a stale pinned read."
 
 (* --- store --- *)
 
@@ -878,151 +911,6 @@ let rexec_cmd =
   Cmd.v
     (Cmd.info "rexec" ~doc:"Run a command on a remote host via the HCS rexec service.")
     Term.(const run $ host_arg $ command_arg $ args_arg)
-
-(* --- load: the open-loop harness --- *)
-
-let load_cmd =
-  let full_arg =
-    Arg.(
-      value & flag
-      & info [ "full" ]
-          ~doc:
-            "Run the full bench suite (million-client configurations, \
-             including the flash-crowd ranking A/B). Slower; the default is \
-             the CI smoke pair.")
-  in
-  let seed_arg =
-    Arg.(
-      value & opt int 11
-      & info [ "seed" ] ~docv:"SEED" ~doc:"Harness RNG seed (smoke runs).")
-  in
-  let events_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "max-events" ] ~docv:"N"
-          ~doc:
-            "Fail if a run executes more than $(docv) simulation events \
-             (regression guard for make check; 0 disables).")
-  in
-  let rate_arg =
-    Arg.(
-      value & opt (some float) None
-      & info [ "rate" ] ~docv:"PER-S" ~doc:"Override the Poisson arrival rate.")
-  in
-  let duration_arg =
-    Arg.(
-      value & opt (some float) None
-      & info [ "duration-s" ] ~docv:"S" ~doc:"Override the measured window.")
-  in
-  let no_flash_arg =
-    Arg.(value & flag & info [ "no-flash" ] ~doc:"Disable the flash crowd.")
-  in
-  let no_churn_arg =
-    Arg.(
-      value & flag
-      & info [ "no-churn" ] ~doc:"Disable the periodic agent cache churn.")
-  in
-  let run full seed max_events rate duration_s no_flash no_churn =
-    let module O = Workload.Openloop in
-    let tweak (cfg : O.config) =
-      let cfg = { cfg with seed } in
-      let cfg =
-        match rate with
-        | Some r -> { cfg with arrival = O.Poisson { rate_per_s = r } }
-        | None -> cfg
-      in
-      let cfg =
-        match duration_s with
-        | Some d -> { cfg with duration_ms = d *. 1000.0 }
-        | None -> cfg
-      in
-      let cfg = if no_flash then { cfg with flash = None } else cfg in
-      if no_churn then { cfg with churn_every_ms = cfg.duration_ms *. 10.0 }
-      else cfg
-    in
-    let configs =
-      if full then O.bench_configs ()
-      else [ tweak (O.smoke ()); tweak (O.smoke ~ranking:O.Sliding ()) ]
-    in
-    List.fold_left
-      (fun worst cfg ->
-        let r = O.run cfg in
-        Format.printf "%a@." O.pp_report r;
-        if max_events > 0 && r.O.sim_events > max_events then begin
-          Printf.eprintf "FAIL: %s executed %d sim events (budget %d)\n"
-            cfg.O.label r.O.sim_events max_events;
-          1
-        end
-        else worst)
-      0 configs
-  in
-  Cmd.v
-    (Cmd.info "load"
-       ~doc:
-         "Drive the open-loop load harness: Poisson/diurnal arrivals over \
-          agent fleets with cache churn, optional flash crowd and partition \
-          storms, all on the virtual clock.")
-    Term.(
-      const run $ full_arg $ seed_arg $ events_arg $ rate_arg $ duration_arg
-      $ no_flash_arg $ no_churn_arg)
-
-(* --- fanout: sharded + replicated meta-store --- *)
-
-let fanout_cmd =
-  let events_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "max-events" ] ~docv:"N"
-          ~doc:
-            "Fail if a run executes more than $(docv) simulation events \
-             (regression guard for make check; 0 disables).")
-  in
-  let run max_events =
-    let module F = Workload.Fanout in
-    let worst = ref 0 in
-    let guard (r : F.report) =
-      if r.F.failed_reads > 0 then begin
-        Printf.eprintf "FAIL: %s had %d failed reads\n" r.F.config.F.label
-          r.F.failed_reads;
-        worst := 1
-      end;
-      if max_events > 0 && r.F.sim_events > max_events then begin
-        Printf.eprintf "FAIL: %s executed %d sim events (budget %d)\n"
-          r.F.config.F.label r.F.sim_events max_events;
-        worst := 1
-      end
-    in
-    List.iter
-      (fun (base, tree) ->
-        List.iter
-          (fun cfg ->
-            let r = F.run cfg in
-            Format.printf "%a" F.pp_report r;
-            guard r)
-          [ base; tree ])
-      (F.sweep ());
-    List.iter
-      (fun pinned ->
-        let r = F.run (F.rww_config ~pinned ()) in
-        Format.printf "%a" F.pp_report r;
-        guard r;
-        if pinned && r.F.stale_reads > 0 then begin
-          Printf.eprintf
-            "FAIL: pinned read-your-writes saw %d stale own-write reads\n"
-            r.F.stale_reads;
-          worst := 1
-        end)
-      [ true; false ];
-    !worst
-  in
-  Cmd.v
-    (Cmd.info "fanout"
-       ~doc:
-         "Drive the meta-store fan-out harness: context-delegated \
-          partitions, IXFR-chained replica trees and load-aware routed \
-          reads, swept across replica counts against the single-primary \
-          baseline, plus the read-your-writes A/B.")
-    Term.(const run $ events_arg)
 
 let () =
   let info =

@@ -4,6 +4,7 @@ let check = Alcotest.check
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
+let check_strings = Alcotest.(check (list string))
 
 let check_float_near msg expected actual =
   if Float.abs (expected -. actual) > 1e-6 then

@@ -396,6 +396,22 @@ let injector_seed_isolated () =
      host is a candidate; at least the request flow must be seen. *)
   check_bool "corruption engaged" true (f1 > 0)
 
+(* The chaos experiment reads its counts as deltas over the run: a
+   counter registered before it keeps its value, and a second run in
+   the same process reports what the first did. *)
+let chaos_run_reads_deltas () =
+  let earlier = Obs.Metrics.counter "test.chaos.earlier" in
+  Obs.Metrics.incr earlier;
+  let held = Obs.Metrics.value earlier in
+  List.iter
+    (fun run ->
+      let r = Experiments.chaos_run () in
+      check_string run "faults injected: 15; failovers: 3; stale served: 4; client errors: 0"
+        (Printf.sprintf "faults injected: %d; failovers: %d; stale served: %d; client errors: %d"
+           r.Experiments.faults_injected r.failovers r.stale_served r.errors))
+    [ "first run"; "second run" ];
+  check_int "earlier counter kept" held (Obs.Metrics.value earlier)
+
 let suite =
   [
     Alcotest.test_case "plan validation" `Quick plan_validation;
@@ -407,5 +423,7 @@ let suite =
       resolve_serves_stale_under_meta_crash;
     Alcotest.test_case "deterministic trace and metrics" `Slow chaos_deterministic;
     Alcotest.test_case "injector seed isolation" `Quick injector_seed_isolated;
+    Alcotest.test_case "chaos run reads its counts as deltas" `Quick
+      chaos_run_reads_deltas;
   ]
   @ matrix_cases

@@ -400,6 +400,35 @@ let fanout_runs_are_deterministic () =
   let b = render_report (Workload.Fanout.run cfg) in
   check_string "two identical runs, one report" a b
 
+(* --- the fan-out entry's gates, each on a real run --- *)
+
+let gate_point () =
+  Workload.Fanout.run
+    (Workload.Fanout.point ~label:"gate" ~replicas:2 ~clients:3 ~reads_per_client:5 ())
+
+let fanout_gate_budget () =
+  let r = gate_point () and budget = Experiments.fanout_budget in
+  check_strings "at the budget" []
+    (Experiments.fanout_gate { r with Workload.Fanout.sim_events = budget });
+  check_strings "one event over"
+    [ Printf.sprintf "FAIL: gate executed %d sim events (budget %d)" (budget + 1) budget ]
+    (Experiments.fanout_gate { r with Workload.Fanout.sim_events = budget + 1 })
+
+let fanout_gate_failed_reads () =
+  let r = gate_point () in
+  check_strings "healthy run" [] (Experiments.fanout_gate r);
+  check_strings "one failed read" [ "FAIL: gate had 1 failed reads" ]
+    (Experiments.fanout_gate { r with Workload.Fanout.failed_reads = 1 })
+
+let fanout_gate_pinned_staleness () =
+  let run pinned = Workload.Fanout.run (Workload.Fanout.rww_config ~pinned ()) in
+  let pinned = run true and unpinned = run false in
+  check_strings "a stale pinned read fails"
+    [ "FAIL: pinned read-your-writes saw 1 stale own-write reads" ]
+    (Experiments.fanout_gate { pinned with Workload.Fanout.stale_reads = 1 });
+  check_int "unpinned reads are all stale" 12 unpinned.Workload.Fanout.stale_reads;
+  check_strings "unpinned staleness passes" [] (Experiments.fanout_gate unpinned)
+
 let suite =
   [
     Alcotest.test_case "resolve crosses partitions and caches the cut" `Quick
@@ -413,4 +442,8 @@ let suite =
     qtest routed_equivalence_prop;
     Alcotest.test_case "fanout runs are deterministic" `Quick
       fanout_runs_are_deterministic;
+    Alcotest.test_case "fanout gate: sim-event budget" `Quick fanout_gate_budget;
+    Alcotest.test_case "fanout gate: failed reads" `Quick fanout_gate_failed_reads;
+    Alcotest.test_case "fanout gate: pinned staleness" `Quick
+      fanout_gate_pinned_staleness;
   ]

@@ -446,6 +446,19 @@ let harness_event_budget () =
     (r.O.sim_events < 15_000);
   check_bool "prefetch seeded" true (r.O.prefetch_seeded > 0)
 
+(* The load entry's gate on a real run: at the budget passes, one
+   event over fails and names the config, for both budgets. *)
+let load_gate_budget () =
+  let r = O.run (tiny ()) in
+  List.iter
+    (fun budget ->
+      check_strings "at the budget" []
+        (Experiments.load_gate ~budget { r with O.sim_events = budget });
+      check_strings "one event over"
+        [ Printf.sprintf "FAIL: tiny executed %d sim events (budget %d)" (budget + 1) budget ]
+        (Experiments.load_gate ~budget { r with O.sim_events = budget + 1 }))
+    [ Experiments.load_smoke_budget; Experiments.load_full_budget ]
+
 let suite =
   [
     Alcotest.test_case "schedule determinism" `Quick schedule_deterministic;
@@ -460,4 +473,5 @@ let suite =
     Alcotest.test_case "hot ranking top allocation" `Quick hotrank_top_allocation;
     Alcotest.test_case "harness determinism" `Quick harness_deterministic;
     Alcotest.test_case "harness event budget" `Quick harness_event_budget;
+    Alcotest.test_case "load gate: sim-event budget" `Quick load_gate_budget;
   ]

@@ -235,11 +235,15 @@ let pp_metrics_nonempty () =
 
 let bench_json_artifact () =
   (* The real writer from the bench harness: build the document, write
-     it, read it back, and check the shape the trajectory depends on. *)
+     it, read it back, and check the shape the trajectory depends on.
+     The same runs carry the load and fan-out gates, which must pass. *)
   let dir = Filename.temp_file "hns_bench" "" in
   Sys.remove dir;
   Sys.mkdir dir 0o755;
-  let bench_path, obs_path = Experiments.write_json_artifacts ~dir ~n:2 () in
+  let _, failures = Experiments.write_json_artifacts ~dir ~n:Experiments.smoke_n () in
+  check_strings "no gate failures" [] failures;
+  let bench_path = Filename.concat dir "BENCH_hns.json" in
+  let obs_path = Filename.concat dir "BENCH_obs.json" in
   let doc = Obs.Json.of_string (In_channel.with_open_text bench_path In_channel.input_all) in
   check_string "schema" "hns-bench/2" (Obs.Json.to_str (Obs.Json.get "schema" doc));
   let experiments = Obs.Json.to_list (Obs.Json.get "experiments" doc) in
@@ -270,7 +274,7 @@ let bench_json_artifact () =
         || prefixed "durability." || prefixed "propagation.fanout."
       then
         check_bool "harness sample count" true (n > 0)
-      else check_int "sample count" 2 n;
+      else check_int "sample count" Experiments.smoke_n n;
       let p50 = Obs.Json.to_float (Obs.Json.get "p50_ms" e) in
       let p95 = Obs.Json.to_float (Obs.Json.get "p95_ms" e) in
       let mean = Obs.Json.to_float (Obs.Json.get "mean_ms" e) in

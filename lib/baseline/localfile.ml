@@ -7,10 +7,6 @@ type t = {
 let create ?(file_read_ms = 0.0) ?(parse_per_entry_ms = 0.0) () =
   { file_read_ms; parse_per_entry_ms; file = "" }
 
-let charge ms =
-  if ms > 0.0 then
-    try Sim.Engine.sleep ms with Effect.Unhandled _ -> ()
-
 (* One line per entry: service<TAB>host<TAB>hex(binding bytes). *)
 let hex s =
   let b = Buffer.create (String.length s * 2) in
@@ -59,9 +55,9 @@ let entry_count t = List.length (parse_file t)
 let contents t = t.file
 
 let import t ~service ~host =
-  charge t.file_read_ms;
+  Sim.Engine.charge t.file_read_ms;
   let entries = parse_file t in
-  charge (t.parse_per_entry_ms *. float_of_int (List.length entries));
+  Sim.Engine.charge (t.parse_per_entry_ms *. float_of_int (List.length entries));
   match
     List.find_opt
       (fun (s, h, _) -> String.equal s service && String.equal h host)

@@ -26,8 +26,6 @@ let m_replayed = Obs.Metrics.counter "dns.durable.replayed_deltas"
 let m_skipped = Obs.Metrics.counter "dns.durable.skipped_deltas"
 let m_recovery_ms = Obs.Metrics.histogram "dns.durable.recovery_ms"
 
-let now_ms () = try Sim.Engine.time () with Effect.Unhandled _ -> 0.0
-
 (* --- codecs --------------------------------------------------------- *)
 
 (* Only the serial field of these SOAs is meaningful — exactly the
@@ -218,7 +216,7 @@ type recovery = {
 }
 
 let recover ?(config = default_config) disk =
-  let t0 = now_ms () in
+  let t0 = Sim.Engine.time () in
   match Store.Snapshot.load_latest ~base:config.base disk with
   | None -> None
   | Some (snap_serial, payload) -> (
@@ -249,7 +247,7 @@ let recover ?(config = default_config) disk =
                   end)
             replay.Store.Wal.records;
           Obs.Metrics.incr m_recoveries;
-          let ms = now_ms () -. t0 in
+          let ms = Sim.Engine.time () -. t0 in
           Obs.Metrics.observe m_recovery_ms ms;
           Some
             {

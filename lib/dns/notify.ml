@@ -35,20 +35,18 @@ let push stack ~zone ?(max_inflight = 8) ?on_result targets =
       match on_result with Some f -> f target ok | None -> ()
     in
     let workers = min (max 1 max_inflight) (List.length targets) in
-    try
-      for _ = 1 to workers do
-        (* Receivers that miss the push catch up on their next SOA
-           poll, so a dead target costs this worker only its timeout. *)
-        Sim.Engine.spawn_child ~name:"bind-notify" (fun () ->
-            let rec drain () =
-              match !queue with
-              | [] -> ()
-              | target :: rest ->
-                  queue := rest;
-                  send target;
-                  drain ()
-            in
-            drain ())
-      done
-    with Effect.Unhandled _ -> ()
+    for _ = 1 to workers do
+      (* Receivers that miss the push catch up on their next SOA
+         poll, so a dead target costs this worker only its timeout. *)
+      Sim.Engine.spawn_child ~name:"bind-notify" (fun () ->
+          let rec drain () =
+            match !queue with
+            | [] -> ()
+            | target :: rest ->
+                queue := rest;
+                send target;
+                drain ()
+          in
+          drain ())
+    done
   end

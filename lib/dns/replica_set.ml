@@ -93,7 +93,7 @@ let note_result t addr ~ok ~latency_ms =
           (if m.latency_ms < 0. then latency_ms
            else (0.8 *. m.latency_ms) +. (0.2 *. latency_ms)))
       else (
-        m.quarantined_until <- Obs.Metrics.now_ms () +. t.quarantine_ms;
+        m.quarantined_until <- Sim.Engine.time () +. t.quarantine_ms;
         Obs.Metrics.incr m_quarantines)
 
 let probe_member t m =
@@ -117,7 +117,7 @@ let probe_member t m =
             reply.Msg.answers)
 
 let refresh_serials t =
-  t.last_probe_ms <- Obs.Metrics.now_ms ();
+  t.last_probe_ms <- Sim.Engine.time ();
   List.iter (probe_member t) t.members
 
 let quarantined m ~now = m.quarantined_until > now
@@ -136,7 +136,7 @@ let candidates ?min_serial t ~now =
   List.filter (qualifies ?min_serial ~now) t.members
 
 let select ?min_serial t =
-  let now = Obs.Metrics.now_ms () in
+  let now = Sim.Engine.time () in
   let cands =
     match candidates ?min_serial t ~now with
     | [] when min_serial <> None && t.members <> [] ->
@@ -178,7 +178,7 @@ type member_stats = {
 }
 
 let stats t =
-  let now = Obs.Metrics.now_ms () in
+  let now = Sim.Engine.time () in
   List.map
     (fun (m : member) ->
       {

@@ -167,11 +167,9 @@ let attach server ~primary ~zone ?refresh_ms ?(mode = Ixfr) ?(chain_depth = 1)
         in
         if stale then begin
           Obs.Metrics.incr t.notify_kicks;
-          try
-            Sim.Engine.spawn_child
-              ~name:(Printf.sprintf "secondary-notify:%s" (Name.to_string zone))
-              (fun () -> if t.running then pull t)
-          with Effect.Unhandled _ -> ()
+          Sim.Engine.spawn_child
+            ~name:(Printf.sprintf "secondary-notify:%s" (Name.to_string zone))
+            (fun () -> if t.running then pull t)
         end
       end);
   Sim.Engine.spawn_child

@@ -172,7 +172,7 @@ let hot_group t qname =
 
 let note_hot t (q : Msg.question) answers =
   if q.qtype = Rr.T_a && answers <> [] then begin
-    let now = try Sim.Engine.time () with Effect.Unhandled _ -> 0.0 in
+    let now = Sim.Engine.time () in
     let ttl_ms =
       List.fold_left
         (fun acc (rr : Rr.t) -> Float.min acc (Int32.to_float rr.ttl *. 1000.0))
@@ -182,8 +182,6 @@ let note_hot t (q : Msg.question) answers =
     Hotrank.note t.hot ~group:(hot_group t q.qname) ~now_ms:now ?ttl_ms q.qname
   end
 
-let now_or_zero () = try Sim.Engine.time () with Effect.Unhandled _ -> 0.0
-
 (* Hint keep-alive: once a name ships as a prefetch hint, agents
    answer it from cache and this server stops seeing its demand —
    while every un-hinted name keeps scoring a cache-refill sighting
@@ -191,11 +189,11 @@ let now_or_zero () = try Sim.Engine.time () with Effect.Unhandled _ -> 0.0
    cancels that handicap, so the residual ordering reflects real
    client demand rather than which names happen to be cached. *)
 let note_hot_name t ?ttl_ms name =
-  Hotrank.note t.hot ~group:(hot_group t name) ~now_ms:(now_or_zero ()) ?ttl_ms
+  Hotrank.note t.hot ~group:(hot_group t name) ~now_ms:(Sim.Engine.time ()) ?ttl_ms
     name
 
 let hot_ranked t ?group ~k () =
-  let now_ms = now_or_zero () in
+  let now_ms = Sim.Engine.time () in
   match group with
   | Some group -> Hotrank.top t.hot ~group ~now_ms ~k
   | None -> Hotrank.top_merged t.hot ~now_ms ~k

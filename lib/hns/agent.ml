@@ -43,18 +43,10 @@ type t = {
   requests : Obs.Metrics.counter;
   cache_hits : Obs.Metrics.counter;
   coalesced : Obs.Metrics.counter;
-  mutable refresher_stop : (unit -> unit) option;
-  mutable notify_stop : (unit -> unit) option;
 }
 
 let ok payload = Wire.Value.Union (0, payload)
 let err e = Wire.Value.Union (1, Wire.Value.Str (Errors.to_string e))
-
-(* [fill] schedules reader wake-ups, an engine operation; outside the
-   simulation there are no waiters to wake, so a failed fill is moot. *)
-let safe_fill iv v =
-  try ignore (Sim.Engine.Ivar.fill_if_empty iv v)
-  with Effect.Unhandled _ -> ()
 
 (* Serve one request through the agent's singleflight table. The
    leader computes the reply and also classifies it: an exchange that
@@ -85,7 +77,9 @@ let singleflight t ~qname ~query_class key compute =
           Fun.protect
             ~finally:(fun () ->
               Hashtbl.remove t.inflight key;
-              safe_fill iv (err (Errors.Meta_error "coalesced agent leader failed")))
+              ignore
+                (Sim.Engine.Ivar.fill_if_empty iv
+                   (err (Errors.Meta_error "coalesced agent leader failed"))))
             (fun () ->
               let lookups () =
                 Obs.Metrics.read
@@ -96,7 +90,7 @@ let singleflight t ~qname ~query_class key compute =
               let r = compute () in
               if lookups () = before then Obs.Metrics.incr t.cache_hits
               else Obs.Qlog.note_outcome Obs.Qlog.Miss;
-              safe_fill iv r;
+              Sim.Engine.Ivar.fill iv r;
               r))
 
 let create hns ?(linked_nsms = []) ?port ?(suite = Hrpc.Component.sunrpc_suite)
@@ -116,8 +110,6 @@ let create hns ?(linked_nsms = []) ?port ?(suite = Hrpc.Component.sunrpc_suite)
       requests = Obs.Metrics.owned m_requests;
       cache_hits = Obs.Metrics.owned m_cache_hits;
       coalesced = Obs.Metrics.owned m_coalesced;
-      refresher_stop = None;
-      notify_stop = None;
     }
   in
   Hrpc.Server.register server ~procnum:proc_find_nsm ~sign:find_nsm_sign (fun v ->
@@ -184,28 +176,7 @@ let binding t = Hrpc.Server.binding t.server
 let start t = Hrpc.Server.start t.server
 let hns t = t.hns
 
-let stop t =
-  (match t.refresher_stop with Some f -> f () | None -> ());
-  t.refresher_stop <- None;
-  (match t.notify_stop with Some f -> f () | None -> ());
-  t.notify_stop <- None;
-  Hrpc.Server.stop t.server
-
-(* {1 The shared preloader / refresher} *)
-
-let preload t = Client.preload t.hns
-
-let start_notify_listener ?port t =
-  let addr, stop = Meta_client.start_notify_listener ?port (Client.meta t.hns) in
-  (match t.notify_stop with Some f -> f () | None -> ());
-  t.notify_stop <- Some stop;
-  addr
-
-let start_preload_refresher ?interval_ms t =
-  match t.refresher_stop with
-  | Some _ -> () (* one refresher per agent, by construction *)
-  | None ->
-      t.refresher_stop <- Some (Client.start_preload_refresher ?interval_ms t.hns)
+let stop t = Hrpc.Server.stop t.server
 
 (* {1 Stats} *)
 

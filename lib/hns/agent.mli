@@ -11,8 +11,7 @@
     long-lived server, and v2 makes the sharing real:
 
     - one demarshalled cache inside the agent serves all client
-      processes, with (at most) one NOTIFY-subscribed preloader and
-      delta-refresher per agent keeping it coherent;
+      processes;
     - the agent runs its own singleflight table over whole replies, so
       concurrent identical requests from {e different processes}
       collapse into one upstream meta query (its HRPC server
@@ -61,31 +60,11 @@ val create :
 val binding : t -> Hrpc.Binding.t
 val start : t -> unit
 
-(** Stops the HRPC server and any refresher/NOTIFY listener started
-    through this agent. *)
+(** Stops the HRPC server. *)
 val stop : t -> unit
 
 (** The agent's own HNS instance (whose cache is the shared cache). *)
 val hns : t -> Client.t
-
-(** {1 The shared preloader / refresher}
-
-    One per agent, serving every client process on the host. *)
-
-(** Seed the shared cache from a meta-zone transfer
-    ({!Client.preload}). *)
-val preload : t -> (int, Errors.t) result
-
-(** Subscribe the shared cache to meta-zone NOTIFY pushes; returns the
-    listener address to register with the primary
-    ({!Dns.Server.register_notify}). Stopped by {!stop}. Must be
-    called inside the simulation. *)
-val start_notify_listener : ?port:int -> t -> Transport.Address.t
-
-(** Start the polling delta-refresher backstop; idempotent — an agent
-    runs at most one. Stopped by {!stop}. Must be called inside the
-    simulation. *)
-val start_preload_refresher : ?interval_ms:float -> t -> unit
 
 (** {1 Stats} *)
 

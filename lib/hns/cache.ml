@@ -110,15 +110,6 @@ let mode t = t.mode
 let staleness_budget_ms t = t.staleness_budget_ms
 let max_entries t = t.max_entries
 
-(* Charge virtual time if we are inside a simulated process; cache use
-   from plain test code costs nothing. *)
-let charge ms =
-  if ms > 0.0 then
-    try Sim.Engine.sleep ms with Effect.Unhandled _ -> ()
-
-let now () =
-  try Sim.Engine.time () with Effect.Unhandled _ -> 0.0
-
 let touch t entry =
   t.tick <- t.tick + 1;
   entry.last_used <- t.tick
@@ -139,7 +130,7 @@ let decode_stored t ~key ~ty stored =
   match stored with
   | Negative_form -> None
   | Value_form v ->
-      charge
+      Sim.Engine.charge
         (t.hit_overhead_ms
         +. (t.hit_per_node_ms *. float_of_int (Wire.Value.node_count v)));
       Some v
@@ -148,7 +139,7 @@ let decode_stored t ~key ~ty stored =
          interface: the tree is materialised here (and counted — the
          zero-copy resolve path uses find_addr and never reaches
          this). *)
-      charge (t.hit_overhead_ms +. t.hit_per_node_ms);
+      Sim.Engine.charge (t.hit_overhead_ms +. t.hit_per_node_ms);
       Wire.Hotcodec.count_value_materialization ();
       Some (Wire.Value.Uint ip)
   | Bytes_form bytes -> (
@@ -156,12 +147,12 @@ let decode_stored t ~key ~ty stored =
          and pays the codec's price for it: the hand codec's when one
          is configured and the shape is hot, the generated stubs'
          otherwise. *)
-      charge t.hit_overhead_ms;
+      Sim.Engine.charge t.hit_overhead_ms;
       match t.hand_cost with
       | Some hc when Hot_codec.is_hot_ty ty -> (
           match Hot_codec.decode_value ty bytes with
           | Some v ->
-              charge (Wire.Hotcodec.cost hc ~records:1);
+              Sim.Engine.charge (Wire.Hotcodec.cost hc ~records:1);
               Some v
           | None -> (
               Wire.Hotcodec.count_fallback ();
@@ -171,7 +162,7 @@ let decode_stored t ~key ~ty stored =
                   Obs.Metrics.incr (metrics_of t.mode).m_evictions;
                   None
               | v ->
-                  charge (Wire.Generic_marshal.cost t.generated_cost v);
+                  Sim.Engine.charge (Wire.Generic_marshal.cost t.generated_cost v);
                   Some v))
       | _ -> (
           match Wire.Generic_marshal.unmarshal storage_rep ty bytes with
@@ -180,7 +171,7 @@ let decode_stored t ~key ~ty stored =
               Obs.Metrics.incr (metrics_of t.mode).m_evictions;
               None
           | v ->
-              charge (Wire.Generic_marshal.cost t.generated_cost v);
+              Sim.Engine.charge (Wire.Generic_marshal.cost t.generated_cost v);
               Some v))
 
 type outcome = Hit of Wire.Value.t | Negative_hit | Miss
@@ -191,23 +182,23 @@ let find_outcome t ~key ~ty =
     Obs.Metrics.incr t.misses;
     Miss
   in
-  let hit_t0 = Obs.Metrics.now_ms () in
+  let hit_t0 = Sim.Engine.time () in
   match Hashtbl.find_opt t.tbl key with
   | None -> miss ()
-  | Some entry when entry.expires_at <= now () ->
+  | Some entry when entry.expires_at <= Sim.Engine.time () ->
       (* Expired entries linger for the staleness budget — find still
          misses (the caller should refresh), but find_stale can serve
          them if that refresh fails. Negative entries never outlive
          their TTL: a stale "no" is worth nothing. *)
       if entry.stored = Negative_form
-         || now () > entry.expires_at +. t.staleness_budget_ms
+         || Sim.Engine.time () > entry.expires_at +. t.staleness_budget_ms
       then begin
         ignore (remove_key t key);
         Obs.Metrics.incr m.m_evictions
       end;
       miss ()
   | Some ({ stored = Negative_form; _ } as entry) ->
-      charge t.hit_overhead_ms;
+      Sim.Engine.charge t.hit_overhead_ms;
       touch t entry;
       Obs.Metrics.incr t.neg_hits;
       Negative_hit
@@ -217,7 +208,7 @@ let find_outcome t ~key ~ty =
       | Some v ->
           touch t entry;
           Obs.Metrics.incr t.hits;
-          Obs.Metrics.observe m.m_hit_ms (Obs.Metrics.now_ms () -. hit_t0);
+          Obs.Metrics.observe m.m_hit_ms (Sim.Engine.time () -. hit_t0);
           Hit v)
 
 let find t ~key ~ty =
@@ -230,14 +221,14 @@ let find t ~key ~ty =
 let peek t ~key =
   match Hashtbl.find_opt t.tbl key with
   | Some { stored = Bytes_form _ | Value_form _ | Addr_form _; expires_at; _ }
-    when expires_at > now () ->
+    when expires_at > Sim.Engine.time () ->
       true
   | _ -> false
 
 (* As [peek], but for fresh negative entries. *)
 let peek_negative t ~key =
   match Hashtbl.find_opt t.tbl key with
-  | Some { stored = Negative_form; expires_at; _ } when expires_at > now () ->
+  | Some { stored = Negative_form; expires_at; _ } when expires_at > Sim.Engine.time () ->
       true
   | _ -> false
 
@@ -246,7 +237,7 @@ let find_stale t ~key ~ty =
   | None -> None
   | Some { stored = Negative_form; _ } -> None
   | Some entry ->
-      let n = now () in
+      let n = Sim.Engine.time () in
       if
         entry.expires_at <= n
         && n <= entry.expires_at +. t.staleness_budget_ms
@@ -301,7 +292,7 @@ let insert_stored t ~key ~ttl_ms ?(pinned = false) stored =
   if pinned then t.pinned_count <- t.pinned_count + 1;
   t.tick <- t.tick + 1;
   Hashtbl.replace t.tbl key
-    { stored; expires_at = now () +. ttl; last_used = t.tick; pinned }
+    { stored; expires_at = Sim.Engine.time () +. ttl; last_used = t.tick; pinned }
 
 let stored_of t ~ty v =
   match t.mode with
@@ -309,7 +300,7 @@ let stored_of t ~ty v =
   | Marshalled -> Bytes_form (Wire.Generic_marshal.marshal storage_rep ty v)
 
 let insert t ~key ~ty ?ttl_ms v =
-  charge t.insert_overhead_ms;
+  Sim.Engine.charge t.insert_overhead_ms;
   insert_stored t ~key ~ttl_ms (stored_of t ~ty v)
 
 (* --- Native host-address entries (zero-copy prefetch tail). ---------
@@ -320,22 +311,22 @@ let insert t ~key ~ty ?ttl_ms v =
    difference. *)
 
 let insert_addr t ~key ?ttl_ms ip =
-  charge t.insert_overhead_ms;
+  Sim.Engine.charge t.insert_overhead_ms;
   insert_stored t ~key ~ttl_ms (Addr_form ip)
 
 let find_addr t ~key =
   let serve entry ip =
-    charge (t.hit_overhead_ms +. t.hit_per_node_ms);
+    Sim.Engine.charge (t.hit_overhead_ms +. t.hit_per_node_ms);
     touch t entry;
     Obs.Metrics.incr t.hits;
     Some ip
   in
   match Hashtbl.find_opt t.tbl key with
   | Some ({ stored = Addr_form ip; expires_at; _ } as entry)
-    when expires_at > now () ->
+    when expires_at > Sim.Engine.time () ->
       serve entry ip
   | Some ({ stored = Value_form (Wire.Value.Uint ip); expires_at; _ } as entry)
-    when expires_at > now () ->
+    when expires_at > Sim.Engine.time () ->
       (* Demand-filled by a legacy writer: already demarshalled, the
          int is read straight out of the stored value. *)
       serve entry ip
@@ -348,7 +339,7 @@ let find_addr t ~key =
 (* A later successful [insert] at the same key overrides the negative
    entry (Hashtbl.replace above), so negatives cannot poison. *)
 let insert_negative t ~key ~ttl_ms =
-  charge t.insert_overhead_ms;
+  Sim.Engine.charge t.insert_overhead_ms;
   insert_stored t ~key ~ttl_ms:(Some ttl_ms) Negative_form
 
 (* Drop one entry (change propagation: the record was deleted at the
@@ -382,7 +373,7 @@ let preload t entries =
         | None -> false
       in
       if already_pinned || t.pinned_count < quota then begin
-        charge t.insert_overhead_ms;
+        Sim.Engine.charge t.insert_overhead_ms;
         insert_stored t ~key ~ttl_ms:(Some ttl_ms) ~pinned:true
           (stored_of t ~ty v);
         incr inserted
@@ -406,7 +397,7 @@ let preload_addrs t rows =
         | None -> false
       in
       if already_pinned || t.pinned_count < quota then begin
-        charge t.insert_overhead_ms;
+        Sim.Engine.charge t.insert_overhead_ms;
         insert_stored t ~key ~ttl_ms:(Some ttl_ms) ~pinned:true (Addr_form ip);
         incr inserted
       end

@@ -50,7 +50,7 @@ let resolve t ~query_class ~payload_ty ?(service = "") hns_name =
   Obs.Metrics.incr m_resolves;
   Obs.Qlog.with_query ~name:(Hns_name.to_string hns_name) ~query_class (fun () ->
   Obs.Metrics.time (resolve_ms_hist query_class) (fun () ->
-      let t0 = Obs.Metrics.now_ms () in
+      let t0 = Sim.Engine.time () in
       let call_nsm binding =
         Nsm_intf.call ?policy:t.rpc_policy t.stack_ (Nsm_intf.Remote binding)
           ~payload_ty ~service ~hns_name
@@ -131,7 +131,7 @@ let resolve t ~query_class ~payload_ty ?(service = "") hns_name =
             Obs.Slo.observe
               (Obs.Slo.get_or_create "resolve")
               ~ok:(Result.is_ok answer)
-              (Obs.Metrics.now_ms () -. t0);
+              (Sim.Engine.time () -. t0);
             answer)
       in
       (match result with

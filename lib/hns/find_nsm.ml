@@ -161,12 +161,6 @@ let do_find t ~context ~query_class =
               | Error _ as e -> e
               | Ok nsm_name -> resolved_of_nsm t ~ns_name nsm_name)))
 
-(* [fill] schedules reader wake-ups, an engine operation; outside the
-   simulation there are no waiters to wake, so a failed fill is moot. *)
-let safe_fill iv v =
-  try ignore (Sim.Engine.Ivar.fill_if_empty iv v)
-  with Effect.Unhandled _ -> ()
-
 let coalesce_key ~context ~query_class = context ^ "\x00" ^ query_class
 
 let find t ~context ~query_class =
@@ -199,11 +193,12 @@ let find t ~context ~query_class =
                    never observe coalescing. The backstop fill only
                    matters if do_find raised. *)
                 Hashtbl.remove t.inflight key;
-                safe_fill iv
-                  (Error (Errors.Meta_error "coalesced FindNSM leader failed")))
+                ignore
+                  (Sim.Engine.Ivar.fill_if_empty iv
+                     (Error (Errors.Meta_error "coalesced FindNSM leader failed"))))
               (fun () ->
                 let r = do_find t ~context ~query_class in
-                safe_fill iv r;
+                Sim.Engine.Ivar.fill iv r;
                 r)
       in
       (match result with Error _ -> Obs.Metrics.incr m_errors | Ok _ -> ());

@@ -114,7 +114,7 @@ let rec import_inner env arrangement ~service hns_name =
               | b -> Ok b)))
 
 let import env arrangement ~service hns_name =
-  let t0 = Obs.Metrics.now_ms () in
+  let t0 = Sim.Engine.time () in
   Obs.Qlog.with_query ~name:(Hns_name.to_string hns_name)
     ~query_class:Query_class.hrpc_binding (fun () ->
       Obs.Span.with_span "import"
@@ -130,7 +130,7 @@ let import env arrangement ~service hns_name =
           Obs.Slo.observe
             (Obs.Slo.get_or_create "import")
             ~ok:(Result.is_ok r)
-            (Obs.Metrics.now_ms () -. t0);
+            (Sim.Engine.time () -. t0);
           (match r with
           | Error e -> Obs.Qlog.note_error (Errors.to_string e)
           | Ok _ -> ());

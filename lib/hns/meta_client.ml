@@ -128,16 +128,10 @@ let metrics t =
 let bundle_enabled t = t.enable_bundle
 let negative_ttl_ms t = t.negative_ttl_ms
 
-let charge ms =
-  if ms > 0.0 then
-    try Sim.Engine.sleep ms with Effect.Unhandled _ -> ()
-
 let fresh_id t =
   let id = t.next_id in
   t.next_id <- (t.next_id + 1) land 0xFFFF;
   id
-
-let now_ms () = try Sim.Engine.time () with Effect.Unhandled _ -> 0.0
 
 (* {1 Partition routing}
 
@@ -151,7 +145,7 @@ let now_ms () = try Sim.Engine.time () with Effect.Unhandled _ -> 0.0
 (* Deepest unexpired learned cut covering [key], if any. Expired
    entries found during the scan are dropped afterwards. *)
 let cut_for t key =
-  let now = now_ms () in
+  let now = Sim.Engine.time () in
   let expired = ref [] in
   let best =
     N_tbl.fold
@@ -278,7 +272,7 @@ let learn_referral t (reply : Dns.Msg.t) =
           in
           let ttl_ms = if Float.is_finite ttl_ms then ttl_ms else 0.0 in
           N_tbl.replace t.referrals cut
-            { rs; expires_at = now_ms () +. ttl_ms };
+            { rs; expires_at = Sim.Engine.time () +. ttl_ms };
           Obs.Metrics.incr t.referral_chases)
 
 (* One raw DNS exchange, paying the generated-stub marshalling price
@@ -295,8 +289,8 @@ let rec raw_query_routed t ~depth key =
   (* Request encode: the generated path's fixed entry cost, or the
      hand codec's when one is configured. *)
   (match t.hand_codec with
-  | Some hc -> charge hc.Wire.Hotcodec.per_call_ms
-  | None -> charge t.generated_cost.Wire.Generic_marshal.per_call_ms);
+  | Some hc -> Sim.Engine.charge hc.Wire.Hotcodec.per_call_ms
+  | None -> Sim.Engine.charge t.generated_cost.Wire.Generic_marshal.per_call_ms);
   let rs_opt, servers = read_route t key in
   let feedback server ~ok ~elapsed =
     match rs_opt with
@@ -307,17 +301,17 @@ let rec raw_query_routed t ~depth key =
     let binding = { t.raw_binding with Hrpc.Binding.server } in
     let req_bytes = Dns.Msg.encode request in
     if Obs.Qlog.enabled () then Obs.Qlog.note_server (Transport.Address.to_string server);
-    let t0 = now_ms () in
+    let t0 = Sim.Engine.time () in
     match Hrpc.Client.call_raw t.stack binding ?policy:t.policy req_bytes with
     | Error e ->
-        feedback server ~ok:false ~elapsed:(now_ms () -. t0);
+        feedback server ~ok:false ~elapsed:(Sim.Engine.time () -. t0);
         Error (Errors.Rpc_error e)
     | Ok payload -> (
         Obs.Qlog.add_bytes (String.length req_bytes + String.length payload);
         match Dns.Msg.decode payload with
         | exception Dns.Msg.Bad_message m -> Error (Errors.Meta_error m)
         | reply ->
-            feedback server ~ok:true ~elapsed:(now_ms () -. t0);
+            feedback server ~ok:true ~elapsed:(Sim.Engine.time () -. t0);
             Ok reply)
   in
   let rec go last = function
@@ -347,7 +341,7 @@ let first_unspec (reply : Dns.Msg.t) =
 
 (* HNS library bookkeeping charged once per data mapping: TTL checks,
    key construction, designation logic. *)
-let charge_mapping_overhead t = charge t.mapping_overhead_ms
+let charge_mapping_overhead t = Sim.Engine.charge t.mapping_overhead_ms
 
 (* The walk log keeps the last [walk_cap] mappings. It is trimmed only
    when it reaches twice that, so logging a mapping is amortised O(1). *)
@@ -408,14 +402,14 @@ let decode_record t ~ty bytes =
     match Wire.Xdr.of_string ty bytes with
     | exception _ -> None
     | v ->
-        charge (Wire.Generic_marshal.cost t.generated_cost v);
+        Sim.Engine.charge (Wire.Generic_marshal.cost t.generated_cost v);
         Some v
   in
   match t.hand_codec with
   | Some hc when Hot_codec.is_hot_ty ty -> (
       match Hot_codec.decode_value ty bytes with
       | Some v ->
-          charge (Wire.Hotcodec.cost hc ~records:1);
+          Sim.Engine.charge (Wire.Hotcodec.cost hc ~records:1);
           Some v
       | None ->
           Wire.Hotcodec.count_fallback ();
@@ -456,12 +450,12 @@ let lookup_remote t ~key ~ckey ~ty =
           | rc -> Error (Errors.Meta_error (Dns.Msg.rcode_to_string rc))))
 
 let lookup t ~key ~ty =
-  let t0 = now_ms () in
+  let t0 = Sim.Engine.time () in
   Obs.Metrics.incr m_lookups;
   charge_mapping_overhead t;
   let ckey = Meta_schema.cache_key key in
   let finish hit outcome =
-    let elapsed = now_ms () -. t0 in
+    let elapsed = Sim.Engine.time () -. t0 in
     Obs.Metrics.observe m_lookup_ms elapsed;
     Obs.Span.add_attr "hit" (if hit then "true" else "false");
     Obs.Qlog.note_hop ckey elapsed;
@@ -564,7 +558,7 @@ let seed_bundle_answers t (reply : Dns.Msg.t) =
           addr_rows
       in
       if native <> [] then
-        charge (Wire.Hotcodec.cost hc ~records:(List.length native));
+        Sim.Engine.charge (Wire.Hotcodec.cost hc ~records:(List.length native));
       List.iter
         (fun (rr, context, host, ip) ->
           seed_prefetch_addr t rr ~context ~host ip)
@@ -579,7 +573,7 @@ let seed_bundle_answers t (reply : Dns.Msg.t) =
           addr_rows
       in
       if prefetch_rows <> [] then
-        charge
+        Sim.Engine.charge
           (Wire.Generic_marshal.cost t.generated_cost
              (Wire.Value.Array
                 (List.map (fun (_, _, _, v) -> v) prefetch_rows)));
@@ -656,10 +650,10 @@ let find_nsm_bundle t ~context ~query_class =
           (* One mapping's worth of HNS bookkeeping covers the whole
              batched exchange. *)
           charge_mapping_overhead t;
-          let t0 = now_ms () in
+          let t0 = Sim.Engine.time () in
           let qname = Meta_schema.bundle_key ~context ~query_class in
           let finish outcome =
-            let elapsed = now_ms () -. t0 in
+            let elapsed = Sim.Engine.time () -. t0 in
             Obs.Qlog.note_hop (Meta_schema.cache_key qname) elapsed;
             log_mapping t (Meta_schema.cache_key qname) false elapsed;
             outcome
@@ -865,7 +859,7 @@ let preload_row t (rr : Dns.Rr.t) =
           in
           match hand_decoded with
           | Some v ->
-              charge
+              Sim.Engine.charge
                 (match t.hand_preload_record_ms with
                 | Some ms -> ms
                 | None -> t.preload_record_ms);
@@ -878,7 +872,7 @@ let preload_row t (rr : Dns.Rr.t) =
               match Wire.Xdr.of_string ty bytes with
               | exception _ -> None
               | v ->
-                  charge t.preload_record_ms;
+                  Sim.Engine.charge t.preload_record_ms;
                   Some
                     ( Meta_schema.cache_key rr.name,
                       ty,
@@ -1045,39 +1039,33 @@ let start_notify_listener ?port t =
                  is best-effort and may arrive duplicated or late. *)
               let kick () =
                 Obs.Metrics.incr t.notify_kicks;
-                try
-                  Sim.Engine.spawn_child ~name:"hns-notify-refresh" (fun () ->
-                      match refresh t with
-                      | Ok (Applied_deltas _ | Full_reload _) ->
-                          Obs.Metrics.incr m_preload_refreshes
-                      | Ok Unchanged | Error _ -> ())
-                with Effect.Unhandled _ -> ()
+                Sim.Engine.spawn_child ~name:"hns-notify-refresh" (fun () ->
+                    match refresh t with
+                    | Ok (Applied_deltas _ | Full_reload _) ->
+                        Obs.Metrics.incr m_preload_refreshes
+                    | Ok Unchanged | Error _ -> ())
               in
               (match (notify_serial request, t.zone_serial) with
               | Some pushed, Some held when Int32.compare pushed held > 0 ->
                   (* Ahead: ordinary update push. *)
                   kick ()
-              | Some pushed, Some held when Int32.compare pushed held < 0 -> (
+              | Some pushed, Some held when Int32.compare pushed held < 0 ->
                   (* Behind: usually just a late or duplicated NOTIFY,
                      but it can also mean the primary restarted from an
                      older durable image and our cache holds state it
                      lost. Confirm with a direct SOA probe (off the
                      handler fiber — the probe is an RPC) before
                      counting a regression and resyncing. *)
-                  try
-                    Sim.Engine.spawn_child ~name:"hns-notify-regress"
-                      (fun () ->
-                        match (primary_serial t, t.zone_serial) with
-                        | Some live, Some held
-                          when Int32.compare live held < 0 ->
-                            Obs.Metrics.incr m_serial_regressions;
-                            Obs.Metrics.incr t.notify_kicks;
-                            (match refresh t with
-                            | Ok (Applied_deltas _ | Full_reload _) ->
-                                Obs.Metrics.incr m_preload_refreshes
-                            | Ok Unchanged | Error _ -> ())
-                        | _ -> () (* stale notify; primary is fine *))
-                  with Effect.Unhandled _ -> ())
+                  Sim.Engine.spawn_child ~name:"hns-notify-regress" (fun () ->
+                      match (primary_serial t, t.zone_serial) with
+                      | Some live, Some held when Int32.compare live held < 0 ->
+                          Obs.Metrics.incr m_serial_regressions;
+                          Obs.Metrics.incr t.notify_kicks;
+                          (match refresh t with
+                          | Ok (Applied_deltas _ | Full_reload _) ->
+                              Obs.Metrics.incr m_preload_refreshes
+                          | Ok Unchanged | Error _ -> ())
+                      | _ -> () (* stale notify; primary is fine *))
               | Some _, Some _ -> () (* duplicate of what we hold *)
               | _ -> kick ());
               Some (Dns.Msg.encode (Dns.Msg.notify_ack ~request))
@@ -1111,11 +1099,11 @@ let cache_host_addr t ~context ~host ip =
 
 let cached_host_addr t ~context ~host =
   let key = Meta_schema.host_addr_cache_key ~context ~host in
-  let t0 = now_ms () in
+  let t0 = Sim.Engine.time () in
   charge_mapping_overhead t;
   let hit ip =
     if Hashtbl.mem t.prefetched key then Obs.Metrics.incr t.prefetch_hits;
-    log_mapping t key true (now_ms () -. t0);
+    log_mapping t key true (Sim.Engine.time () -. t0);
     Some ip
   in
   (* Native entries (and demand-filled Uint values) serve without
@@ -1126,5 +1114,5 @@ let cached_host_addr t ~context ~host =
       match Cache.find t.cache_ ~key ~ty:Meta_schema.host_addr_ty with
       | Some (Wire.Value.Uint ip) -> hit ip
       | Some _ | None ->
-          log_mapping t key false (now_ms () -. t0);
+          log_mapping t key false (Sim.Engine.time () -. t0);
           None)

@@ -49,7 +49,7 @@ let interpret_result = function
    latency. *)
 let instrumented ~access_label ~hns_name f =
   Obs.Metrics.incr m_calls;
-  let t0 = Obs.Metrics.now_ms () in
+  let t0 = Sim.Engine.time () in
   Obs.Metrics.time m_call_ms (fun () ->
       let result =
         Obs.Span.with_span "nsm_call"
@@ -57,7 +57,7 @@ let instrumented ~access_label ~hns_name f =
             [ ("access", access_label); ("name", Hns_name.to_string hns_name) ])
           f
       in
-      Obs.Qlog.note_hop ("nsm:" ^ access_label) (Obs.Metrics.now_ms () -. t0);
+      Obs.Qlog.note_hop ("nsm:" ^ access_label) (Sim.Engine.time () -. t0);
       (match result with Error _ -> Obs.Metrics.incr m_errors | Ok _ -> ());
       result)
 

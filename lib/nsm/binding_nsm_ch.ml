@@ -27,7 +27,7 @@ let lookup t ~service ~(hns_name : Hns.Hns_name.t) =
   match Hns.Cache.find t.cache_ ~key ~ty:Hrpc.Binding.idl_ty with
   | Some v -> Hns.Nsm_intf.found v
   | None -> (
-      Nsm_common.charge t.per_query_ms;
+      Sim.Engine.charge t.per_query_ms;
       t.backend <- t.backend + 1;
       let local = if service = "" then hns_name.name else service in
       let obj = Clearinghouse.Ch_name.make ~local ~domain:t.domain ~org:t.org in

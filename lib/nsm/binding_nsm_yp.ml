@@ -49,7 +49,7 @@ let lookup t ~service ~(hns_name : Hns.Hns_name.t) =
   match Hns.Cache.find t.cache_ ~key ~ty:Hrpc.Binding.idl_ty with
   | Some v -> Hns.Nsm_intf.found v
   | None -> (
-      Nsm_common.charge t.per_query_ms;
+      Sim.Engine.charge t.per_query_ms;
       match service_numbers t service with
       | None -> failwith (Printf.sprintf "unknown ServiceName %S" service)
       | Some (prog, vers) -> (

@@ -31,7 +31,7 @@ let lookup t ~(hns_name : Hns.Hns_name.t) =
   match Hns.Cache.find t.cache_ ~key ~ty:Hns.Nsm_intf.host_address_payload_ty with
   | Some v -> Hns.Nsm_intf.found v
   | None -> (
-      Nsm_common.charge t.per_query_ms;
+      Sim.Engine.charge t.per_query_ms;
       t.backend <- t.backend + 1;
       match Dns.Resolver.lookup_a t.resolver (Dns.Name.of_string hns_name.name) with
       | Error Dns.Resolver.Nxdomain | Error Dns.Resolver.No_data ->

@@ -40,10 +40,6 @@ let serve stack ~impl ~payload_ty ~prog ?(vers = 1)
 let cache_key ~tag ~service hns_name =
   Printf.sprintf "nsm:%s:%s!%s" tag service (Hns.Hns_name.to_string hns_name)
 
-let charge ms =
-  if ms > 0.0 then
-    try Sim.Engine.sleep ms with Effect.Unhandled _ -> ()
-
 let parse_dotted_quad s =
   match String.split_on_char '.' (String.trim s) with
   | [ a; b; c; d ] -> (

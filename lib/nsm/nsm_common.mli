@@ -31,8 +31,5 @@ val instrument : name:string -> Hns.Nsm_intf.impl -> Hns.Nsm_intf.impl
     ["nsm:<tag>:<service>!<context>!<name>"]. *)
 val cache_key : tag:string -> service:string -> Hns.Hns_name.t -> string
 
-(** Charge virtual CPU if running inside a simulated process. *)
-val charge : float -> unit
-
 (** Parse a dotted-quad address ("10.0.0.7"); [None] if malformed. *)
 val parse_dotted_quad : string -> Transport.Address.ip option

@@ -72,7 +72,7 @@ let lookup t ~service ~(hns_name : Hns.Hns_name.t) =
   match Hns.Cache.find t.cache_ ~key ~ty:Hns.Nsm_intf.text_payload_ty with
   | Some v -> Hns.Nsm_intf.found v
   | None -> (
-      Nsm_common.charge t.per_query_ms;
+      Sim.Engine.charge t.per_query_ms;
       match backend_lookup t hns_name with
       | None -> Hns.Nsm_intf.not_found
       | Some s ->

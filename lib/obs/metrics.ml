@@ -94,11 +94,9 @@ let histogram name =
 let observe h x = Sim.Stats.add h.stats_ x
 let stats h = h.stats_
 
-let now_ms () = try Sim.Engine.time () with Effect.Unhandled _ -> 0.0
-
 let time h f =
-  let t0 = now_ms () in
-  let finally () = observe h (now_ms () -. t0) in
+  let t0 = Sim.Engine.time () in
+  let finally () = observe h (Sim.Engine.time () -. t0) in
   Fun.protect ~finally f
 
 type sample =

@@ -74,9 +74,6 @@ val stats : histogram -> Sim.Stats.t
     observation is then [0.]). *)
 val time : histogram -> (unit -> 'a) -> 'a
 
-(** Virtual time now, [0.] outside a simulated process. *)
-val now_ms : unit -> float
-
 (** {1 Reading the registry} *)
 
 type sample =

@@ -76,9 +76,6 @@ let clear () =
   st.dropped_count <- 0;
   Hashtbl.reset st.active
 
-let now_ms () = try Sim.Engine.time () with Effect.Unhandled _ -> 0.0
-let self_pid () = try Sim.Engine.self_pid () with Effect.Unhandled _ -> 0
-
 let active_stack pid = Option.value (Hashtbl.find_opt st.active pid) ~default:[]
 
 let set_active pid = function
@@ -87,7 +84,7 @@ let set_active pid = function
 
 let current () =
   if not st.on then None
-  else match active_stack (self_pid ()) with [] -> None | r :: _ -> Some r
+  else match active_stack (Sim.Engine.self_pid ()) with [] -> None | r :: _ -> Some r
 
 let retire r =
   Queue.push r st.ring;
@@ -99,7 +96,7 @@ let retire r =
 let with_query ~name ~query_class f =
   if not st.on then f ()
   else begin
-    let pid = self_pid () in
+    let pid = Sim.Engine.self_pid () in
     let r =
       {
         qid = st.next_qid;
@@ -107,7 +104,7 @@ let with_query ~name ~query_class f =
         query_class;
         pid;
         trace = Span.current_trace ();
-        start_ms = now_ms ();
+        start_ms = Sim.Engine.time ();
         end_ms = nan;
         outcome = Hit;
         hops = [];
@@ -121,7 +118,7 @@ let with_query ~name ~query_class f =
     set_active pid (r :: active_stack pid);
     Fun.protect
       ~finally:(fun () ->
-        r.end_ms <- now_ms ();
+        r.end_ms <- Sim.Engine.time ();
         (match active_stack pid with
         | top :: rest when top == r -> set_active pid rest
         | stack -> set_active pid (List.filter (fun x -> x != r) stack));

@@ -37,14 +37,10 @@ let enable () = st.on <- true
 let disable () = st.on <- false
 let enabled () = st.on
 
-let now_ms () = try Sim.Engine.time () with Effect.Unhandled _ -> 0.0
-
 (* Spans are stacked per fiber: the cooperative scheduler interleaves
    processes at await points, so one global stack would nest a server's
    spans under whatever client happens to be blocked. Pid 0 is
    everything outside the simulation (tests, the CLI prologue). *)
-let self_pid () = try Sim.Engine.self_pid () with Effect.Unhandled _ -> 0
-
 let stack_of pid = Option.value (Hashtbl.find_opt st.stacks pid) ~default:[]
 
 let set_stack pid = function
@@ -57,7 +53,7 @@ let fresh_id () =
   id
 
 let push_span ~trace ~parent ~remote name =
-  let pid = self_pid () in
+  let pid = Sim.Engine.self_pid () in
   let stack = stack_of pid in
   let id = fresh_id () in
   let trace = if trace = 0 then id else trace in
@@ -70,7 +66,7 @@ let push_span ~trace ~parent ~remote name =
       pid;
       name;
       attrs = [];
-      start_ms = now_ms ();
+      start_ms = Sim.Engine.time ();
       end_ms = nan;
     }
   in
@@ -80,7 +76,7 @@ let push_span ~trace ~parent ~remote name =
 let open_span name =
   if not st.on then 0
   else begin
-    let pid = self_pid () in
+    let pid = Sim.Engine.self_pid () in
     match stack_of pid with
     | [] -> push_span ~trace:0 ~parent:None ~remote:false name
     | parent :: _ ->
@@ -114,10 +110,10 @@ let retire s =
    it — within the same fiber only. *)
 let close_span id =
   if id <> 0 then begin
-    let pid = self_pid () in
+    let pid = Sim.Engine.self_pid () in
     let stack = stack_of pid in
     if List.exists (fun s -> s.id = id) stack then begin
-      let t = now_ms () in
+      let t = Sim.Engine.time () in
       let rec pop = function
         | [] -> []
         | s :: rest ->
@@ -138,7 +134,7 @@ let with_span ?attrs name f =
     (match attrs with
     | None -> ()
     | Some mk -> (
-        match stack_of (self_pid ()) with
+        match stack_of (Sim.Engine.self_pid ()) with
         | s :: _ when s.id = id -> s.attrs <- mk ()
         | _ -> ()));
     Fun.protect ~finally:(fun () -> close_span id) f
@@ -146,7 +142,7 @@ let with_span ?attrs name f =
 
 let add_attr key value =
   if st.on then
-    match stack_of (self_pid ()) with
+    match stack_of (Sim.Engine.self_pid ()) with
     | [] -> ()
     | s :: _ -> s.attrs <- s.attrs @ [ (key, value) ]
 
@@ -155,14 +151,14 @@ let add_attr key value =
 let context () =
   if not st.on then None
   else
-    match stack_of (self_pid ()) with
+    match stack_of (Sim.Engine.self_pid ()) with
     | [] -> None
     | s :: _ -> Some (s.trace, s.id)
 
 let current_trace () = match context () with None -> 0 | Some (t, _) -> t
 
 let finished () = List.rev st.closed
-let open_stack () = List.rev_map (fun s -> (s.id, s.name)) (stack_of (self_pid ()))
+let open_stack () = List.rev_map (fun s -> (s.id, s.name)) (stack_of (Sim.Engine.self_pid ()))
 let dropped () = st.dropped_count
 let duration_ms s = s.end_ms -. s.start_ms
 

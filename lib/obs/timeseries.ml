@@ -16,8 +16,6 @@ type t = {
   mutable len : int;
 }
 
-let now_ms () = try Sim.Engine.time () with Effect.Unhandled _ -> 0.0
-
 let create ?(max_samples = 8192) ~window_ms () =
   if window_ms <= 0.0 then invalid_arg "Timeseries.create: window must be positive";
   if max_samples <= 0 then invalid_arg "Timeseries.create: max_samples must be positive";
@@ -65,7 +63,7 @@ let prune_at t now =
     drop_oldest t
   done
 
-let prune t = prune_at t (now_ms ())
+let prune t = prune_at t (Sim.Engine.time ())
 
 let clear t =
   t.head <- 0;
@@ -88,7 +86,7 @@ let grow t =
   t.head <- 0
 
 let observe t v =
-  let now = now_ms () in
+  let now = Sim.Engine.time () in
   (* Each engine starts its clock at 0. A clock behind the newest
      sample means a later simulation in the same process, whose
      predecessor's samples would otherwise look too new to expire. *)

@@ -27,21 +27,18 @@ type t = {
   mutable store_count : int;
 }
 
-let charge ms =
-  if ms > 0.0 then try Sim.Engine.sleep ms with Effect.Unhandled _ -> ()
-
 let create stack ~suite ?port ?(io_ms = 0.0) () =
   let server = Hrpc.Server.create stack ~suite ?port ~prog ~vers () in
   let t = { server; files = Hashtbl.create 32; io_ms; fetch_count = 0; store_count = 0 } in
   Hrpc.Server.register server ~procnum:proc_fetch ~sign:fetch_sign (fun v ->
       t.fetch_count <- t.fetch_count + 1;
-      charge t.io_ms;
+      Sim.Engine.charge t.io_ms;
       match Hashtbl.find_opt t.files (Wire.Value.get_str v) with
       | Some data -> Wire.Value.Union (0, Wire.Value.Opaque data)
       | None -> Wire.Value.Union (1, Wire.Value.Void));
   Hrpc.Server.register server ~procnum:proc_store ~sign:store_sign (fun v ->
       t.store_count <- t.store_count + 1;
-      charge t.io_ms;
+      Sim.Engine.charge t.io_ms;
       let name = Wire.Value.get_str (Wire.Value.field v "name") in
       let data =
         match Wire.Value.field v "data" with
@@ -51,13 +48,13 @@ let create stack ~suite ?port ?(io_ms = 0.0) () =
       Hashtbl.replace t.files name data;
       Wire.Value.Bool true);
   Hrpc.Server.register server ~procnum:proc_remove ~sign:remove_sign (fun v ->
-      charge t.io_ms;
+      Sim.Engine.charge t.io_ms;
       let name = Wire.Value.get_str v in
       let existed = Hashtbl.mem t.files name in
       Hashtbl.remove t.files name;
       Wire.Value.Bool existed);
   Hrpc.Server.register server ~procnum:proc_list ~sign:list_sign (fun _ ->
-      charge t.io_ms;
+      Sim.Engine.charge t.io_ms;
       Wire.Value.Array
         (Hashtbl.fold (fun name _ acc -> Wire.Value.Str name :: acc) t.files []
         |> List.sort compare));

@@ -38,14 +38,11 @@ type t = {
   mutable delivery_count : int;
 }
 
-let charge ms =
-  if ms > 0.0 then try Sim.Engine.sleep ms with Effect.Unhandled _ -> ()
-
 let create stack ?(suite = Hrpc.Component.sunrpc_suite) ?port ?(io_ms = 0.0) () =
   let server = Hrpc.Server.create stack ~suite ?port ~prog ~vers () in
   let t = { server; boxes = Hashtbl.create 16; io_ms; delivery_count = 0 } in
   Hrpc.Server.register server ~procnum:proc_deliver ~sign:deliver_sign (fun v ->
-      charge t.io_ms;
+      Sim.Engine.charge t.io_ms;
       let user = Wire.Value.get_str (Wire.Value.field v "user") in
       match Hashtbl.find_opt t.boxes user with
       | None -> Wire.Value.Bool false
@@ -54,12 +51,12 @@ let create stack ?(suite = Hrpc.Component.sunrpc_suite) ?port ?(io_ms = 0.0) () 
           t.delivery_count <- t.delivery_count + 1;
           Wire.Value.Bool true);
   Hrpc.Server.register server ~procnum:proc_read ~sign:read_sign (fun v ->
-      charge t.io_ms;
+      Sim.Engine.charge t.io_ms;
       match Hashtbl.find_opt t.boxes (Wire.Value.get_str v) with
       | None -> Wire.Value.Array []
       | Some box -> Wire.Value.Array (List.map message_to_value !box));
   Hrpc.Server.register server ~procnum:proc_count ~sign:count_sign (fun v ->
-      charge t.io_ms;
+      Sim.Engine.charge t.io_ms;
       match Hashtbl.find_opt t.boxes (Wire.Value.get_str v) with
       | None -> Wire.Value.int (-1)
       | Some box -> Wire.Value.int (List.length !box));

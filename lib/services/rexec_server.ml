@@ -19,9 +19,6 @@ type t = {
   mutable exec_count : int;
 }
 
-let charge ms =
-  if ms > 0.0 then try Sim.Engine.sleep ms with Effect.Unhandled _ -> ()
-
 let create stack ?(suite = Hrpc.Component.sunrpc_suite) ?port () =
   let server = Hrpc.Server.create stack ~suite ?port ~prog ~vers () in
   let t = { server; commands = Hashtbl.create 8; exec_count = 0 } in
@@ -35,7 +32,7 @@ let create stack ?(suite = Hrpc.Component.sunrpc_suite) ?port () =
         | None -> (127, Printf.sprintf "%s: command not found" command)
         | Some c -> (
             t.exec_count <- t.exec_count + 1;
-            charge c.cpu_ms;
+            Sim.Engine.charge c.cpu_ms;
             match c.run args with
             | out -> (0, out)
             | exception Failure m -> (1, m))

@@ -1,5 +1,7 @@
 (** Deterministic discrete-event simulation engine with lightweight
-    cooperative processes built on OCaml 5 effect handlers.
+    cooperative processes built on OCaml 5 effect handlers. A process
+    performs an effect only to block; what it reads about itself comes
+    from the engine's running-process slot.
 
     Time is virtual, measured in (simulated) {e milliseconds} — the
     unit of every measurement in the SOSP'87 paper this repository
@@ -60,6 +62,35 @@ val pending : t -> int
 
 exception Process_failure of string * exn
 
+(** {1 The running process}
+
+    The engine keeps the process whose code is executing in one slot.
+    It sets the slot when it starts or resumes a process, and puts back
+    the previous value when the process blocks, returns or raises.
+    Top-level code and {!at} callbacks run in no process, except that
+    an engine run from inside another engine's process runs its {!at}
+    callbacks in that process. The operations below read the slot, so
+    they can be called anywhere; only [spawn_child] needs a process. *)
+
+(** Virtual time of the running process's engine; [0.] when no
+    process runs. *)
+val time : unit -> time
+
+(** Process id of the running process: a deterministic counter
+    assigned at spawn (in spawn order, starting at 1), so identities
+    keyed by it replay identically across same-seed runs. [0] when no
+    process runs. *)
+val self_pid : unit -> int
+
+(** Spawn a process on the running process's engine, as {!spawn}
+    would. Raises [Invalid_argument] when no process runs. *)
+val spawn_child : ?name:string -> (unit -> unit) -> unit
+
+(** [charge d] charges [d] ms of virtual time to the running process:
+    it sleeps when [d > 0.] and a process runs, and otherwise does
+    nothing. It never yields at [0.]. *)
+val charge : time -> unit
+
 (** {1 Operations usable only inside a process} *)
 
 (** Block the calling process for [d] ms ([d >= 0]). *)
@@ -67,23 +98,6 @@ val sleep : time -> unit
 
 (** Yield to other processes runnable at the same instant. *)
 val yield : unit -> unit
-
-(** Virtual time as seen by the calling process. *)
-val time : unit -> time
-
-(** Spawn a sibling process from within a process. *)
-val spawn_child : ?name:string -> (unit -> unit) -> unit
-
-(** The engine the calling process runs in. *)
-val self_engine : unit -> t
-
-(** Name of the calling process (["anon"] when unnamed). *)
-val self_name : unit -> string
-
-(** Process id of the calling process: a deterministic counter
-    assigned at spawn (in spawn order, starting at 1), so identities
-    keyed by it replay identically across same-seed runs. *)
-val self_pid : unit -> int
 
 (** {1 Write-once synchronization variables} *)
 
@@ -93,10 +107,12 @@ module Ivar : sig
   val create : unit -> 'a ivar
 
   (** [fill iv v] wakes all readers at the current instant.
-      Raises [Invalid_argument] if already full. *)
+      Raises [Invalid_argument] if already full. It performs no
+      effect, so it works anywhere, {!at} callbacks included. *)
   val fill : 'a ivar -> 'a -> unit
 
-  (** Like [fill] but returns [false] instead of raising when full. *)
+  (** Like [fill] but returns [false] instead of raising when full.
+      It performs no effect either. *)
   val fill_if_empty : 'a ivar -> 'a -> bool
 
   val is_full : 'a ivar -> bool
@@ -118,7 +134,8 @@ module Mailbox : sig
 
   val create : unit -> 'a mailbox
 
-  (** Never blocks. Wakes one blocked receiver, FIFO. *)
+  (** Never blocks and performs no effect, so it works anywhere, {!at}
+      callbacks included. Wakes one blocked receiver, FIFO. *)
   val send : 'a mailbox -> 'a -> unit
 
   (** Block until a message is available. In-process only. *)

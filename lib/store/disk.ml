@@ -60,10 +60,8 @@ let clear_fault_oracle t = t.oracle <- None
 let charge ms =
   if ms > 0.0 then begin
     Obs.Metrics.observe m_io_ms ms;
-    try Sim.Engine.sleep ms with Effect.Unhandled _ -> ()
+    Sim.Engine.charge ms
   end
-
-let now_ms () = try Sim.Engine.time () with Effect.Unhandled _ -> 0.0
 
 let get_file t file =
   match Hashtbl.find_opt t.table file with
@@ -141,7 +139,7 @@ let delete t ~file = Hashtbl.remove t.table file
 
 let crash t =
   Obs.Metrics.incr t.crashes;
-  let now = now_ms () in
+  let now = Sim.Engine.time () in
   (* Deterministic order: judge files sorted by name so a seeded
      oracle draws its randomness in a reproducible sequence. *)
   List.iter

@@ -160,8 +160,6 @@ let flush t =
   Obs.Metrics.incr t.group_commits;
   Obs.Metrics.observe m_batch (float_of_int batch)
 
-let now_ms () = try Sim.Engine.time () with Effect.Unhandled _ -> 0.0
-
 (* Hold the caller at the door while a compaction pass is rewriting
    the log, so no new frame can land in a segment the pass is about to
    delete. Re-checks after waking: another pass may have started. *)
@@ -173,7 +171,7 @@ let rec await_compaction t =
       await_compaction t
 
 let append t payload =
-  let t0 = now_ms () in
+  let t0 = Sim.Engine.time () in
   await_compaction t;
   let file = current_segment t in
   let framed = frame payload in
@@ -200,16 +198,12 @@ let append t payload =
     | None -> (
         let iv = Sim.Engine.Ivar.create () in
         t.pending_commit <- Some iv;
-        (match
-           if t.group_window_ms > 0.0 then Sim.Engine.sleep t.group_window_ms
-         with
-        | () -> ()
-        | exception Effect.Unhandled _ -> ());
+        Sim.Engine.charge t.group_window_ms;
         t.pending_commit <- None;
         flush t;
         Sim.Engine.Ivar.fill iv ())
   end;
-  Obs.Metrics.observe m_append_ms (now_ms () -. t0)
+  Obs.Metrics.observe m_append_ms (Sim.Engine.time () -. t0)
 
 type replay = { records : string list; torn_tail : bool; bytes_scanned : int }
 
@@ -272,7 +266,7 @@ let compact t ~coalesce =
   Fun.protect
     ~finally:(fun () ->
       t.compacting <- None;
-      try Sim.Engine.Ivar.fill guard () with Effect.Unhandled _ -> ())
+      Sim.Engine.Ivar.fill guard ())
     (fun () ->
       (* Make every old segment durable — not just the dirty list: an
          appender sleeping in its write's time charge has buffered its

@@ -10,9 +10,6 @@ type t = {
   mutable lookup_count : int;
 }
 
-let charge ms =
-  if ms > 0.0 then try Sim.Engine.sleep ms with Effect.Unhandled _ -> ()
-
 let get_map t name =
   match Hashtbl.find_opt t.maps name with
   | Some m -> m
@@ -46,7 +43,7 @@ let create stack ?(port = 834) ?(lookup_ms = 0.0) ~domain () =
       Wire.Value.Bool (String.equal (Wire.Value.get_str v) t.domain_));
   reg Yp_proto.proc_match Yp_proto.match_sign (fun v ->
       t.lookup_count <- t.lookup_count + 1;
-      charge t.lookup_ms;
+      Sim.Engine.charge t.lookup_ms;
       with_domain v (fun () ->
           let map = get_map t (Wire.Value.get_str (Wire.Value.field v "map")) in
           let key = opaque_str (Wire.Value.field v "key") in
@@ -55,13 +52,13 @@ let create stack ?(port = 834) ?(lookup_ms = 0.0) ~domain () =
           | None -> missing));
   reg Yp_proto.proc_first Yp_proto.first_sign (fun v ->
       t.lookup_count <- t.lookup_count + 1;
-      charge t.lookup_ms;
+      Sim.Engine.charge t.lookup_ms;
       with_domain v (fun () ->
           let map = get_map t (Wire.Value.get_str (Wire.Value.field v "map")) in
           match map.entries with [] -> missing | e :: _ -> entry_found e));
   reg Yp_proto.proc_next Yp_proto.next_sign (fun v ->
       t.lookup_count <- t.lookup_count + 1;
-      charge t.lookup_ms;
+      Sim.Engine.charge t.lookup_ms;
       with_domain v (fun () ->
           let map = get_map t (Wire.Value.get_str (Wire.Value.field v "map")) in
           let key = opaque_str (Wire.Value.field v "key") in

@@ -142,17 +142,6 @@ let hns_name_ordering () =
   check_bool "name breaks ties" true (Hns.Hns_name.compare a2 a < 0);
   check_int "equal" 0 (Hns.Hns_name.compare a a)
 
-let engine_self_name () =
-  let w = make_world ~hosts:1 () in
-  let name =
-    in_sim w (fun () ->
-        let got = ref "" in
-        Sim.Engine.spawn_child ~name:"worker-7" (fun () -> got := Sim.Engine.self_name ());
-        Sim.Engine.sleep 1.0;
-        !got)
-  in
-  check_string "self name" "worker-7" name
-
 let stats_clear_resets () =
   let s = Sim.Stats.create ~name:"x" () in
   Sim.Stats.add s 5.0;
@@ -234,7 +223,6 @@ let suite =
     Alcotest.test_case "rep mismatch is garbage" `Quick hrpc_rep_mismatch_is_garbage;
     Alcotest.test_case "Errors.get_ok" `Quick errors_get_ok_raises;
     Alcotest.test_case "hns name ordering" `Quick hns_name_ordering;
-    Alcotest.test_case "engine self_name" `Quick engine_self_name;
     Alcotest.test_case "stats clear" `Quick stats_clear_resets;
     Alcotest.test_case "trace recordf" `Quick trace_recordf_formats;
     Alcotest.test_case "secondary refresh cycles" `Quick secondary_refresh_override;

@@ -249,12 +249,15 @@ module type ENGINE = sig
 
   val create : unit -> t
   val spawn : t -> ?name:string -> (unit -> unit) -> unit
+  val at : t -> float -> (unit -> unit) -> unit
   val run : t -> unit
   val run_until : t -> float -> unit
   val now : t -> float
   val events_executed : t -> int
   val sleep : float -> unit
   val time : unit -> float
+  val self_pid : unit -> int
+  val spawn_child : ?name:string -> (unit -> unit) -> unit
 
   module Ivar : sig
     type 'a ivar
@@ -275,20 +278,24 @@ module type ENGINE = sig
   end
 end
 
-(* Every fiber shares one mailbox and [n_ivars] ivars. *)
+(* Every fiber shares one mailbox and [n_ivars] ivars. A spawned child
+   and an [at] callback each log one entry of their own. *)
 type sim_op =
   | Sleep of float
   | Send
   | Recv of float  (* timeout *)
   | Fill of int  (* ivar *)
   | Read of int * float  (* ivar, timeout *)
+  | Spawn
+  | At of float  (* delay *)
 
 type sim_program = { fibers : sim_op list list; until : float option }
 
 let n_ivars = 3
 
 type sim_result = {
-  log : (int * int * float * int) list;  (* fiber, op index, time (), result *)
+  log : (int * int * float * int * int) list;
+      (* fiber, op index, time (), self_pid (), result *)
   now_after_until : float option;
   now_after_run : float;
   executed : int;
@@ -296,13 +303,20 @@ type sim_result = {
 }
 
 module Exec (E : ENGINE) = struct
+  (* The reference engine's ambient reads are effects, unhandled outside
+     a process; its callers read that as 0. and pid 0. *)
+  let time () = try E.time () with Effect.Unhandled _ -> 0.0
+  let self_pid () = try E.self_pid () with Effect.Unhandled _ -> 0
+
   (* A wait's result is the value it got, or -1 on timeout; a fill's is
-     1 when it filled. Each fiber sends and fills its own values. *)
+     1 when it filled. Each fiber sends and fills its own values; a
+     child's or callback's entry carries its op's value. *)
   let run p =
     let e = E.create () in
     let mb = E.Mailbox.create () in
     let ivs = Array.init n_ivars (fun _ -> E.Ivar.create ()) in
     let log = ref [] and answered = ref 0 in
+    let note f i result = log := (f, i, time (), self_pid (), result) :: !log in
     let waited blocks = function
       | Some v ->
           if blocks then incr answered;
@@ -330,8 +344,14 @@ module Exec (E : ENGINE) = struct
                   | Read (n, d) ->
                       let blocks = not (E.Ivar.is_full ivs.(n)) in
                       waited blocks (E.Ivar.read_timeout ivs.(n) d)
+                  | Spawn ->
+                      E.spawn_child (fun () -> note f i v);
+                      0
+                  | At d ->
+                      E.at e d (fun () -> note f i v);
+                      0
                 in
-                log := (f, i, E.time (), result) :: !log)
+                note f i result)
               ops))
       p.fibers;
     let now_after_until =
@@ -361,6 +381,8 @@ let print_sim_program p =
     | Recv d -> Printf.sprintf "recv %g" d
     | Fill n -> Printf.sprintf "fill i%d" n
     | Read (n, d) -> Printf.sprintf "read i%d %g" n d
+    | Spawn -> "spawn"
+    | At d -> Printf.sprintf "at %g" d
   in
   Printf.sprintf "until=%s %s"
     (Option.fold ~none:"-" ~some:string_of_float p.until)
@@ -389,7 +411,15 @@ let gen_sim_program =
       map
         (fun op -> [ op ])
         (frequency
-           [ (2, map (fun d -> Sleep d) step); (4, send); (4, recv); (1, fill); (2, read) ])
+           [
+             (2, map (fun d -> Sleep d) step);
+             (4, send);
+             (4, recv);
+             (1, fill);
+             (2, read);
+             (1, return Spawn);
+             (1, map (fun d -> At d) step);
+           ])
     in
     let* chunk = oneofl [ answer; wait; any ] in
     map List.concat (list_size (int_range 0 120) chunk)
@@ -418,8 +448,8 @@ let engine_matches_model =
     (QCheck.make ~print:print_sim_program gen_sim_program)
     (fun p ->
       let got = On_engine.run p and want = On_model.run p in
-      let same_entry (f, i, t, r) (f', i', t', r') =
-        f = f' && i = i' && same_bits t t' && r = r'
+      let same_entry (f, i, t, pid, r) (f', i', t', pid', r') =
+        f = f' && i = i' && same_bits t t' && pid = pid' && r = r'
       in
       List.equal same_entry got.log want.log
       && Option.equal same_bits got.now_after_until want.now_after_until
@@ -433,7 +463,7 @@ let engine_answered_timeout_keeps_clock wait () =
   let p = { fibers = [ [ wait ]; [ Sleep 1.0; Send; Fill 0 ] ]; until = None } in
   let got = On_engine.run p and want = On_model.run p in
   check (Alcotest.list (Alcotest.float 0.0)) "answered at 1 ms" [ 1.0; 1.0; 1.0; 1.0 ]
-    (List.map (fun (_, _, t, _) -> t) got.log);
+    (List.map (fun (_, _, t, _, _) -> t) got.log);
   check_float_near "run ends at the deadline" 1000.0 got.now_after_run;
   check_float_near "as the model's does" want.now_after_run got.now_after_run;
   check_int "one event fewer than the model" (want.executed - 1) got.executed
@@ -458,6 +488,115 @@ let engine_pending_bounded () =
   check_int "every wait answered" 10_000 !answered;
   check_int "queue drained" 0 (Sim.Engine.pending e);
   if !peak > 100 then Alcotest.failf "the queue reached %d events" !peak
+
+(* --- The running-process slot --- *)
+
+let ambient () = (Sim.Engine.time (), Sim.Engine.self_pid ())
+let clock_pid = Alcotest.(pair (float 0.0) int)
+
+(* Top-level code and [at] callbacks run in no process, even while a
+   process sleeps between them. *)
+let engine_ambient_outside_process () =
+  let e = Sim.Engine.create () in
+  let seen = ref [] in
+  let note () = seen := ambient () :: !seen in
+  note ();
+  Sim.Engine.spawn e (fun () ->
+      Sim.Engine.sleep 5.0;
+      Sim.Engine.at e 2.0 note;
+      Sim.Engine.sleep 10.0);
+  Sim.Engine.at e 3.0 note;
+  Sim.Engine.run e;
+  note ();
+  check (Alcotest.list clock_pid) "no process" (List.init 4 (fun _ -> (0.0, 0))) !seen
+
+(* An engine run inside a process hands the slot back to that process:
+   its own reads afterwards, and the inner engine's [at] callbacks,
+   which run in the outer process as they do under its effect handler. *)
+let engine_nested_run_restores_slot () =
+  let outer = Sim.Engine.create () in
+  let inner_proc = ref (nan, -1) and inner_at = ref (nan, -1) and after = ref (nan, -1) in
+  Sim.Engine.spawn outer ignore;
+  Sim.Engine.spawn outer (fun () ->
+      Sim.Engine.sleep 7.0;
+      let inner = Sim.Engine.create () in
+      Sim.Engine.spawn inner (fun () ->
+          Sim.Engine.sleep 1.0;
+          inner_proc := ambient ());
+      Sim.Engine.at inner 2.0 (fun () -> inner_at := ambient ());
+      Sim.Engine.run inner;
+      after := ambient ());
+  Sim.Engine.run outer;
+  check clock_pid "inner process" (1.0, 1) !inner_proc;
+  check clock_pid "inner at callback" (7.0, 2) !inner_at;
+  check clock_pid "outer process after the inner run" (7.0, 2) !after
+
+(* A process that raises out of [run], from the engine's handler or as a
+   [Process_failure], leaves no process running. *)
+let engine_slot_cleared_after_raise () =
+  let raises_out body =
+    let e = Sim.Engine.create () in
+    Sim.Engine.spawn e (fun () ->
+        Sim.Engine.sleep 4.0;
+        body ());
+    match Sim.Engine.run e with
+    | () -> Alcotest.fail "run should raise"
+    | exception (Invalid_argument _ | Sim.Engine.Process_failure _) -> ambient ()
+  in
+  check clock_pid "after a negative sleep" (0.0, 0)
+    (raises_out (fun () -> Sim.Engine.sleep (-1.0)));
+  check clock_pid "after a process failure" (0.0, 0) (raises_out (fun () -> failwith "boom"))
+
+(* [charge 0.] does not yield: the sibling spawned first still runs
+   second, and no event is queued. Outside a process it does nothing. *)
+let engine_charge () =
+  let e = Sim.Engine.create () in
+  let order = ref [] in
+  Sim.Engine.spawn e (fun () ->
+      let pending = Sim.Engine.pending e and executed = Sim.Engine.events_executed e in
+      Sim.Engine.charge 0.0;
+      order := "charger" :: !order;
+      check_int "no event queued" pending (Sim.Engine.pending e);
+      check_int "no event run" executed (Sim.Engine.events_executed e);
+      Sim.Engine.charge 2.5;
+      check_float_near "a positive charge sleeps" 2.5 (Sim.Engine.time ()));
+  Sim.Engine.spawn e (fun () -> order := "sibling" :: !order);
+  Sim.Engine.run e;
+  check_strings "charge 0. does not yield" [ "charger"; "sibling" ] (List.rev !order);
+  Sim.Engine.charge 5.0;
+  check_float_near "clock left alone" 2.5 (Sim.Engine.now e)
+
+let engine_spawn_child_outside_process () =
+  match Sim.Engine.spawn_child ignore with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "spawn_child outside a process should raise"
+
+(* Minor words per call of [f], over 100,000 calls inside a process. *)
+let words_per_call f =
+  let e = Sim.Engine.create () and words = ref nan in
+  let n = 100_000 in
+  Sim.Engine.spawn e (fun () ->
+      f ();
+      let before = Gc.minor_words () in
+      for _ = 1 to n do
+        f ()
+      done;
+      words := (Gc.minor_words () -. before) /. float_of_int n);
+  Sim.Engine.run e;
+  !words
+
+(* The ambient reads allocate nothing but the float [time ()] returns.
+   [sleep] and [spawn_child] are held at their current counts, 41 and
+   19 words. *)
+let engine_allocation_guards () =
+  let guard name limit f =
+    let words = words_per_call f in
+    if words > limit then Alcotest.failf "%s allocated %.3f minor words per call" name words
+  in
+  guard "self_pid" 0.001 (fun () -> ignore (Sys.opaque_identity (Sim.Engine.self_pid ())));
+  guard "time" 2.001 (fun () -> ignore (Sys.opaque_identity (Sim.Engine.time ())));
+  guard "sleep" 41.001 (fun () -> Sim.Engine.sleep 1.0);
+  guard "spawn_child" 19.01 (fun () -> Sim.Engine.spawn_child ignore)
 
 (* --- Stats --- *)
 
@@ -642,6 +781,14 @@ let suite =
     Alcotest.test_case "answered read_timeout keeps the clock" `Quick
       (engine_answered_timeout_keeps_clock (Read (0, 1000.0)));
     Alcotest.test_case "pending stays bounded" `Quick engine_pending_bounded;
+    Alcotest.test_case "no process at top level or in at" `Quick engine_ambient_outside_process;
+    Alcotest.test_case "nested run restores the process" `Quick engine_nested_run_restores_slot;
+    Alcotest.test_case "raising out of run clears the process" `Quick
+      engine_slot_cleared_after_raise;
+    Alcotest.test_case "charge" `Quick engine_charge;
+    Alcotest.test_case "spawn_child outside a process raises" `Quick
+      engine_spawn_child_outside_process;
+    Alcotest.test_case "engine primitives' allocations" `Quick engine_allocation_guards;
     Alcotest.test_case "stats basics" `Quick stats_basic;
     Alcotest.test_case "stats stddev" `Quick stats_stddev;
     qtest stats_percentile_interpolates;

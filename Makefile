@@ -56,10 +56,15 @@ fmt:
 
 # The grep keeps out code that catches Effect.Unhandled to learn whether
 # it runs in a simulated process: Sim.Engine.time, self_pid and charge
-# answer that without an effect.
+# answer that without an effect. The surface audit reads the typed trees
+# that `dune build @check` writes and fails on a lib/ export no other
+# module uses or an optional parameter no call passes (see the header of
+# tools/surface_audit.ml).
 check: fmt
 	! grep -rn 'Effect.Unhandled' lib bin bench examples
 	dune build
+	dune build @check
+	dune exec tools/surface_audit.exe
 	dune runtest
 	$(MAKE) artifacts
 	dune exec bin/hns_cli.exe -- lint

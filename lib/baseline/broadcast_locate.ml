@@ -3,18 +3,17 @@ let port = 137
 type interpreter = {
   sock : Transport.Udp.socket;
   names : (string, Hrpc.Binding.t) Hashtbl.t;
-  process_ms : float;
   mutable running : bool;
   mutable heard : int;
 }
 
 (* Wire format: query "Q<name>", response "R" ^ binding bytes. *)
 
-let start_interpreter stack ?(process_ms = 1.5) names =
+let process_ms = 1.5
+
+let start_interpreter stack names =
   let sock = Transport.Udp.bind stack ~port in
-  let t =
-    { sock; names = Hashtbl.create 8; process_ms; running = true; heard = 0 }
-  in
+  let t = { sock; names = Hashtbl.create 8; running = true; heard = 0 } in
   List.iter (fun (n, b) -> Hashtbl.replace t.names n b) names;
   Sim.Engine.spawn_child ~name:"v-interpreter" (fun () ->
       while t.running do
@@ -22,7 +21,7 @@ let start_interpreter stack ?(process_ms = 1.5) names =
         if String.length payload >= 1 && payload.[0] = 'Q' then begin
           t.heard <- t.heard + 1;
           (* every interpreter pays to parse and check the query *)
-          Sim.Engine.sleep t.process_ms;
+          Sim.Engine.sleep process_ms;
           let name = String.sub payload 1 (String.length payload - 1) in
           match Hashtbl.find_opt t.names name with
           | Some binding ->
@@ -31,8 +30,6 @@ let start_interpreter stack ?(process_ms = 1.5) names =
         end
       done);
   t
-
-let add_name t name binding = Hashtbl.replace t.names name binding
 
 let stop_interpreter t =
   t.running <- false;

@@ -10,22 +10,14 @@
     owner's answer. No central service, no second-party lookup — and
     one packet per host per query. *)
 
-(** Port the interpreters listen on. *)
-val port : int
-
 type interpreter
 
 (** Start a host's interpreter owning a set of (name, binding) pairs.
-    [process_ms] is charged by every interpreter for every broadcast
-    query it hears, owner or not — the cost multicast imposes on
-    bystanders. *)
+    Every interpreter charges 1.5 ms for every broadcast query it
+    hears, owner or not — the cost multicast imposes on bystanders. *)
 val start_interpreter :
-  Transport.Netstack.stack ->
-  ?process_ms:float ->
-  (string * Hrpc.Binding.t) list ->
-  interpreter
+  Transport.Netstack.stack -> (string * Hrpc.Binding.t) list -> interpreter
 
-val add_name : interpreter -> string -> Hrpc.Binding.t -> unit
 val stop_interpreter : interpreter -> unit
 
 (** Queries this interpreter heard (including ones it did not own). *)

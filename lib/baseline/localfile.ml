@@ -52,7 +52,6 @@ let replace_all t entries =
   t.file <- Buffer.contents buf
 
 let entry_count t = List.length (parse_file t)
-let contents t = t.file
 
 let import t ~service ~host =
   Sim.Engine.charge t.file_read_ms;

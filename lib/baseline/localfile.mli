@@ -26,9 +26,6 @@ val replace_all : t -> (string * string * Hrpc.Binding.t) list -> unit
 
 val entry_count : t -> int
 
-(** The raw file, for inspection. *)
-val contents : t -> string
-
 (** Read and parse the file, then return the matching binding.
     Charges the read and parse costs. *)
 val import : t -> service:string -> host:string -> (Hrpc.Binding.t, string) result

@@ -16,8 +16,6 @@ let mount t ~prefix binding =
   t.entries <-
     (cs, binding) :: List.filter (fun (p, _) -> p <> cs) t.entries
 
-let entry_count t = List.length t.entries
-
 let rec is_prefix p cs =
   match (p, cs) with
   | [], _ -> true

@@ -17,8 +17,6 @@ val create : Transport.Netstack.stack -> t
 (** Install a static entry ([prefix] is a ['/']-separated path). *)
 val mount : t -> prefix:string -> Hrpc.Binding.t -> unit
 
-val entry_count : t -> int
-
 (** Longest-prefix match from the local table only. *)
 val lookup_local : t -> string -> (string * Hrpc.Binding.t) option
 

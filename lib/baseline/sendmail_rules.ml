@@ -98,7 +98,6 @@ let resolve_rule ~pattern ~network ~site ~user =
 type t = { rules : rule list }
 
 let create rules = { rules }
-let rule_count t = List.length t.rules
 
 let route t address =
   let rec run address iterations =

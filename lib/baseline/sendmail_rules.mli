@@ -40,8 +40,6 @@ type t
 (** Build a ruleset; order matters, first match wins. *)
 val create : rule list -> t
 
-val rule_count : t -> int
-
 (** Route one address. [Error] is an unparsable address. *)
 val route : t -> string -> (decision, string) result
 

@@ -53,13 +53,11 @@ let corrupt ?(dst_hosts = []) ~at ~heal_at ~probability () =
     invalid_arg "Chaos.Plan.corrupt: probability out of [0,1]";
   Corrupt { dst_hosts; from_ms = at; until_ms = heal_at; probability }
 
-let torn_write ~host ~at ?(heal_at = infinity) ~probability () =
+let torn_write ~host ~at ~probability () =
   if host = "" then invalid_arg "Chaos.Plan.torn_write: empty host";
-  if heal_at <= at then
-    invalid_arg "Chaos.Plan.torn_write: heal time not after start";
   if probability < 0.0 || probability > 1.0 then
     invalid_arg "Chaos.Plan.torn_write: probability out of [0,1]";
-  Torn_write { host; from_ms = at; until_ms = heal_at; probability }
+  Torn_write { host; from_ms = at; until_ms = infinity; probability }
 
 let pp_hosts ppf = function
   | [] -> Format.pp_print_string ppf "*"

@@ -72,10 +72,8 @@ val latency_spike :
 val corrupt :
   ?dst_hosts:string list -> at:float -> heal_at:float -> probability:float -> unit -> fault
 
-(** [torn_write ~host ~at ~probability ()] never heals by default. *)
-val torn_write :
-  host:string -> at:float -> ?heal_at:float -> probability:float -> unit -> fault
+(** [torn_write ~host ~at ~probability ()] never heals: its window ends
+    at [infinity]. *)
+val torn_write : host:string -> at:float -> probability:float -> unit -> fault
 
-val pp_fault : Format.formatter -> fault -> unit
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

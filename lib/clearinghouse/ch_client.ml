@@ -31,14 +31,6 @@ let create_object t name =
   | Error _ as e -> e
   | Ok v -> Ok (Wire.Value.get_bool v)
 
-let delete_object t name =
-  match
-    call t Ch_proto.proc_delete_object Ch_proto.delete_object_sign
-      [ ("name", Ch_name.to_value name) ]
-  with
-  | Error _ as e -> e
-  | Ok v -> Ok (Wire.Value.get_bool v)
-
 let store_item t name ~prop item =
   match
     call t Ch_proto.proc_store_item Ch_proto.store_item_sign

@@ -15,7 +15,6 @@ val connect :
 
 val close : t -> unit
 val create_object : t -> Ch_name.t -> (bool, error) result
-val delete_object : t -> Ch_name.t -> (bool, error) result
 val store_item : t -> Ch_name.t -> prop:int -> string -> (unit, error) result
 val retrieve_item : t -> Ch_name.t -> prop:int -> (string, error) result
 val add_member : t -> Ch_name.t -> prop:int -> Ch_name.t -> (unit, error) result

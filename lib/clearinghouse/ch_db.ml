@@ -55,5 +55,3 @@ let list_objects t ~domain ~org =
       else acc)
     t.tbl []
   |> List.sort String.compare
-
-let object_count t = Tbl.length t.tbl

@@ -28,5 +28,3 @@ val members : t -> Ch_name.t -> int -> Ch_name.t list
 
 (** Local parts of all objects in a (domain, org), sorted. *)
 val list_objects : t -> domain:string -> org:string -> string list
-
-val object_count : t -> int

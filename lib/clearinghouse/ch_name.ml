@@ -14,10 +14,8 @@ let of_string s =
 
 let to_string t = Printf.sprintf "%s:%s:%s" t.local t.domain t.org
 let equal a b = a = b
-let compare = Stdlib.compare
 let hash = Hashtbl.hash
 let same_domain a b = a.domain = b.domain && a.org = b.org
-let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 let idl_ty =
   Wire.Idl.T_struct

@@ -16,13 +16,10 @@ val of_string : string -> t
 
 val to_string : t -> string
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val hash : t -> int
 
 (** Same domain and organization. *)
 val same_domain : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit
 
 (** Wire shape shared with the server: a three-string struct. *)
 val idl_ty : Wire.Idl.ty

@@ -19,7 +19,6 @@ val proc_list_objects : int
     156 ms lookups versus BIND's 27 ms). *)
 type credentials = { user : Ch_name.t; password : string }
 
-val credentials_ty : Wire.Idl.ty
 val credentials_to_value : credentials -> Wire.Value.t
 val credentials_of_value : Wire.Value.t -> credentials
 

@@ -38,9 +38,10 @@ let access t cred_value body =
     body ()
   end
 
-let create stack ?(port = Transport.Address.Well_known.clearinghouse)
-    ?(auth_ms = 0.0) ?(disk_ms = 0.0) () =
-  let server = Rpc.Courier_rpc.create stack ~port () in
+let create stack ?(auth_ms = 0.0) ?(disk_ms = 0.0) () =
+  let server =
+    Rpc.Courier_rpc.create stack ~port:Transport.Address.Well_known.clearinghouse ()
+  in
   let t =
     {
       server;
@@ -115,4 +116,3 @@ let create stack ?(port = Transport.Address.Well_known.clearinghouse)
   t
 
 let start t = Rpc.Courier_rpc.start t.server
-let stop t = Rpc.Courier_rpc.stop t.server

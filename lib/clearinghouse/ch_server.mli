@@ -17,13 +17,10 @@ type update_event =
 
 type t
 
+(** Listens on the well-known Clearinghouse port
+    ({!Transport.Address.Well_known.clearinghouse}). *)
 val create :
-  Transport.Netstack.stack ->
-  ?port:int ->
-  ?auth_ms:float ->
-  ?disk_ms:float ->
-  unit ->
-  t
+  Transport.Netstack.stack -> ?auth_ms:float -> ?disk_ms:float -> unit -> t
 
 val addr : t -> Transport.Address.t
 val db : t -> Ch_db.t
@@ -32,7 +29,6 @@ val db : t -> Ch_db.t
 val add_user : t -> Ch_name.t -> password:string -> unit
 
 val start : t -> unit
-val stop : t -> unit
 val accesses : t -> int
 
 (** Register a mutation observer (replication hooks). Called inside

@@ -12,18 +12,3 @@ end
 
 let item prop s = { prop; value = Item s }
 let group prop names = { prop; value = Group names }
-
-let equal a b =
-  a.prop = b.prop
-  &&
-  match (a.value, b.value) with
-  | Item x, Item y -> String.equal x y
-  | Group x, Group y -> List.equal Ch_name.equal x y
-  | (Item _ | Group _), _ -> false
-
-let pp ppf t =
-  match t.value with
-  | Item s -> Format.fprintf ppf "prop %d: item <%d bytes>" t.prop (String.length s)
-  | Group names ->
-      Format.fprintf ppf "prop %d: group [%s]" t.prop
-        (String.concat "; " (List.map Ch_name.to_string names))

@@ -22,5 +22,3 @@ end
 
 val item : int -> string -> t
 val group : int -> Ch_name.t list -> t
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

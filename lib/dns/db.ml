@@ -46,6 +46,5 @@ let remove_rr t name rdata =
 
 let remove_name t name = Tbl.remove t.tbl name
 let all t = Tbl.fold (fun _ cell acc -> !cell @ acc) t.tbl []
-let names t = Tbl.fold (fun name _ acc -> name :: acc) t.tbl []
 let count t = Tbl.fold (fun _ cell acc -> acc + List.length !cell) t.tbl 0
 let clear t = Tbl.reset t.tbl

@@ -24,6 +24,5 @@ val remove_name : t -> Name.t -> unit
 (** Every record, grouped by name in no particular order. *)
 val all : t -> Rr.t list
 
-val names : t -> Name.t list
 val count : t -> int
 val clear : t -> unit

@@ -14,7 +14,6 @@ type t = {
   wal : Store.Wal.t;
   disk : Store.Disk.t;
   mutable since_snap : int;
-  mutable snap_serial : int32;
   persisted : Obs.Metrics.counter;
   mutable hook : Zone.hook option; (* None once detached *)
 }
@@ -101,7 +100,6 @@ let snapshot t =
   let serial = Zone.serial t.zone in
   Store.Snapshot.save ~base:t.config.base t.disk ~serial
     (encode_snapshot t.zone);
-  t.snap_serial <- serial;
   t.since_snap <- 0;
   Obs.Metrics.incr m_snapshots;
   (* The snapshot subsumes every delta at or below its serial; prune
@@ -111,10 +109,7 @@ let snapshot t =
     (Store.Wal.compact t.wal
        ~coalesce:(List.filter (fun p -> not (delta_serial_le p serial))))
 
-let zone t = t.zone
 let wal t = t.wal
-let disk t = t.disk
-let metrics t = Obs.Metrics.scope [ t.persisted ]
 let persisted_deltas t = Obs.Metrics.value t.persisted
 
 let attach ?(config = default_config) disk zone =
@@ -129,15 +124,13 @@ let attach ?(config = default_config) disk zone =
       wal;
       disk;
       since_snap = 0;
-      snap_serial = Int32.minus_one;
       persisted = Obs.Metrics.owned m_persisted;
       hook = None;
     }
   in
   (match Store.Snapshot.on_disk ~base:config.base disk with
   | [] -> snapshot t (* bootstrap: recovery always has a base image *)
-  | newest :: _ ->
-      t.snap_serial <- newest;
+  | _ :: _ ->
       (* Log hygiene: a torn tail left by the crash would swallow every
          record appended after it (replay stops at the first bad
          frame). Rewrite the intact prefix onto fresh segments before

@@ -48,10 +48,6 @@ val attach : ?config:config -> Store.Disk.t -> Zone.t -> t
     Idempotent. The on-disk image stays valid for {!recover}. *)
 val detach : t -> unit
 
-(** Checkpoint now: snapshot the zone image and prune the WAL of
-    records at or below the snapshot serial. *)
-val snapshot : t -> unit
-
 (** Key-coalescing compaction: fold the WAL's delta chain into a
     single delta with one surviving operation per (name, rdata) —
     last-op-wins, deletions ordered before puts — and return the
@@ -59,15 +55,10 @@ val snapshot : t -> unit
     the same zone state. *)
 val compact : t -> float
 
-val zone : t -> Zone.t
 val wal : t -> Store.Wal.t
-val disk : t -> Store.Disk.t
 
 (** This log's own [dns.durable.persisted_deltas]: deltas appended
     through the attached hook. *)
-val metrics : t -> Obs.Metrics.scope
-
-(** The same count, read directly. *)
 val persisted_deltas : t -> int
 
 (** What {!recover} rebuilt, with its provenance. *)
@@ -86,10 +77,3 @@ type recovery = {
     replayed deltas (it serves IXFR from the snapshot serial up);
     re-[attach] it to resume spilling. *)
 val recover : ?config:config -> Store.Disk.t -> recovery option
-
-(** {1 Codecs (exposed for tests)} *)
-
-val encode_delta : origin:Name.t -> Journal.delta -> string
-val decode_delta : string -> Journal.delta option
-val encode_snapshot : Zone.t -> string
-val decode_snapshot : string -> (Name.t * Rr.soa * Rr.t list) option

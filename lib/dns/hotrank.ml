@@ -37,8 +37,6 @@ let create ?(default_ttl_ms = 3_600_000.0) ?(capacity = 4096) ~strategy () =
   | _ -> ());
   { strategy; default_ttl_ms; capacity; groups = Hashtbl.create 4 }
 
-let strategy t = t.strategy
-
 let group_table t group =
   match Hashtbl.find_opt t.groups group with
   | Some g -> g

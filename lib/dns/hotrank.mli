@@ -53,8 +53,6 @@ type t
     (ties by name) when full. *)
 val create : ?default_ttl_ms:float -> ?capacity:int -> strategy:strategy -> unit -> t
 
-val strategy : t -> strategy
-
 (** Record one positive sighting of [name] in [group] at [now_ms].
     [ttl_ms] is the answered record's remaining freshness horizon. *)
 val note :

@@ -30,10 +30,6 @@ type response =
     marked [C_none]. *)
 val rr_of_change : Journal.change -> Rr.t
 
-(** Inverse of {!rr_of_change} (normalises the deletion marker back to
-    [C_in]). *)
-val change_of_rr : Rr.t -> Journal.change
-
 (** {1 Server side} *)
 
 (** The serial the requester claims to hold: the first SOA in the

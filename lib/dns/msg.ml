@@ -93,15 +93,13 @@ let empty =
 let query ~id qname qtype =
   { empty with id; questions = [ { qname; qtype } ]; recursion_desired = true }
 
-let response ?(rcode = No_error) ?(authoritative = true) ?(truncated = false) ~request
-    answers =
+let response ?(rcode = No_error) ?(authoritative = true) ~request answers =
   {
     empty with
     id = request.id;
     is_response = true;
     opcode = request.opcode;
     authoritative;
-    truncated;
     recursion_desired = request.recursion_desired;
     rcode;
     questions = request.questions;

@@ -46,8 +46,9 @@ exception Bad_message of string
 
 val query : id:int -> Name.t -> Rr.rtype -> t
 
-val response :
-  ?rcode:rcode -> ?authoritative:bool -> ?truncated:bool -> request:t -> Rr.t list -> t
+(** TC is clear: {!encode_for_udp} sets it when the reply does not
+    fit. *)
+val response : ?rcode:rcode -> ?authoritative:bool -> request:t -> Rr.t list -> t
 
 val update_request : id:int -> zone:Name.t -> update_op list -> t
 

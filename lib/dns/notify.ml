@@ -5,7 +5,9 @@ let m_ack_ms = Obs.Metrics.histogram "dns.notify.ack_ms"
 
 let id_counter = ref 0x7000
 
-let push stack ~zone ?(max_inflight = 8) ?on_result targets =
+let max_inflight = 8
+
+let push stack ~zone ?on_result targets =
   if targets <> [] then begin
     (* A bounded worker pool rather than one fiber per target: with
        hundreds of subscribers an unbounded fan-out would put the
@@ -34,7 +36,7 @@ let push stack ~zone ?(max_inflight = 8) ?on_result targets =
       in
       match on_result with Some f -> f target ok | None -> ()
     in
-    let workers = min (max 1 max_inflight) (List.length targets) in
+    let workers = min max_inflight (List.length targets) in
     for _ = 1 to workers do
       (* Receivers that miss the push catch up on their next SOA
          poll, so a dead target costs this worker only its timeout. *)

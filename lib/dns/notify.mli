@@ -8,11 +8,12 @@
     latency — receivers keep their SOA-poll loops as the backstop, so
     chaos-dropped notifies degrade to polling, never divergence. *)
 
-(** [push stack ~zone targets] — fire-and-forget: a bounded pool of
-    [max_inflight] worker fibers (default 8) drains the target list
-    concurrently, each send carrying [zone]'s current SOA and waiting
-    briefly for the ack, so a large subscriber list never serializes
-    behind its slowest members nor floods the net all at once.
+(** [push stack ~zone targets] — fire-and-forget: a bounded pool of 8
+    worker fibers drains the target list concurrently, each send
+    carrying [zone]'s current SOA and waiting briefly for the ack (a
+    500 ms attempt, then one 1000 ms retry), so a large subscriber list
+    never serializes behind its slowest members nor floods the net all
+    at once.
     [on_result] is invoked per target with the ack outcome (from the
     worker fiber) — {!Server} uses it for subscriber liveness GC.
     Counts [dns.notify.sent] / [dns.notify.acked] /
@@ -22,7 +23,6 @@
 val push :
   Transport.Netstack.stack ->
   zone:Zone.t ->
-  ?max_inflight:int ->
   ?on_result:(Transport.Address.t -> bool -> unit) ->
   Transport.Address.t list ->
   unit

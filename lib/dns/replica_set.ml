@@ -18,17 +18,17 @@ type t = {
   zone : Name.t;
   primary : Transport.Address.t;
   members : member list;  (* sorted by address *)
-  half_life_ms : float;
-  quarantine_ms : float;
-  probe_interval_ms : float;
   mutable last_probe_ms : float;
   mutable next_id : int;
   routed : Obs.Metrics.counter;
   primary_fallbacks : Obs.Metrics.counter;
 }
 
-let create stack ~zone ~primary ~replicas ?(half_life_ms = 2000.)
-    ?(quarantine_ms = 3000.) ?(probe_interval_ms = 250.) () =
+let half_life_ms = 2000.
+let quarantine_ms = 3000.
+let probe_interval_ms = 250.
+
+let create stack ~zone ~primary ~replicas =
   let members =
     replicas
     |> List.sort_uniq Transport.Address.compare
@@ -48,29 +48,24 @@ let create stack ~zone ~primary ~replicas ?(half_life_ms = 2000.)
     zone;
     primary;
     members;
-    half_life_ms;
-    quarantine_ms;
-    probe_interval_ms;
     last_probe_ms = Float.neg_infinity;
     next_id = 0x5e00;
     routed = Obs.Metrics.owned m_routed;
     primary_fallbacks = Obs.Metrics.owned m_fallbacks;
   }
 
-let zone t = t.zone
 let primary t = t.primary
-let size t = List.length t.members
 let metrics t = Obs.Metrics.scope [ t.routed; t.primary_fallbacks ]
 
-let mass_now t m ~now =
+let mass_now m ~now =
   if m.mass <= 0. then 0.
-  else m.mass *. Float.exp2 (-.(now -. m.mass_at) /. t.half_life_ms)
+  else m.mass *. Float.exp2 (-.(now -. m.mass_at) /. half_life_ms)
 
 (* Combined cost: decayed request mass scaled by observed proximity.
    A fresh member (no mass, no latency sample) costs 1.0 and therefore
    attracts traffic until its real latency is known. *)
-let cost t m ~now =
-  (1. +. mass_now t m ~now) *. (1. +. Float.max m.latency_ms 0.)
+let cost m ~now =
+  (1. +. mass_now m ~now) *. (1. +. Float.max m.latency_ms 0.)
 
 let find_member t addr =
   List.find_opt (fun m -> Transport.Address.equal m.addr addr) t.members
@@ -93,7 +88,7 @@ let note_result t addr ~ok ~latency_ms =
           (if m.latency_ms < 0. then latency_ms
            else (0.8 *. m.latency_ms) +. (0.2 *. latency_ms)))
       else (
-        m.quarantined_until <- Sim.Engine.time () +. t.quarantine_ms;
+        m.quarantined_until <- Sim.Engine.time () +. quarantine_ms;
         Obs.Metrics.incr m_quarantines)
 
 let probe_member t m =
@@ -142,7 +137,7 @@ let select ?min_serial t =
     | [] when min_serial <> None && t.members <> [] ->
         (* Pinned read with no known-fresh replica: probe serials (rate
            limited) and look again before conceding to the primary. *)
-        if now -. t.last_probe_ms >= t.probe_interval_ms then
+        if now -. t.last_probe_ms >= probe_interval_ms then
           refresh_serials t;
         candidates ?min_serial t ~now
     | cands -> cands
@@ -155,14 +150,14 @@ let select ?min_serial t =
       let best =
         List.fold_left
           (fun best m ->
-            let c = compare (cost t m ~now) (cost t best ~now) in
+            let c = compare (cost m ~now) (cost best ~now) in
             if c < 0 then m
             else if c = 0 && Transport.Address.compare m.addr best.addr < 0
             then m
             else best)
           first rest
       in
-      best.mass <- mass_now t best ~now +. 1.;
+      best.mass <- mass_now best ~now +. 1.;
       best.mass_at <- now;
       best.selected <- best.selected + 1;
       Obs.Metrics.incr t.routed;
@@ -183,7 +178,7 @@ let stats t =
     (fun (m : member) ->
       {
         addr = m.addr;
-        load = mass_now t m ~now;
+        load = mass_now m ~now;
         latency_ms = m.latency_ms;
         serial = m.serial;
         selected = m.selected;

@@ -9,7 +9,7 @@
 
     Selection balances {e recency-decayed request mass} (the
     {!Hotrank} decay discipline: a member's mass halves every
-    [half_life_ms] and gains 1 per selection) against an EWMA of
+    2000 ms and gains 1 per selection) against an EWMA of
     observed latency, so a client both spreads load and gravitates to
     near replicas. Ties break on {!Transport.Address.compare} so runs
     are deterministic.
@@ -17,31 +17,26 @@
     Read-your-writes: a reader that just wrote at serial [s] passes
     [~min_serial:s]; only members whose last-seen SOA serial has
     caught up qualify. When none qualifies the set probes member SOA
-    serials (rate-limited to one sweep per [probe_interval_ms]) and,
+    serials (rate-limited to one sweep per 250 ms) and,
     failing that, falls back to the primary — counted in
     [dns.replica.primary_fallbacks] — so the client never observes a
     version older than its own write.
 
-    Members that time out are quarantined for [quarantine_ms] and the
+    Members that time out are quarantined for 3000 ms and the
     set routes around them, which is what keeps resolves flowing while
     a replica crashes and re-bootstraps from its durable image. *)
 
 type t
 
-(** [create stack ~zone ~primary ~replicas ()] — [stack] is the
-    calling client's endpoint, used only for SOA serial probes.
-    Defaults: [half_life_ms] 2000, [quarantine_ms] 3000,
-    [probe_interval_ms] 250. An empty [replicas] list is legal; every
-    {!select} then returns the primary. *)
+(** [create stack ~zone ~primary ~replicas] — [stack] is the calling
+    client's endpoint, used only for SOA serial probes. An empty
+    [replicas] list is legal; every {!select} then returns the
+    primary. *)
 val create :
   Transport.Netstack.stack ->
   zone:Name.t ->
   primary:Transport.Address.t ->
   replicas:Transport.Address.t list ->
-  ?half_life_ms:float ->
-  ?quarantine_ms:float ->
-  ?probe_interval_ms:float ->
-  unit ->
   t
 
 (** Pick the read target: the non-quarantined qualifying member with
@@ -56,17 +51,10 @@ val select : ?min_serial:int32 -> t -> Transport.Address.t
 val note_result :
   t -> Transport.Address.t -> ok:bool -> latency_ms:float -> unit
 
-(** Record a serial observed out-of-band (e.g. from a NOTIFY). *)
-val note_serial : t -> Transport.Address.t -> int32 -> unit
-
 (** SOA-probe every member now, ignoring the rate limit. *)
 val refresh_serials : t -> unit
 
-val zone : t -> Name.t
 val primary : t -> Transport.Address.t
-
-(** Replicas in the set (the primary is not a member). *)
-val size : t -> int
 
 (** This set's own counts: [dns.replica.routed] (reads routed to
     replicas) and [dns.replica.primary_fallbacks] (reads that fell back

@@ -37,33 +37,30 @@ type t = {
   stack : Transport.Netstack.stack;
   servers : Transport.Address.t list;
   enable_cache : bool;
-  max_ttl_ms : float;
   negative_ttl_ms : float;
   cache : entry Cache_tbl.t;
   referrals : referral Name_tbl.t;
   mutable next_id : int;
   mutable hits : int;
-  mutable misses : int;
   mutable neg_hits : int;
-  ref_hits : Obs.Metrics.counter;
 }
 
-let create stack ~servers ?(enable_cache = true) ?(max_ttl_ms = 3_600_000.0)
-    ?(negative_ttl_ms = 0.0) () =
+(* Cached answers and referrals live at most an hour, whatever their
+   TTL. *)
+let max_ttl_ms = 3_600_000.0
+
+let create stack ~servers ?(enable_cache = true) ?(negative_ttl_ms = 0.0) () =
   if servers = [] then invalid_arg "Resolver.create: no servers";
   {
     stack;
     servers;
     enable_cache;
-    max_ttl_ms;
     negative_ttl_ms;
     cache = Cache_tbl.create 64;
     referrals = Name_tbl.create 16;
     next_id = 1;
     hits = 0;
-    misses = 0;
     neg_hits = 0;
-    ref_hits = Obs.Metrics.owned m_referral_hits;
   }
 
 let min_ttl_ms records =
@@ -73,7 +70,7 @@ let min_ttl_ms records =
 
 let store t name rtype records =
   if t.enable_cache && records <> [] then begin
-    let ttl = Float.min (min_ttl_ms records) t.max_ttl_ms in
+    let ttl = Float.min (min_ttl_ms records) max_ttl_ms in
     let expires_at = Sim.Engine.time () +. ttl in
     Cache_tbl.replace t.cache (name, rtype) { outcome = Ok records; expires_at }
   end
@@ -95,7 +92,7 @@ let cache_lookup t name rtype =
 
 let store_referral t cut addrs ttl_ms =
   if t.enable_cache && addrs <> [] then begin
-    let ttl = Float.min ttl_ms t.max_ttl_ms in
+    let ttl = Float.min ttl_ms max_ttl_ms in
     Name_tbl.replace t.referrals cut
       { addrs; ref_expires_at = Sim.Engine.time () +. ttl }
   end
@@ -194,7 +191,6 @@ let ask_servers t name rtype =
   try_servers (Rpc_error (Rpc.Control.Timeout { elapsed_ms = 0.0 })) t.servers
 
 let query_uncached t name rtype =
-  t.misses <- t.misses + 1;
   match ask_servers t name rtype with
   | Ok records ->
       store t name rtype records;
@@ -294,11 +290,10 @@ let query_iterative t name rtype =
       t.neg_hits <- t.neg_hits + 1;
       Error err
   | None -> (
-      t.misses <- t.misses + 1;
       let result =
         match referral_lookup t name with
         | Some (cut, addrs) -> (
-            Obs.Metrics.incr t.ref_hits;
+            Obs.Metrics.incr m_referral_hits;
             (* Start at the cached cut; if its servers have gone bad,
                forget the entry and re-walk from the roots. *)
             match iterate t ~depth:1 addrs name rtype with
@@ -341,15 +336,5 @@ let lookup_a t name =
 
 let seed t name rtype records = store t name rtype records
 
-let flush t =
-  Cache_tbl.reset t.cache;
-  Name_tbl.reset t.referrals;
-  t.hits <- 0;
-  t.misses <- 0;
-  t.neg_hits <- 0;
-  Obs.Metrics.zero t.ref_hits
-
 let cache_hits t = t.hits
-let cache_misses t = t.misses
 let negative_hits t = t.neg_hits
-let metrics t = Obs.Metrics.scope [ t.ref_hits ]

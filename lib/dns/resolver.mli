@@ -17,11 +17,12 @@ val pp_error : Format.formatter -> error -> unit
 
 type t
 
+(** Cached answers and referrals expire after their TTL, capped at one
+    hour (3,600,000 ms). *)
 val create :
   Transport.Netstack.stack ->
   servers:Transport.Address.t list ->
   ?enable_cache:bool ->
-  ?max_ttl_ms:float ->
   ?negative_ttl_ms:float ->
   unit ->
   t
@@ -33,11 +34,12 @@ val query : t -> Name.t -> Rr.rtype -> (Rr.t list, error) result
     and follow zone-cut referrals (using glue addresses when present,
     resolving nameserver names from the roots otherwise) until an
     authoritative answer arrives. Results are cached like any other.
-    Fails with [Server_error Refused] on referral loops. *)
+    Each referral followed is remembered for its NS records' TTL, so a
+    later resolve below a cached cut skips the root walk (counted in
+    [dns.resolver.referral_hits]); a cut whose servers stop answering
+    is dropped and the walk restarts from the roots. Fails with
+    [Server_error Refused] on referral loops. *)
 val query_iterative : t -> Name.t -> Rr.rtype -> (Rr.t list, error) result
-
-(** Bypass the cache (still stores the fresh result). *)
-val query_uncached : t -> Name.t -> Rr.rtype -> (Rr.t list, error) result
 
 (** Convenience: first A record. *)
 val lookup_a : t -> Name.t -> (Transport.Address.ip, error) result
@@ -46,18 +48,9 @@ val lookup_a : t -> Name.t -> (Transport.Address.ip, error) result
     TTL semantics match a normal answer. *)
 val seed : t -> Name.t -> Rr.rtype -> Rr.t list -> unit
 
-val flush : t -> unit
 val cache_hits : t -> int
-val cache_misses : t -> int
 
 (** Hits answered from the negative cache (name known absent). When
     [negative_ttl_ms] is 0 (the default, as in 1987 BIND) there are
     none; set it to enable RFC 2308-style negative caching. *)
 val negative_hits : t -> int
-
-(** This resolver's own [dns.resolver.referral_hits]: iterative
-    resolves that skipped the root walk because the zone cut was
-    already cached (each referral followed is remembered for the NS
-    records' TTL). Stale cut entries whose servers stop answering are
-    dropped and the walk restarts from the roots. {!flush} zeroes it. *)
-val metrics : t -> Obs.Metrics.scope

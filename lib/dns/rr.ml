@@ -105,7 +105,7 @@ let matches ~qtype rtype =
   | T_axfr | T_ixfr -> false
   | q -> q = rtype
 
-let make ?(ttl = 3600l) ?(rclass = C_in) name rdata = { name; ttl; rclass; rdata }
+let make ?(ttl = 3600l) name rdata = { name; ttl; rclass = C_in; rdata }
 
 let equal_soa a b =
   Name.equal a.mname b.mname && Name.equal a.rname b.rname
@@ -124,10 +124,6 @@ let equal_rdata a b =
   | Unspec x, Unspec y -> String.equal x y
   | (A _ | Ns _ | Cname _ | Soa _ | Ptr _ | Hinfo _ | Mx _ | Txt _ | Unspec _), _ ->
       false
-
-let equal a b =
-  Name.equal a.name b.name && Int32.equal a.ttl b.ttl && a.rclass = b.rclass
-  && equal_rdata a.rdata b.rdata
 
 let pp_rdata ppf = function
   | A ip -> Format.fprintf ppf "A %s" (Transport.Address.ip_to_string ip)

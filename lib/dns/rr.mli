@@ -61,8 +61,8 @@ val rdata_type : rdata -> rtype
     transfers are handled separately.) *)
 val matches : qtype:rtype -> rtype -> bool
 
-val make : ?ttl:int32 -> ?rclass:rclass -> Name.t -> rdata -> t
+(** A record of class [C_in]; [ttl] defaults to 3600 s. *)
+val make : ?ttl:int32 -> Name.t -> rdata -> t
 val equal_rdata : rdata -> rdata -> bool
-val equal : t -> t -> bool
 val pp_rdata : Format.formatter -> rdata -> unit
 val pp : Format.formatter -> t -> unit

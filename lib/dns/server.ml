@@ -9,14 +9,11 @@ type t = {
   per_answer_ms : float;
   allow_update : bool;
   update_acl : Address.ip list option;
-  notify_strike_limit : int;
-  notify_fanout : int;
   mutable zone_list : Zone.t list;
   mutable stop_udp : (unit -> unit) option;
   mutable tcp_listener : Tcp.listener option;
   mutable running : bool;
   mutable queries : int;
-  mutable updates : int;
   mutable synthesizer : (Msg.question -> Rr.t list option) option;
   mutable notify_targets : Address.t list;
   mutable on_notify : (zone:Name.t -> serial:int32 option -> unit) list;
@@ -26,13 +23,7 @@ type t = {
 
 let create stack ?(port = Address.Well_known.dns) ?(service_overhead_ms = 0.0)
     ?(per_answer_ms = 0.0) ?(allow_update = false) ?update_acl
-    ?(notify_strike_limit = 3) ?(notify_fanout = 8) ?(hot_window_ms = 600_000.0)
-    ?hot_ranking () =
-  let hot_strategy =
-    match hot_ranking with
-    | Some s -> s
-    | None -> Hotrank.Decayed { half_life_ms = hot_window_ms /. 2.0 }
-  in
+    ?(hot_ranking = Hotrank.Decayed { half_life_ms = 300_000.0 }) () =
   {
     stack;
     port;
@@ -40,19 +31,16 @@ let create stack ?(port = Address.Well_known.dns) ?(service_overhead_ms = 0.0)
     per_answer_ms;
     allow_update;
     update_acl;
-    notify_strike_limit;
-    notify_fanout;
     zone_list = [];
     stop_udp = None;
     tcp_listener = None;
     running = false;
     queries = 0;
-    updates = 0;
     synthesizer = None;
     notify_targets = [];
     on_notify = [];
     notify_strikes = Hashtbl.create 8;
-    hot = Hotrank.create ~strategy:hot_strategy ();
+    hot = Hotrank.create ~strategy:hot_ranking ();
   }
 
 let addr t = Address.make (Netstack.ip t.stack) t.port
@@ -109,7 +97,6 @@ let find_delegation zone db qname =
   walk qname
 
 let set_synthesizer t f = t.synthesizer <- Some f
-let clear_synthesizer t = t.synthesizer <- None
 
 (* NOTIFY subscriptions: the primary is configured with its
    secondaries / subscribers (BIND's also-notify), and pushes the new
@@ -130,28 +117,28 @@ let add_notify_handler t f = t.on_notify <- t.on_notify @ [ f ]
    [notify_strike_limit] consecutive pushes is presumed gone and
    deregistered (it can re-register any time). Any successful ack
    clears the slate. *)
+let notify_strike_limit = 3
+
 let note_notify_result t target ok =
   if ok then Hashtbl.remove t.notify_strikes target
   else begin
     let strikes =
       1 + Option.value ~default:0 (Hashtbl.find_opt t.notify_strikes target)
     in
-    if strikes >= t.notify_strike_limit then begin
+    if strikes >= notify_strike_limit then begin
       unregister_notify t target;
       Obs.Metrics.incr m_notify_deregistered
     end
     else Hashtbl.replace t.notify_strikes target strikes
   end
 
-(* Fan-out to this server's subscribers, bounded by [notify_fanout] so
-   a serial advance wakes at most that many simultaneous IXFR pulls at
-   this tree level; ack outcomes feed the subscriber liveness GC. Used
-   by the dynamic-update path and by chained secondaries forwarding a
-   pull downstream. *)
+(* Fan-out to this server's subscribers, bounded by {!Notify.push}'s
+   worker pool so a serial advance wakes a bounded number of
+   simultaneous IXFR pulls at this tree level; ack outcomes feed the
+   subscriber liveness GC. Used by the dynamic-update path and by
+   chained secondaries forwarding a pull downstream. *)
 let notify_downstream t ~zone =
-  Notify.push t.stack ~zone ~max_inflight:t.notify_fanout
-    ~on_result:(note_notify_result t)
-    t.notify_targets
+  Notify.push t.stack ~zone ~on_result:(note_notify_result t) t.notify_targets
 
 (* {2 Hot-name tracking}
 
@@ -197,13 +184,6 @@ let hot_ranked t ?group ~k () =
   match group with
   | Some group -> Hotrank.top t.hot ~group ~now_ms ~k
   | None -> Hotrank.top_merged t.hot ~now_ms ~k
-
-let hot_names t ~k =
-  List.map
-    (fun (name, score) -> (name, max 1 (int_of_float (Float.round score))))
-    (hot_ranked t ~k ())
-
-let hot_ranking t = Hotrank.strategy t.hot
 
 (* Answer one question, following CNAME chains inside our own data and
    emitting referrals at zone cuts. *)
@@ -320,7 +300,6 @@ let apply_update t (request : Msg.t) =
               Zone.record_delta zone ~from_serial
                 ~to_serial:(Zone.serial zone)
                 (List.rev !rev_changes);
-              t.updates <- t.updates + 1;
               (* Push-triggered propagation: tell every registered
                  secondary / subscriber the serial moved; ack outcomes
                  feed the liveness GC. *)
@@ -479,7 +458,6 @@ let stop t =
   t.tcp_listener <- None
 
 let queries_served t = t.queries
-let updates_applied t = t.updates
 
 let delegation_for t qname =
   match find_zone t qname with

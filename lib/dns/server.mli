@@ -18,20 +18,16 @@
 
 type t
 
-(** [notify_strike_limit] (default 3) is the number of {e consecutive}
-    unacknowledged NOTIFY pushes after which a subscriber is presumed
-    dead and deregistered (counted in [dns.notify.deregistered]); any
-    ack clears the count, and re-registering reinstates the target.
-    [hot_ranking] selects the hot-name scoring behind {!hot_names} /
-    {!hot_ranked}; the default is [Hotrank.Decayed] with a half-life
-    of [hot_window_ms /. 2] (300 s with the default window), so a
-    flash crowd cannot flush the steady working set out of the
-    prefetch hints. Pass [Hotrank.Sliding_count] explicitly to get the
-    naive windowed counter back (the A/B baseline the load harness
-    measures against). [notify_fanout] (default 8) bounds how many
-    NOTIFY pushes are in flight at once when a serial advance fans out
-    to this server's subscribers, so one update cannot wake an
-    unbounded number of simultaneous IXFR pulls at this tree level. *)
+(** A subscriber that leaves 3 {e consecutive} NOTIFY pushes
+    unacknowledged is presumed dead and deregistered (counted in
+    [dns.notify.deregistered]); any ack clears the count, and
+    re-registering reinstates the target. [hot_ranking] selects the
+    hot-name scoring behind {!hot_ranked}; the default is
+    [Hotrank.Decayed] with a 300 s half-life, so a flash crowd cannot
+    flush the steady working set out of the prefetch hints. Pass
+    [Hotrank.Sliding_count] explicitly to get the naive windowed
+    counter back (the A/B baseline the load harness measures
+    against). *)
 val create :
   Transport.Netstack.stack ->
   ?port:int ->
@@ -39,9 +35,6 @@ val create :
   ?per_answer_ms:float ->
   ?allow_update:bool ->
   ?update_acl:Transport.Address.ip list ->
-  ?notify_strike_limit:int ->
-  ?notify_fanout:int ->
-  ?hot_window_ms:float ->
   ?hot_ranking:Hotrank.strategy ->
   unit ->
   t
@@ -63,8 +56,6 @@ val zones : t -> Zone.t list
     server; installing replaces the previous hook. *)
 val set_synthesizer : t -> (Msg.question -> Rr.t list option) -> unit
 
-val clear_synthesizer : t -> unit
-
 (** {1 NOTIFY push}
 
     The modified BIND pushes an RFC 1996-style NOTIFY to each
@@ -78,12 +69,13 @@ val register_notify : t -> Transport.Address.t -> unit
 val unregister_notify : t -> Transport.Address.t -> unit
 val notify_targets : t -> Transport.Address.t list
 
-(** Push [zone]'s current SOA to every registered target, at most
-    [notify_fanout] in flight at a time, feeding ack outcomes to the
-    subscriber liveness GC. The dynamic-update path calls this on
-    every serial advance; a chained secondary calls it after an
-    IXFR/AXFR pull moves its replica, cascading the wake-up one tree
-    level at a time. *)
+(** Push [zone]'s current SOA to every registered target through
+    {!Notify.push}, at most 8 in flight at a time, so one update
+    cannot wake an unbounded number of simultaneous IXFR pulls at
+    this tree level. Ack outcomes feed the subscriber liveness GC.
+    The dynamic-update path calls this on every serial advance; a
+    chained secondary calls it after an IXFR/AXFR pull moves its
+    replica, cascading the wake-up one tree level at a time. *)
 val notify_downstream : t -> zone:Zone.t -> unit
 
 (** Called when {e this} server receives a NOTIFY (it is a secondary
@@ -99,7 +91,6 @@ val start : t -> unit
 
 val stop : t -> unit
 val queries_served : t -> int
-val updates_applied : t -> int
 
 (** The [k] hottest names this server has answered A-record queries
     for, hottest first, with TTL-expired entries dropped and ties
@@ -112,13 +103,6 @@ val updates_applied : t -> int
 val hot_ranked :
   t -> ?group:string -> k:int -> unit -> (Name.t * float) list
 
-(** {!hot_ranked} over all groups with scores rounded to counts —
-    the backward-compatible candidate set for the bundle
-    synthesizer's resolve-tail prefetch ({!Hns.Meta_bundle}). *)
-val hot_names : t -> k:int -> (Name.t * int) list
-
-(** The scoring strategy this server was created with. *)
-val hot_ranking : t -> Hotrank.strategy
 
 (** Record a sighting for [name] in the hot ranking as if the server
     had just answered an A query for it, grouped under the zone that

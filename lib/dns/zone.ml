@@ -11,7 +11,7 @@ type t = {
 
 let in_zone_name origin name = Name.is_subdomain ~of_:origin name
 
-let create ?journal_deltas ?journal_bytes ~origin ~soa records =
+let create ?journal_deltas ~origin ~soa records =
   let db = Db.create () in
   List.iter
     (fun (rr : Rr.t) ->
@@ -25,13 +25,12 @@ let create ?journal_deltas ?journal_bytes ~origin ~soa records =
     origin;
     soa;
     db;
-    journal =
-      Journal.create ?max_deltas:journal_deltas ?max_bytes:journal_bytes ();
+    journal = Journal.create ?max_deltas:journal_deltas ();
     on_delta = [];
     next_hook = 0;
   }
 
-let simple ?journal_deltas ?journal_bytes ~origin records =
+let simple ?journal_deltas ~origin records =
   let soa =
     {
       Rr.mname = Name.prepend "ns" origin;
@@ -43,7 +42,7 @@ let simple ?journal_deltas ?journal_bytes ~origin records =
       minimum = 3600l;
     }
   in
-  create ?journal_deltas ?journal_bytes ~origin ~soa records
+  create ?journal_deltas ~origin ~soa records
 
 let origin t = t.origin
 let soa t = t.soa

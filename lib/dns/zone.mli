@@ -7,19 +7,14 @@ type t
 
 (** [create ~origin ~soa records]. Every record must lie within the
     zone (raises [Invalid_argument] otherwise). An SOA record at the
-    origin is synthesized from [soa]. [journal_deltas] /
-    [journal_bytes] bound the zone's change journal (see
+    origin is synthesized from [soa]. [journal_deltas] bounds the
+    zone's change journal; its byte bound is left unbounded (see
     {!Journal.create}). *)
 val create :
-  ?journal_deltas:int ->
-  ?journal_bytes:int ->
-  origin:Name.t ->
-  soa:Rr.soa ->
-  Rr.t list ->
-  t
+  ?journal_deltas:int -> origin:Name.t -> soa:Rr.soa -> Rr.t list -> t
 
 (** A zone with a boilerplate SOA, for tests and simple setups. *)
-val simple : ?journal_deltas:int -> ?journal_bytes:int -> origin:Name.t -> Rr.t list -> t
+val simple : ?journal_deltas:int -> origin:Name.t -> Rr.t list -> t
 
 val origin : t -> Name.t
 val soa : t -> Rr.soa

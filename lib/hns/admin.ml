@@ -51,8 +51,11 @@ let register_alternate_nsm meta ~name ~ns ~query_class info =
    transaction replaces the NS rrset at the cut and the glue A records
    under nsglue: the primary's NS record goes FIRST, because rrset
    order is insertion order and clients take the first glue address in
-   a referral as the partition primary (the write target). *)
-let register_partition meta ~label ~primary ~replicas ?(ttl_s = 300l) () =
+   a referral as the partition primary (the write target). Clients
+   cache the cut for [partition_ttl_s]. *)
+let partition_ttl_s = 300l
+
+let register_partition meta ~label ~primary ~replicas () =
   Meta_schema.validate_simple_name ~what:"Admin.register_partition" label;
   let cut = Meta_schema.partition_cut label in
   let servers = primary :: replicas in
@@ -63,10 +66,10 @@ let register_partition meta ~label ~primary ~replicas ?(ttl_s = 300l) () =
             (fun j (addr : Transport.Address.t) ->
               let g = Meta_schema.partition_glue_key ~label j in
               [
-                Dns.Msg.Add (Dns.Rr.make ~ttl:ttl_s cut (Dns.Rr.Ns g));
+                Dns.Msg.Add (Dns.Rr.make ~ttl:partition_ttl_s cut (Dns.Rr.Ns g));
                 Dns.Msg.Delete_rrset (g, Dns.Rr.T_a);
                 Dns.Msg.Add
-                  (Dns.Rr.make ~ttl:ttl_s g
+                  (Dns.Rr.make ~ttl:partition_ttl_s g
                      (Dns.Rr.A addr.Transport.Address.ip));
               ])
             servers)
@@ -75,15 +78,6 @@ let register_partition meta ~label ~primary ~replicas ?(ttl_s = 300l) () =
 
 let remove_context meta ~context =
   Meta_client.remove meta ~key:(Meta_schema.context_key context)
-
-(* Administrative cache warming: pull the whole meta zone into this
-   instance's cache via a BIND zone transfer. *)
-let preload meta = Meta_client.preload meta
-
-let remove_nsm meta ~name ~ns ~query_class =
-  match Meta_client.remove meta ~key:(Meta_schema.nsm_name_key ~ns ~query_class) with
-  | Error _ as e -> e
-  | Ok () -> Meta_client.remove meta ~key:(Meta_schema.nsm_binding_key name)
 
 let nsm_info_of_binding ~host ~host_context (binding : Hrpc.Binding.t) =
   {

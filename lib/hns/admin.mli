@@ -15,33 +15,12 @@ val register_name_service :
 val register_context :
   Meta_client.t -> context:string -> ns:string -> (unit, Errors.t) result
 
-(** Register an NSM for (name service, query class), recording both
-    the designation mapping and the NSM's location. *)
-val register_nsm :
-  Meta_client.t ->
-  name:string ->
-  ns:string ->
-  query_class:Query_class.t ->
-  Meta_schema.nsm_info ->
-  (unit, Errors.t) result
-
-(** Register an {e alternate} NSM for (name service, query class):
-    appended to the failover set consulted when the designated NSM is
-    unreachable, and its location recorded. Idempotent per name. *)
-val register_alternate_nsm :
-  Meta_client.t ->
-  name:string ->
-  ns:string ->
-  query_class:Query_class.t ->
-  Meta_schema.nsm_info ->
-  (unit, Errors.t) result
-
 (** Delegate the ["<x>.<label>"] context subtree to a partition:
     writes NS records at {!Meta_schema.partition_cut}[ label] naming
     [primary :: replicas] ({e primary first} — the first glue address
     in a referral is the partition's write target) plus their glue A
-    records, in one transaction against the root zone. [ttl_s]
-    (default 300) bounds how long clients cache the cut. All servers
+    records, in one transaction against the root zone. The records'
+    TTL, 300 s, bounds how long clients cache the cut. All servers
     must share the meta deployment's port: referral glue carries only
     IPs. *)
 val register_partition :
@@ -49,23 +28,10 @@ val register_partition :
   label:string ->
   primary:Transport.Address.t ->
   replicas:Transport.Address.t list ->
-  ?ttl_s:int32 ->
   unit ->
   (unit, Errors.t) result
 
 val remove_context : Meta_client.t -> context:string -> (unit, Errors.t) result
-
-(** Administrative cache warming: transfer the whole meta zone (AXFR)
-    into this instance's cache; returns the number of mappings seeded.
-    Alias for {!Meta_client.preload}. *)
-val preload : Meta_client.t -> (int, Errors.t) result
-
-val remove_nsm :
-  Meta_client.t ->
-  name:string ->
-  ns:string ->
-  query_class:Query_class.t ->
-  (unit, Errors.t) result
 
 (** Convenience: register an HRPC server as the NSM for
     (ns, query class) under [name], deriving the location record from
@@ -80,8 +46,9 @@ val register_nsm_server :
   Hrpc.Binding.t ->
   (unit, Errors.t) result
 
-(** As {!register_nsm_server}, but into the failover set
-    ({!register_alternate_nsm}) instead of the designation mapping. *)
+(** As {!register_nsm_server}, but appended to the failover set
+    consulted when the designated NSM is unreachable (idempotent per
+    name) instead of the designation mapping. *)
 val register_alternate_nsm_server :
   Meta_client.t ->
   name:string ->

@@ -93,14 +93,13 @@ let singleflight t ~qname ~query_class key compute =
               Sim.Engine.Ivar.fill iv r;
               r))
 
-let create hns ?(linked_nsms = []) ?port ?(suite = Hrpc.Component.sunrpc_suite)
-    ?service_overhead_ms () =
+let create hns ?(linked_nsms = []) ?service_overhead_ms () =
   let server =
     (* Concurrent dispatch is what makes the agent an agent: requests
        from different client processes must overlap to share the
        in-flight table instead of queueing behind one another. *)
-    Hrpc.Server.create (Client.stack hns) ~suite ?port ?service_overhead_ms
-      ~concurrent:true ~prog:agent_prog ~vers:agent_vers ()
+    Hrpc.Server.create (Client.stack hns) ~suite:Hrpc.Component.sunrpc_suite
+      ?service_overhead_ms ~concurrent:true ~prog:agent_prog ~vers:agent_vers ()
   in
   let t =
     {

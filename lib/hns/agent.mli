@@ -16,43 +16,25 @@
       concurrent identical requests from {e different processes}
       collapse into one upstream meta query (its HRPC server
       dispatches concurrently to let them meet);
-    - {!proc_resolve_addr} serves complete host-address resolutions,
-      letting clients ride the agent's resolve-tail prefetch
-      ({!Meta_bundle}) and skip the trailing remote NSM round trip. *)
+    - its ResolveAddr procedure ({!remote_resolve_addr}) serves
+      complete host-address resolutions, letting clients ride the
+      agent's resolve-tail prefetch ({!Meta_bundle}) and skip the
+      trailing remote NSM round trip.
 
-val agent_prog : int
-val agent_vers : int
-
-(** proc 1: FindNSM(context, query class) → (nsm name, binding). *)
-val proc_find_nsm : int
-
-val find_nsm_sign : Wire.Idl.signature
-
-(** proc 2: Import(service, hns name) → service binding
-    (the agent calls the NSM itself, locally when linked). *)
-val proc_import : int
-
-val import_sign : Wire.Idl.signature
-
-(** proc 3: ResolveAddr(hns name) → host address. A full
-    FindNSM-plus-data resolution run inside the agent, where the
-    shared cache (including prefetched rows) can answer the data step
-    without the remote NSM. *)
-val proc_resolve_addr : int
-
-val resolve_addr_sign : Wire.Idl.signature
+    Clients reach the agent's three procedures through the wrappers at
+    the end of this interface; its program number and signatures stay
+    inside this module. *)
 
 type t
 
-(** [create hns ?linked_nsms ?port ~suite ()] — [linked_nsms] maps NSM
-    names to instances the agent holds locally; unlisted NSMs are
-    called remotely through their bindings. The agent's HRPC server is
-    created concurrent so duplicate in-flight requests coalesce. *)
+(** [create hns ?linked_nsms ()] — [linked_nsms] maps NSM names to
+    instances the agent holds locally; unlisted NSMs are called
+    remotely through their bindings. The agent serves HRPC over the
+    Sun RPC suite on a port allocated on its host's stack. Its server
+    is created concurrent so duplicate in-flight requests coalesce. *)
 val create :
   Client.t ->
   ?linked_nsms:(string * Nsm_intf.impl) list ->
-  ?port:int ->
-  ?suite:Hrpc.Component.protocol_suite ->
   ?service_overhead_ms:float ->
   unit ->
   t
@@ -82,6 +64,7 @@ val cache_hit_ratio : t -> float
 
 (** {1 Client-side wrappers} *)
 
+(** FindNSM(context, query class) → (NSM name, binding). *)
 val remote_find_nsm :
   Transport.Netstack.stack ->
   agent:Hrpc.Binding.t ->
@@ -89,6 +72,8 @@ val remote_find_nsm :
   query_class:Query_class.t ->
   (string * Hrpc.Binding.t, Errors.t) result
 
+(** Import(service, HNS name) → service binding; the agent calls the
+    NSM itself, locally when linked. *)
 val remote_import :
   Transport.Netstack.stack ->
   agent:Hrpc.Binding.t ->
@@ -96,6 +81,10 @@ val remote_import :
   Hns_name.t ->
   (Hrpc.Binding.t, Errors.t) result
 
+(** ResolveAddr(HNS name) → host address: a full FindNSM-plus-data
+    resolution run inside the agent, where the shared cache (including
+    prefetched rows) can answer the data step without the remote
+    NSM. *)
 val remote_resolve_addr :
   Transport.Netstack.stack ->
   agent:Hrpc.Binding.t ->

@@ -106,8 +106,6 @@ let create ~mode
     invalidations = Obs.Metrics.owned m_invalidations;
   }
 
-let mode t = t.mode
-let staleness_budget_ms t = t.staleness_budget_ms
 let max_entries t = t.max_entries
 
 let touch t entry =
@@ -310,9 +308,9 @@ let insert t ~key ~ty ?ttl_ms v =
    materialises the Uint, counted), so legacy readers see no
    difference. *)
 
-let insert_addr t ~key ?ttl_ms ip =
+let insert_addr t ~key ip =
   Sim.Engine.charge t.insert_overhead_ms;
-  insert_stored t ~key ~ttl_ms (Addr_form ip)
+  insert_stored t ~key ~ttl_ms:None (Addr_form ip)
 
 let find_addr t ~key =
   let serve entry ip =

@@ -79,14 +79,8 @@ val create :
   unit ->
   t
 
-val mode : t -> mode
-
 (** The LRU capacity bound, if any. *)
 val max_entries : t -> int option
-
-(** How long past expiry an entry remains servable by {!find_stale};
-    0 (the default) disables serve-stale entirely. *)
-val staleness_budget_ms : t -> float
 
 (** [find t ~key ~ty] returns the cached value, charging the
     mode-dependent hit cost, or [None] (charging nothing — miss costs
@@ -135,8 +129,9 @@ val insert_negative : t -> key:string -> ttl_ms:float -> unit
     materialising the [Uint] on access (counted in
     [wire.codec.value_materializations]). *)
 
-(** [insert_addr t ~key ?ttl_ms ip] stores a native address entry. *)
-val insert_addr : t -> key:string -> ?ttl_ms:float -> int32 -> unit
+(** [insert_addr t ~key ip] stores a native address entry for the
+    cache's default TTL. *)
+val insert_addr : t -> key:string -> int32 -> unit
 
 (** [find_addr t ~key] serves a fresh address entry natively, charging
     the demarshalled hit cost. Also reads demand-filled

@@ -5,20 +5,18 @@ type t = {
   rpc_policy : Rpc.Control.retry_policy option;
 }
 
-let create stack ~meta_server ?fallback_servers ?replica_set ?read_your_writes
-    ?cache ?generated_cost ?hand_codec ?hand_preload_record_ms
-    ?preload_record_ms ?mapping_overhead_ms ?enable_bundle ?negative_ttl_ms
-    ?rpc_policy () =
+let create stack ~meta_server ?fallback_servers ?replica_set ?cache ?generated_cost
+    ?hand_codec ?hand_preload_record_ms ?preload_record_ms ?mapping_overhead_ms
+    ?enable_bundle ?negative_ttl_ms ?rpc_policy () =
   let cache =
     match cache with
     | Some c -> c
     | None -> Cache.create ~mode:Cache.Demarshalled ()
   in
   let meta =
-    Meta_client.create stack ~meta_server ?fallback_servers ?replica_set
-      ?read_your_writes ~cache ?generated_cost ?hand_codec
-      ?hand_preload_record_ms ?preload_record_ms ?mapping_overhead_ms
-      ?enable_bundle ?negative_ttl_ms ?policy:rpc_policy ()
+    Meta_client.create stack ~meta_server ?fallback_servers ?replica_set ~cache
+      ?generated_cost ?hand_codec ?hand_preload_record_ms ?preload_record_ms
+      ?mapping_overhead_ms ?enable_bundle ?negative_ttl_ms ?policy:rpc_policy ()
   in
   { stack_ = stack; meta_ = meta; finder_ = Find_nsm.create ~meta (); rpc_policy }
 

@@ -15,13 +15,14 @@ type t
     switches the hot record shapes (bundle markers, prefetch-tail
     addresses, journal deltas) onto the hand-marshalled codec at the
     given cost model, with [hand_preload_record_ms] as the matching
-    zone-transfer per-record cost; see {!Meta_client.create}. *)
+    zone-transfer per-record cost; see {!Meta_client.create}.
+    [replica_set] routes meta reads over replicas with
+    read-your-writes on. *)
 val create :
   Transport.Netstack.stack ->
   meta_server:Transport.Address.t ->
   ?fallback_servers:Transport.Address.t list ->
   ?replica_set:Dns.Replica_set.t ->
-  ?read_your_writes:bool ->
   ?cache:Cache.t ->
   ?generated_cost:Wire.Generic_marshal.cost_model ->
   ?hand_codec:Wire.Hotcodec.cost_model ->

@@ -17,10 +17,6 @@
       changing address) invalidates every copy — reintroducing exactly
       the reregistration/staleness problem direct access avoids. *)
 
-(** Key of the collapsed record:
-    [<qclass>.<context...>.fastbind.hns-meta]. *)
-val key : context:string -> query_class:Query_class.t -> Dns.Name.t
-
 (** Write the collapsed record (denormalizing [nsm_name] + binding). *)
 val register :
   Meta_client.t ->

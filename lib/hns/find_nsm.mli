@@ -51,12 +51,6 @@ val link_hostaddr_nsm : t -> name:string -> Nsm_intf.impl -> unit
 val find :
   t -> context:string -> query_class:Query_class.t -> (resolved, Errors.t) result
 
-(** Mappings 4–6 on their own (also used by FindNSM internally):
-    resolve a host name in a context to an address, through the
-    linked host-address NSMs, caching the result. *)
-val resolve_host :
-  t -> context:string -> host:string -> (Transport.Address.ip, Errors.t) result
-
 (** {1 Failover}
 
     The meta database may register alternate NSMs for a

@@ -199,5 +199,3 @@ let install ?prefetch server =
                         List.iter (fun (name, _) -> note ~context name) kept
                     | _ -> ());
                     Some (rrs @ List.map snd kept))))
-
-let uninstall server = Dns.Server.clear_synthesizer server

@@ -49,5 +49,3 @@ type prefetch = {
     zone. Replaces any previously-installed synthesizer. [prefetch]
     (default none) enables the resolve-tail prefetch above. *)
 val install : ?prefetch:prefetch -> Dns.Server.t -> unit
-
-val uninstall : Dns.Server.t -> unit

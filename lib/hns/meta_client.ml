@@ -262,7 +262,7 @@ let learn_referral t (reply : Dns.Msg.t) =
               rest
           in
           let rs =
-            Dns.Replica_set.create t.stack ~zone:cut ~primary ~replicas ()
+            Dns.Replica_set.create t.stack ~zone:cut ~primary ~replicas
           in
           let ttl_ms =
             List.fold_left
@@ -900,7 +900,11 @@ let preload t =
 
 (* {1 Delta-driven refresh} *)
 
-type refresh = Unchanged | Applied_deltas of int | Full_reload of int
+type refresh =
+  | Unchanged  (** our serial is current; nothing moved *)
+  | Applied_deltas of int  (** n journal changes replayed into the cache *)
+  | Full_reload of int
+      (** AXFR (re)seed — no snapshot yet, or journal truncated *)
 
 (* Replay one journal change into the cache: an added record is
    (re)inserted pinned, exactly as a preload row; a deleted record
@@ -1016,12 +1020,8 @@ let notify_serial (request : Dns.Msg.t) =
       | _ -> None)
     request.answers
 
-let start_notify_listener ?port t =
-  let port =
-    match port with
-    | Some p -> p
-    | None -> Transport.Netstack.alloc_udp_port t.stack
-  in
+let start_notify_listener t =
+  let port = Transport.Netstack.alloc_udp_port t.stack in
   let stop =
     Rpc.Rawrpc.serve t.stack ~port ~name:"hns-notify" (fun ~src:_ payload ->
         match Dns.Msg.decode payload with
@@ -1076,12 +1076,6 @@ let start_notify_listener ?port t =
   (Transport.Address.make (Transport.Netstack.ip t.stack) port, stop)
 
 let replica_set t = t.replica_set
-let read_your_writes t = t.read_your_writes
-
-let write_floor t zone =
-  List.find_map
-    (fun (z, s) -> if Dns.Name.equal z zone then Some s else None)
-    t.write_floors
 
 let partitions t =
   N_tbl.fold (fun cut part acc -> (cut, part.rs) :: acc) t.referrals []

@@ -15,8 +15,8 @@
 type t
 
 (** [mapping_overhead_ms] is HNS library bookkeeping charged once per
-    data mapping (both on {!lookup} and, via
-    {!charge_mapping_overhead}, on the host-address mapping).
+    data mapping (both on {!lookup} and on the host-address
+    mapping).
     [fallback_servers] are tried in order when the primary meta server
     does not answer — typically BIND secondaries of the meta zone
     ({!Dns.Secondary}); reads fail over, writes go to the primary
@@ -68,11 +68,6 @@ val create :
   ?policy:Rpc.Control.retry_policy ->
   unit ->
   t
-
-(** Charge one mapping's worth of HNS processing. {!lookup} and
-    {!cached_host_addr} do this themselves; exposed for extensions
-    implementing additional mapping kinds. *)
-val charge_mapping_overhead : t -> unit
 
 val cache : t -> Cache.t
 
@@ -161,8 +156,8 @@ val remove : t -> key:Dns.Name.t -> (unit, Errors.t) result
     {!start_preload_refresher}. *)
 val preload : t -> (int, Errors.t) result
 
-(** The meta zone's serial as of the last {!preload} or {!refresh},
-    if any. *)
+(** The meta zone's serial as of the last {!preload} or delta
+    refresh, if any. *)
 val zone_serial : t -> int32 option
 
 (** {1 Delta-driven refresh}
@@ -181,33 +176,20 @@ val zone_serial : t -> int32 option
     truncation fallbacks); [hns.meta.notify_kicks] the NOTIFY pushes
     that triggered a refresh. *)
 
-type refresh =
-  | Unchanged  (** our serial is current; nothing moved *)
-  | Applied_deltas of int  (** n journal changes replayed into the cache *)
-  | Full_reload of int
-      (** AXFR (re)seed — no snapshot yet, or journal truncated *)
-
-val refresh : t -> (refresh, Errors.t) result
-
-(** [start_notify_listener ?port t] registers a NOTIFY endpoint on the
-    client's stack (an allocated UDP port by default) and returns its
+(** [start_notify_listener t] registers a NOTIFY endpoint on an
+    allocated UDP port of the client's stack and returns its
     address plus a stop closure. Register the address with the
     primary ({!Dns.Server.register_notify}) and the client refreshes
     the moment the meta zone's serial advances — the
     {!start_preload_refresher} poll loop remains the backstop for
     lost pushes. Stale or duplicate NOTIFYs are acknowledged without
     refreshing. Must be called inside the simulation. *)
-val start_notify_listener :
-  ?port:int -> t -> Transport.Address.t * (unit -> unit)
-
-(** Probe the primary's current SOA serial (control-plane traffic,
-    not counted in [hns.meta.remote_lookups]); [None] if unreachable. *)
-val primary_serial : t -> int32 option
+val start_notify_listener : t -> Transport.Address.t * (unit -> unit)
 
 (** [start_preload_refresher ?interval_ms t] spawns a background
     process (must be called inside the simulation) that periodically
-    probes the primary's SOA serial and {!refresh}es (delta-driven,
-    with AXFR fallback) when it has advanced — counted in
+    probes the primary's SOA serial and refreshes the cache
+    (delta-driven, with AXFR fallback) when it has advanced — counted in
     [hns.meta.preload_refreshes]. The interval
     defaults to the zone's SOA refresh value captured by the last
     {!preload} (30 s before any preload). Returns a stop closure;
@@ -236,13 +218,6 @@ val clear_walk_log : t -> unit
 
 (** The root replica set this client routes through, if any. *)
 val replica_set : t -> Dns.Replica_set.t option
-
-val read_your_writes : t -> bool
-
-(** The serial this client's last write to [zone] landed at (from the
-    update ack's SOA); reads of that zone pin to replicas at or above
-    it while read-your-writes is on. *)
-val write_floor : t -> Dns.Name.t -> int32 option
 
 (** Partition cuts currently cached from referrals, with the replica
     set serving each, sorted by cut name. *)

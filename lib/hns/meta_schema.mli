@@ -79,7 +79,6 @@ val ns_info_key : string -> Dns.Name.t
     Old servers answer NXDOMAIN, which clients treat as "no bundle
     support" and fall back to per-mapping lookups. *)
 
-val bundle_marker : string
 val bundle_key : context:string -> query_class:Query_class.t -> Dns.Name.t
 
 (** [parse_bundle_key key] recovers [(context, query_class)] from a
@@ -119,7 +118,6 @@ val host_addr_ty : Wire.Idl.ty
     which {!validate_simple_name} reserves, so dotted contexts and
     dotted host names stay unambiguous. *)
 
-val host_addr_marker : string
 val host_addr_key : context:string -> host:string -> Dns.Name.t
 
 (** [parse_host_addr_key key] recovers [(context, host)]; [None] if

@@ -35,9 +35,6 @@ val text_payload_ty : Wire.Idl.ty          (* FileLocation, MailboxLocation *)
     supply their own. *)
 val payload_ty_of : Query_class.t -> Wire.Idl.ty option
 
-(** Build the standard argument value. *)
-val make_arg : service:string -> hns_name:Hns_name.t -> Wire.Value.t
-
 (** Unpack the standard argument inside an NSM implementation. *)
 val parse_arg : Wire.Value.t -> string * Hns_name.t
 

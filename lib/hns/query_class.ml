@@ -14,4 +14,3 @@ let validate t =
     t
 
 let equal = String.equal
-let pp = Format.pp_print_string

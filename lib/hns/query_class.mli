@@ -29,4 +29,3 @@ val mailbox_location : t
 val validate : t -> unit
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

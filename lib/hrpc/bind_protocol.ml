@@ -51,12 +51,3 @@ let resolve stack bind =
           Obs.Metrics.incr m_bind_errors;
           e
       | Ok _ as ok -> ok)
-
-let pp ppf = function
-  | Static b -> Format.fprintf ppf "static(%a)" Binding.pp b
-  | Sun_portmapper { host; prog; vers; _ } ->
-      Format.fprintf ppf "portmapper(%s prog=%d vers=%d)"
-        (Transport.Address.ip_to_string host)
-        prog vers
-  | Clearinghouse_binding { service; _ } ->
-      Format.fprintf ppf "clearinghouse(%a)" Clearinghouse.Ch_name.pp service

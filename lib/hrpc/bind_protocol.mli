@@ -26,5 +26,3 @@ type t =
 
 val resolve :
   Transport.Netstack.stack -> t -> (Binding.t, Rpc.Control.error) result
-
-val pp : Format.formatter -> t -> unit

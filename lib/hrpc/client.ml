@@ -7,18 +7,9 @@ let m_retries = Obs.Metrics.counter "hrpc.client.retries"
 let m_call_ms = Obs.Metrics.histogram "hrpc.client.call_ms"
 let m_backoff_ms = Obs.Metrics.histogram "hrpc.client.backoff_ms"
 
-(* Merge the legacy [?timeout]/[?attempts] knobs into a retry policy:
-   an explicit policy is the base, the scalar knobs override it. *)
-let resolve_policy ?timeout ?attempts ?policy () =
+(* The caller's retry policy, validated, or the default one. *)
+let resolve_policy policy =
   let p = Option.value policy ~default:Rpc.Control.default_policy in
-  let p =
-    match timeout with
-    | None -> p
-    | Some t -> { p with Rpc.Control.attempt_timeout_ms = t }
-  in
-  let p =
-    match attempts with None -> p | Some a -> { p with Rpc.Control.attempts = a }
-  in
   Rpc.Control.validate_policy p;
   p
 
@@ -96,9 +87,9 @@ let exchange stack (b : Binding.t) ~(policy : Rpc.Control.retry_policy) ~matches
           Tcp.close conn;
           result)
 
-let call_raw stack (b : Binding.t) ?timeout ?attempts ?policy payload =
+let call_raw stack (b : Binding.t) ?policy payload =
   Obs.Metrics.incr m_raw_calls;
-  let policy = resolve_policy ?timeout ?attempts ?policy () in
+  let policy = resolve_policy policy in
   exchange stack b ~policy ~matches:(fun _ -> true) payload
 
 let call_inner stack (b : Binding.t) ~procnum ~sign ~policy v =
@@ -171,9 +162,9 @@ let call_inner stack (b : Binding.t) ~procnum ~sign ~policy v =
           | Rpc.Courier_wire.Call _ ->
               Error (Rpc.Control.Protocol_error "call in reply position")))
 
-let call stack (b : Binding.t) ~procnum ~sign ?timeout ?attempts ?policy v =
+let call stack (b : Binding.t) ~procnum ~sign ?policy v =
   Obs.Metrics.incr m_calls;
-  let policy = resolve_policy ?timeout ?attempts ?policy () in
+  let policy = resolve_policy policy in
   (* The hrpc_call span is the client half of cross-hop propagation:
      call_inner stamps its (trace, id) into the call body, and the
      server's hrpc_serve span adopts it as a remote parent. *)

@@ -18,16 +18,12 @@
     time spent across every attempt and pause. *)
 
 (** [?policy] supplies the full retry policy (default
-    {!Rpc.Control.default_policy}); [?timeout] and [?attempts]
-    override its [attempt_timeout_ms] and [attempts] fields for
-    callers that only need the legacy knobs. *)
+    {!Rpc.Control.default_policy}). *)
 val call :
   Transport.Netstack.stack ->
   Binding.t ->
   procnum:int ->
   sign:Wire.Idl.signature ->
-  ?timeout:float ->
-  ?attempts:int ->
   ?policy:Rpc.Control.retry_policy ->
   Wire.Value.t ->
   (Wire.Value.t, Rpc.Control.error) result
@@ -39,8 +35,6 @@ val call :
 val call_raw :
   Transport.Netstack.stack ->
   Binding.t ->
-  ?timeout:float ->
-  ?attempts:int ->
   ?policy:Rpc.Control.retry_policy ->
   string ->
   (string, Rpc.Control.error) result

@@ -33,8 +33,6 @@ val sunrpc_suite : protocol_suite
 val courier_suite : protocol_suite
 val raw_udp_suite : protocol_suite
 
-val transport_name : transport_kind -> string
-val control_name : control_kind -> string
 val suite_name : protocol_suite -> string
 val transport_of_name : string -> transport_kind option
 val control_of_name : string -> control_kind option

@@ -30,16 +30,17 @@ let obtain t addr =
           t.conns <- Addr_map.add addr conn t.conns;
           Ok (conn, false))
 
-(* One request/response on a cached connection; on a dead reused
+(* One request/response on a cached connection, waiting up to the
+   default policy's attempt timeout for the reply; on a dead reused
    connection, reconnect once and retry. *)
-let rec exchange t addr ~timeout ~matches payload ~retry_on_dead =
+let rec exchange t addr ~matches payload ~retry_on_dead =
   match obtain t addr with
   | Error e -> Error e
   | Ok (conn, reused) -> (
       let dead () =
         drop t addr conn;
         if reused && retry_on_dead then
-          exchange t addr ~timeout ~matches payload ~retry_on_dead:false
+          exchange t addr ~matches payload ~retry_on_dead:false
         else Error Rpc.Control.Refused
       in
       match Transport.Tcp.send conn payload with
@@ -50,7 +51,9 @@ let rec exchange t addr ~timeout ~matches payload ~retry_on_dead =
             Error
               (Rpc.Control.Timeout { elapsed_ms = Sim.Engine.time () -. t0 })
           in
-          let deadline = t0 +. timeout in
+          let deadline =
+            t0 +. Rpc.Control.default_policy.Rpc.Control.attempt_timeout_ms
+          in
           let rec wait () =
             let remaining = deadline -. Sim.Engine.time () in
             if remaining <= 0.0 then timed_out ()
@@ -62,9 +65,9 @@ let rec exchange t addr ~timeout ~matches payload ~retry_on_dead =
           in
           wait ())
 
-let call t (b : Binding.t) ~procnum ~sign ?(timeout = 1000.0) ?attempts v =
+let call t (b : Binding.t) ~procnum ~sign v =
   match b.suite.Component.transport with
-  | Component.T_udp -> Client.call t.stack b ~procnum ~sign ~timeout ?attempts v
+  | Component.T_udp -> Client.call t.stack b ~procnum ~sign v
   | Component.T_tcp -> (
       Wire.Idl.check ~what:"Conn_cache.call args" sign.Wire.Idl.arg v;
       let rep = b.suite.Component.data_rep in
@@ -77,8 +80,7 @@ let call t (b : Binding.t) ~procnum ~sign ?(timeout = 1000.0) ?attempts v =
       match b.suite.Component.control with
       | Component.C_raw -> (
           match
-            exchange t b.server ~timeout ~matches:(fun _ -> true) body
-              ~retry_on_dead:true
+            exchange t b.server ~matches:(fun _ -> true) body ~retry_on_dead:true
           with
           | Error _ as e -> e
           | Ok resp -> decode_res resp)
@@ -102,7 +104,7 @@ let call t (b : Binding.t) ~procnum ~sign ?(timeout = 1000.0) ?attempts v =
             | Rpc.Sunrpc_wire.Call _ | (exception Rpc.Sunrpc_wire.Bad_message _) ->
                 false
           in
-          match exchange t b.server ~timeout ~matches payload ~retry_on_dead:true with
+          match exchange t b.server ~matches payload ~retry_on_dead:true with
           | Error _ as e -> e
           | Ok resp -> (
               match Rpc.Sunrpc_wire.decode resp with
@@ -128,7 +130,7 @@ let call t (b : Binding.t) ~procnum ~sign ?(timeout = 1000.0) ?attempts v =
             | Rpc.Courier_wire.Call _ | (exception Rpc.Courier_wire.Bad_message _) ->
                 false
           in
-          match exchange t b.server ~timeout ~matches payload ~retry_on_dead:true with
+          match exchange t b.server ~matches payload ~retry_on_dead:true with
           | Error _ as e -> e
           | Ok resp -> (
               match Rpc.Courier_wire.decode resp with

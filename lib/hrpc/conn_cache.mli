@@ -11,14 +11,14 @@ type t
 
 val create : Transport.Netstack.stack -> t
 
-(** Like {!Client.call}, but TCP exchanges reuse a cached connection. *)
+(** Like {!Client.call} under {!Rpc.Control.default_policy}, but TCP
+    exchanges reuse a cached connection and make one attempt, waiting
+    that policy's attempt timeout (1000 ms) for the reply. *)
 val call :
   t ->
   Binding.t ->
   procnum:int ->
   sign:Wire.Idl.signature ->
-  ?timeout:float ->
-  ?attempts:int ->
   Wire.Value.t ->
   (Wire.Value.t, Rpc.Control.error) result
 

@@ -14,7 +14,6 @@ type t = {
   mutable udp_sock : Udp.socket option;
   mutable listener : Tcp.listener option;
   mutable running : bool;
-  mutable served : int;
 }
 
 let create stack ~suite ?port ?(service_overhead_ms = 0.0) ?(concurrent = false)
@@ -41,7 +40,6 @@ let create stack ~suite ?port ?(service_overhead_ms = 0.0) ?(concurrent = false)
     udp_sock = None;
     listener = None;
     running = false;
-    served = 0;
   }
 
 let register t ~procnum ~sign impl =
@@ -53,8 +51,6 @@ let binding t =
   Binding.make ~suite:t.suite
     ~server:(Address.make (Netstack.ip t.stack) t.port)
     ~prog:t.prog ~vers:t.vers
-
-let calls_served t = t.served
 
 (* Process one control message; [None] means drop silently. *)
 let dispatch t payload : string option =
@@ -68,7 +64,6 @@ let dispatch t payload : string option =
     match Wire.Data_rep.of_string rep proc.sign.Wire.Idl.arg body with
     | exception _ -> Error `Garbage
     | arg ->
-        t.served <- t.served + 1;
         let span = Obs.Span.open_remote_span ~trace ~parent "hrpc_serve" in
         if span <> 0 then begin
           Obs.Span.add_attr "proc" (string_of_int procnum);

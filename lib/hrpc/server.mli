@@ -44,5 +44,3 @@ val stop : t -> unit
 
 (** The binding clients use to call this server. *)
 val binding : t -> Binding.t
-
-val calls_served : t -> int

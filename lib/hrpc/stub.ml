@@ -8,10 +8,9 @@ type ('a, 'b) proc = {
 let proc ~procnum ~sign ~encode_arg ~decode_res =
   { procnum; sign; encode_arg; decode_res }
 
-let call stack binding p ?timeout ?attempts a =
+let call stack binding p a =
   match
-    Client.call stack binding ~procnum:p.procnum ~sign:p.sign ?timeout ?attempts
-      (p.encode_arg a)
+    Client.call stack binding ~procnum:p.procnum ~sign:p.sign (p.encode_arg a)
   with
   | Error _ as e -> e
   | Ok v -> (

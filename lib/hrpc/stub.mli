@@ -20,13 +20,12 @@ val proc :
   decode_res:(Wire.Value.t -> 'b) ->
   ('a, 'b) proc
 
-(** [call stack binding proc a] — a typed remote call.
-    [decode_res] failures surface as [Protocol_error]. *)
+(** [call stack binding proc a] — a typed remote call under
+    {!Rpc.Control.default_policy}. [decode_res] failures surface as
+    [Protocol_error]. *)
 val call :
   Transport.Netstack.stack ->
   Binding.t ->
   ('a, 'b) proc ->
-  ?timeout:float ->
-  ?attempts:int ->
   'a ->
   ('b, Rpc.Control.error) result

@@ -12,10 +12,6 @@
     through untouched, so unstamped traffic from tracing-off clients
     interoperates. *)
 
-val header_len : int
-
-val stamp : trace:int -> span:int -> string -> string
-
 (** Stamp the calling fiber's current span context
     ({!Obs.Span.context}); identity when tracing is off or no span is
     open. *)

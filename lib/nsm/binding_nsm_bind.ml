@@ -111,6 +111,6 @@ let impl t =
       let service, hns_name = Hns.Nsm_intf.parse_arg arg in
       lookup t ~service ~hns_name)
 
-let serve t ~prog ?vers ?suite ?port ?service_overhead_ms () =
+let serve t ~prog ?service_overhead_ms () =
   Nsm_common.serve t.stack ~impl:(impl t) ~payload_ty:Hns.Nsm_intf.binding_payload_ty
-    ~prog ?vers ?suite ?port ?service_overhead_ms ()
+    ~prog ?service_overhead_ms ()

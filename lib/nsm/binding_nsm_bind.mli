@@ -44,13 +44,5 @@ val backend_queries : t -> int
     number of entries cached. *)
 val preload : t -> context:string -> hosts:string list -> int
 
-(** Export as a remote NSM. *)
-val serve :
-  t ->
-  prog:int ->
-  ?vers:int ->
-  ?suite:Hrpc.Component.protocol_suite ->
-  ?port:int ->
-  ?service_overhead_ms:float ->
-  unit ->
-  Hrpc.Server.t
+(** Export as a remote NSM ({!Nsm_common.serve}). *)
+val serve : t -> prog:int -> ?service_overhead_ms:float -> unit -> Hrpc.Server.t

@@ -5,22 +5,19 @@ type t = {
   domain : string;
   org : string;
   cache_ : Hns.Cache.t;
-  cache_ttl_ms : float;
   per_query_ms : float;
-  mutable backend : int;
 }
 
-let create stack ~ch_server ~credentials ~domain ~org ?cache
-    ?(cache_ttl_ms = 600_000.0) ?(per_query_ms = 0.0) () =
+let cache_ttl_ms = 600_000.0
+
+let create stack ~ch_server ~credentials ~domain ~org ?cache ?(per_query_ms = 0.0)
+    () =
   let cache_ =
     match cache with
     | Some c -> c
     | None -> Hns.Cache.create ~mode:Hns.Cache.Demarshalled ()
   in
-  { stack; ch_server; credentials; domain; org; cache_; cache_ttl_ms; per_query_ms; backend = 0 }
-
-let cache t = t.cache_
-let backend_queries t = t.backend
+  { stack; ch_server; credentials; domain; org; cache_; per_query_ms }
 
 let lookup t ~service ~(hns_name : Hns.Hns_name.t) =
   let key = Nsm_common.cache_key ~tag:"ch-binding" ~service hns_name in
@@ -28,7 +25,6 @@ let lookup t ~service ~(hns_name : Hns.Hns_name.t) =
   | Some v -> Hns.Nsm_intf.found v
   | None -> (
       Sim.Engine.charge t.per_query_ms;
-      t.backend <- t.backend + 1;
       let local = if service = "" then hns_name.name else service in
       let obj = Clearinghouse.Ch_name.make ~local ~domain:t.domain ~org:t.org in
       let client =
@@ -51,7 +47,7 @@ let lookup t ~service ~(hns_name : Hns.Hns_name.t) =
           | binding ->
               let v = Hrpc.Binding.to_value binding in
               Hns.Cache.insert t.cache_ ~key ~ty:Hrpc.Binding.idl_ty
-                ~ttl_ms:t.cache_ttl_ms v;
+                ~ttl_ms:cache_ttl_ms v;
               Hns.Nsm_intf.found v))
 
 let impl t =
@@ -59,6 +55,6 @@ let impl t =
       let service, hns_name = Hns.Nsm_intf.parse_arg arg in
       lookup t ~service ~hns_name)
 
-let serve t ~prog ?vers ?suite ?port ?service_overhead_ms () =
+let serve t ~prog ?service_overhead_ms () =
   Nsm_common.serve t.stack ~impl:(impl t) ~payload_ty:Hns.Nsm_intf.binding_payload_ty
-    ~prog ?vers ?suite ?port ?service_overhead_ms ()
+    ~prog ?service_overhead_ms ()

@@ -11,6 +11,7 @@
 
 type t
 
+(** Bindings are cached for 600 s. *)
 val create :
   Transport.Netstack.stack ->
   ch_server:Transport.Address.t ->
@@ -18,21 +19,11 @@ val create :
   domain:string ->
   org:string ->
   ?cache:Hns.Cache.t ->
-  ?cache_ttl_ms:float ->
   ?per_query_ms:float ->
   unit ->
   t
 
 val impl : t -> Hns.Nsm_intf.impl
-val cache : t -> Hns.Cache.t
-val backend_queries : t -> int
 
-val serve :
-  t ->
-  prog:int ->
-  ?vers:int ->
-  ?suite:Hrpc.Component.protocol_suite ->
-  ?port:int ->
-  ?service_overhead_ms:float ->
-  unit ->
-  Hrpc.Server.t
+(** Export as a remote NSM ({!Nsm_common.serve}). *)
+val serve : t -> prog:int -> ?service_overhead_ms:float -> unit -> Hrpc.Server.t

@@ -3,35 +3,21 @@ type t = {
   client : Yp.Yp_client.t;
   services : (string, int * int) Hashtbl.t;
   cache_ : Hns.Cache.t;
-  cache_ttl_ms : float;
-  per_query_ms : float;
-  mutable backend : int;
 }
 
-let create stack ~yp_server ~domain ?(services = []) ?cache
-    ?(cache_ttl_ms = 600_000.0) ?(per_query_ms = 0.0) () =
-  let cache_ =
-    match cache with
-    | Some c -> c
-    | None -> Hns.Cache.create ~mode:Hns.Cache.Demarshalled ()
-  in
+let cache_ttl_ms = 600_000.0
+
+let create stack ~yp_server ~domain ?(services = []) () =
   let t =
     {
       stack;
       client = Yp.Yp_client.create stack ~server:yp_server ~domain;
       services = Hashtbl.create 8;
-      cache_;
-      cache_ttl_ms;
-      per_query_ms;
-      backend = 0;
+      cache_ = Hns.Cache.create ~mode:Hns.Cache.Demarshalled ();
     }
   in
   List.iter (fun (name, (prog, vers)) -> Hashtbl.replace t.services name (prog, vers)) services;
   t
-
-let add_service t name ~prog ~vers = Hashtbl.replace t.services name (prog, vers)
-let cache t = t.cache_
-let backend_queries t = t.backend
 
 let service_numbers t service =
   match Hashtbl.find_opt t.services service with
@@ -49,11 +35,9 @@ let lookup t ~service ~(hns_name : Hns.Hns_name.t) =
   match Hns.Cache.find t.cache_ ~key ~ty:Hrpc.Binding.idl_ty with
   | Some v -> Hns.Nsm_intf.found v
   | None -> (
-      Sim.Engine.charge t.per_query_ms;
       match service_numbers t service with
       | None -> failwith (Printf.sprintf "unknown ServiceName %S" service)
       | Some (prog, vers) -> (
-          t.backend <- t.backend + 1;
           match
             Yp.Yp_client.match_ t.client ~map:Yp.Yp_proto.map_hosts_byname
               hns_name.name
@@ -85,14 +69,10 @@ let lookup t ~service ~(hns_name : Hns.Hns_name.t) =
                       in
                       let v = Hrpc.Binding.to_value binding in
                       Hns.Cache.insert t.cache_ ~key ~ty:Hrpc.Binding.idl_ty
-                        ~ttl_ms:t.cache_ttl_ms v;
+                        ~ttl_ms:cache_ttl_ms v;
                       Hns.Nsm_intf.found v))))
 
 let impl t =
   Nsm_common.instrument ~name:"yp.hrpcbinding" (fun arg ->
       let service, hns_name = Hns.Nsm_intf.parse_arg arg in
       lookup t ~service ~hns_name)
-
-let serve t ~prog ?vers ?suite ?port ?service_overhead_ms () =
-  Nsm_common.serve t.stack ~impl:(impl t) ~payload_ty:Hns.Nsm_intf.binding_payload_ty
-    ~prog ?vers ?suite ?port ?service_overhead_ms ()

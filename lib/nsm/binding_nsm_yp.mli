@@ -8,28 +8,15 @@
 
 type t
 
+(** The NSM keeps its own demarshalled cache; bindings stay in it for
+    600 s. A lookup charges no time beyond its YP and portmapper
+    calls. *)
 val create :
   Transport.Netstack.stack ->
   yp_server:Transport.Address.t ->
   domain:string ->
   ?services:(string * (int * int)) list ->
-  ?cache:Hns.Cache.t ->
-  ?cache_ttl_ms:float ->
-  ?per_query_ms:float ->
   unit ->
   t
 
-val add_service : t -> string -> prog:int -> vers:int -> unit
 val impl : t -> Hns.Nsm_intf.impl
-val cache : t -> Hns.Cache.t
-val backend_queries : t -> int
-
-val serve :
-  t ->
-  prog:int ->
-  ?vers:int ->
-  ?suite:Hrpc.Component.protocol_suite ->
-  ?port:int ->
-  ?service_overhead_ms:float ->
-  unit ->
-  Hrpc.Server.t

@@ -9,13 +9,13 @@ val create_bind :
   unit ->
   Text_nsm.t
 
+(** The NSM keeps its own demarshalled cache. *)
 val create_ch :
   Transport.Netstack.stack ->
   ch_server:Transport.Address.t ->
   credentials:Clearinghouse.Ch_proto.credentials ->
   domain:string ->
   org:string ->
-  ?cache:Hns.Cache.t ->
   ?per_query_ms:float ->
   unit ->
   Text_nsm.t

@@ -4,7 +4,6 @@ type t = {
   cache_ : Hns.Cache.t;
   cache_ttl_ms : float;
   per_query_ms : float;
-  mutable backend : int;
 }
 
 let create stack ~bind_server ?cache ?(cache_ttl_ms = 600_000.0) ?(per_query_ms = 0.0)
@@ -20,11 +19,9 @@ let create stack ~bind_server ?cache ?(cache_ttl_ms = 600_000.0) ?(per_query_ms 
     cache_;
     cache_ttl_ms;
     per_query_ms;
-    backend = 0;
   }
 
 let cache t = t.cache_
-let backend_queries t = t.backend
 
 let lookup t ~(hns_name : Hns.Hns_name.t) =
   let key = Nsm_common.cache_key ~tag:"bind-hostaddr" ~service:"" hns_name in
@@ -32,7 +29,6 @@ let lookup t ~(hns_name : Hns.Hns_name.t) =
   | Some v -> Hns.Nsm_intf.found v
   | None -> (
       Sim.Engine.charge t.per_query_ms;
-      t.backend <- t.backend + 1;
       match Dns.Resolver.lookup_a t.resolver (Dns.Name.of_string hns_name.name) with
       | Error Dns.Resolver.Nxdomain | Error Dns.Resolver.No_data ->
           Hns.Nsm_intf.not_found
@@ -58,7 +54,6 @@ let impl t =
       let _service, hns_name = Hns.Nsm_intf.parse_arg arg in
       lookup t ~hns_name)
 
-let serve t ~prog ?vers ?suite ?port ?service_overhead_ms () =
+let serve t ~prog ?service_overhead_ms () =
   Nsm_common.serve t.stack ~impl:(impl t)
-    ~payload_ty:Hns.Nsm_intf.host_address_payload_ty ~prog ?vers ?suite ?port
-    ?service_overhead_ms ()
+    ~payload_ty:Hns.Nsm_intf.host_address_payload_ty ~prog ?service_overhead_ms ()

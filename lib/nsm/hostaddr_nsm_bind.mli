@@ -18,14 +18,6 @@ val create :
 
 val impl : t -> Hns.Nsm_intf.impl
 val cache : t -> Hns.Cache.t
-val backend_queries : t -> int
 
-val serve :
-  t ->
-  prog:int ->
-  ?vers:int ->
-  ?suite:Hrpc.Component.protocol_suite ->
-  ?port:int ->
-  ?service_overhead_ms:float ->
-  unit ->
-  Hrpc.Server.t
+(** Export as a remote NSM ({!Nsm_common.serve}). *)
+val serve : t -> prog:int -> ?service_overhead_ms:float -> unit -> Hrpc.Server.t

@@ -7,7 +7,6 @@ type t = {
   cache_ : Hns.Cache.t;
   cache_ttl_ms : float;
   per_query_ms : float;
-  mutable backend : int;
 }
 
 let encode_address ip =
@@ -26,10 +25,7 @@ let create stack ~ch_server ~credentials ~domain ~org ?cache
     | Some c -> c
     | None -> Hns.Cache.create ~mode:Hns.Cache.Demarshalled ()
   in
-  { stack; ch_server; credentials; domain; org; cache_; cache_ttl_ms; per_query_ms; backend = 0 }
-
-let cache t = t.cache_
-let backend_queries t = t.backend
+  { stack; ch_server; credentials; domain; org; cache_; cache_ttl_ms; per_query_ms }
 
 let lookup t ~(hns_name : Hns.Hns_name.t) =
   let key = Nsm_common.cache_key ~tag:"ch-hostaddr" ~service:"" hns_name in
@@ -37,7 +33,6 @@ let lookup t ~(hns_name : Hns.Hns_name.t) =
   | Some v -> Hns.Nsm_intf.found v
   | None -> (
       Sim.Engine.charge t.per_query_ms;
-      t.backend <- t.backend + 1;
       let obj =
         Clearinghouse.Ch_name.make ~local:hns_name.name ~domain:t.domain ~org:t.org
       in
@@ -69,7 +64,6 @@ let impl t =
       let _service, hns_name = Hns.Nsm_intf.parse_arg arg in
       lookup t ~hns_name)
 
-let serve t ~prog ?vers ?suite ?port ?service_overhead_ms () =
+let serve t ~prog ?service_overhead_ms () =
   Nsm_common.serve t.stack ~impl:(impl t)
-    ~payload_ty:Hns.Nsm_intf.host_address_payload_ty ~prog ?vers ?suite ?port
-    ?service_overhead_ms ()
+    ~payload_ty:Hns.Nsm_intf.host_address_payload_ty ~prog ?service_overhead_ms ()

@@ -16,21 +16,10 @@ val create :
   t
 
 val impl : t -> Hns.Nsm_intf.impl
-val cache : t -> Hns.Cache.t
-val backend_queries : t -> int
 
-val serve :
-  t ->
-  prog:int ->
-  ?vers:int ->
-  ?suite:Hrpc.Component.protocol_suite ->
-  ?port:int ->
-  ?service_overhead_ms:float ->
-  unit ->
-  Hrpc.Server.t
+(** Export as a remote NSM ({!Nsm_common.serve}). *)
+val serve : t -> prog:int -> ?service_overhead_ms:float -> unit -> Hrpc.Server.t
 
 (** Encoding used for the address item property: 4 big-endian bytes.
     Exposed so setup code stores what this NSM reads. *)
 val encode_address : Transport.Address.ip -> string
-
-val decode_address : string -> Transport.Address.ip option

@@ -2,29 +2,18 @@ type t = {
   stack : Transport.Netstack.stack;
   client : Yp.Yp_client.t;
   cache_ : Hns.Cache.t;
-  cache_ttl_ms : float;
   per_query_ms : float;
-  mutable backend : int;
 }
 
-let create stack ~yp_server ~domain ?cache ?(cache_ttl_ms = 600_000.0)
-    ?(per_query_ms = 0.0) () =
-  let cache_ =
-    match cache with
-    | Some c -> c
-    | None -> Hns.Cache.create ~mode:Hns.Cache.Demarshalled ()
-  in
+let cache_ttl_ms = 600_000.0
+
+let create stack ~yp_server ~domain ?(per_query_ms = 0.0) () =
   {
     stack;
     client = Yp.Yp_client.create stack ~server:yp_server ~domain;
-    cache_;
-    cache_ttl_ms;
+    cache_ = Hns.Cache.create ~mode:Hns.Cache.Demarshalled ();
     per_query_ms;
-    backend = 0;
   }
-
-let cache t = t.cache_
-let backend_queries t = t.backend
 
 let lookup t ~(hns_name : Hns.Hns_name.t) =
   let key = Nsm_common.cache_key ~tag:"yp-hostaddr" ~service:"" hns_name in
@@ -32,7 +21,6 @@ let lookup t ~(hns_name : Hns.Hns_name.t) =
   | Some v -> Hns.Nsm_intf.found v
   | None -> (
       Sim.Engine.charge t.per_query_ms;
-      t.backend <- t.backend + 1;
       match
         Yp.Yp_client.match_ t.client ~map:Yp.Yp_proto.map_hosts_byname hns_name.name
       with
@@ -50,7 +38,7 @@ let lookup t ~(hns_name : Hns.Hns_name.t) =
           | Some ip ->
               let v = Wire.Value.Uint ip in
               Hns.Cache.insert t.cache_ ~key ~ty:Hns.Nsm_intf.host_address_payload_ty
-                ~ttl_ms:t.cache_ttl_ms v;
+                ~ttl_ms:cache_ttl_ms v;
               Hns.Nsm_intf.found v))
 
 let impl t =
@@ -58,7 +46,6 @@ let impl t =
       let _service, hns_name = Hns.Nsm_intf.parse_arg arg in
       lookup t ~hns_name)
 
-let serve t ~prog ?vers ?suite ?port ?service_overhead_ms () =
+let serve t ~prog ?service_overhead_ms () =
   Nsm_common.serve t.stack ~impl:(impl t)
-    ~payload_ty:Hns.Nsm_intf.host_address_payload_ty ~prog ?vers ?suite ?port
-    ?service_overhead_ms ()
+    ~payload_ty:Hns.Nsm_intf.host_address_payload_ty ~prog ?service_overhead_ms ()

@@ -8,26 +8,15 @@
 
 type t
 
+(** The NSM keeps its own demarshalled cache; addresses stay in it for
+    600 s. *)
 val create :
   Transport.Netstack.stack ->
   yp_server:Transport.Address.t ->
   domain:string ->
-  ?cache:Hns.Cache.t ->
-  ?cache_ttl_ms:float ->
   ?per_query_ms:float ->
   unit ->
   t
 
-val impl : t -> Hns.Nsm_intf.impl
-val cache : t -> Hns.Cache.t
-val backend_queries : t -> int
-
-val serve :
-  t ->
-  prog:int ->
-  ?vers:int ->
-  ?suite:Hrpc.Component.protocol_suite ->
-  ?port:int ->
-  ?service_overhead_ms:float ->
-  unit ->
-  Hrpc.Server.t
+(** Export as a remote NSM ({!Nsm_common.serve}). *)
+val serve : t -> prog:int -> ?service_overhead_ms:float -> unit -> Hrpc.Server.t

@@ -2,15 +2,3 @@ let create_bind stack ~bind_server ?cache ?per_query_ms () =
   Text_nsm.create stack
     (Text_nsm.Bind { server = bind_server })
     ~tag:"bind-mail" ?cache ?per_query_ms ()
-
-let create_ch stack ~ch_server ~credentials ~domain ~org ?cache ?per_query_ms () =
-  Text_nsm.create stack
-    (Text_nsm.Ch
-       {
-         server = ch_server;
-         credentials;
-         domain;
-         org;
-         prop = Clearinghouse.Property.Id.mailboxes;
-       })
-    ~tag:"ch-mail" ?cache ?per_query_ms ()

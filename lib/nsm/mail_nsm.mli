@@ -8,14 +8,3 @@ val create_bind :
   ?per_query_ms:float ->
   unit ->
   Text_nsm.t
-
-val create_ch :
-  Transport.Netstack.stack ->
-  ch_server:Transport.Address.t ->
-  credentials:Clearinghouse.Ch_proto.credentials ->
-  domain:string ->
-  org:string ->
-  ?cache:Hns.Cache.t ->
-  ?per_query_ms:float ->
-  unit ->
-  Text_nsm.t

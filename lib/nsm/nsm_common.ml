@@ -27,10 +27,10 @@ let instrument ~name (impl : Hns.Nsm_intf.impl) : Hns.Nsm_intf.impl =
             Obs.Metrics.incr errors;
             raise e)
 
-let serve stack ~impl ~payload_ty ~prog ?(vers = 1)
-    ?(suite = Hrpc.Component.sunrpc_suite) ?port ?service_overhead_ms () =
+let serve stack ~impl ~payload_ty ~prog ?service_overhead_ms () =
   let server =
-    Hrpc.Server.create stack ~suite ?port ?service_overhead_ms ~prog ~vers ()
+    Hrpc.Server.create stack ~suite:Hrpc.Component.sunrpc_suite
+      ?service_overhead_ms ~prog ~vers:1 ()
   in
   Hrpc.Server.register server ~procnum:Hns.Nsm_intf.query_procnum
     ~sign:(Hns.Nsm_intf.query_sign ~payload_ty)

@@ -6,17 +6,15 @@
     then be linked with any process or exported as a remote HRPC
     service — the colocation freedom of Section 3. *)
 
-(** [serve stack ~impl ~payload_ty ~prog ?vers ?suite ?port
-    ?service_overhead_ms ()] exports a linked NSM instance as a remote
-    NSM. The returned server is not yet started. *)
+(** [serve stack ~impl ~payload_ty ~prog ?service_overhead_ms ()]
+    exports a linked NSM instance as a remote NSM: version 1 of
+    program [prog], over the Sun RPC suite, on a port allocated on
+    [stack]. The returned server is not yet started. *)
 val serve :
   Transport.Netstack.stack ->
   impl:Hns.Nsm_intf.impl ->
   payload_ty:Wire.Idl.ty ->
   prog:int ->
-  ?vers:int ->
-  ?suite:Hrpc.Component.protocol_suite ->
-  ?port:int ->
   ?service_overhead_ms:float ->
   unit ->
   Hrpc.Server.t

@@ -14,13 +14,12 @@ type t = {
   resolver : Dns.Resolver.t option; (* for the Bind backend *)
   tag : string;
   cache_ : Hns.Cache.t;
-  cache_ttl_ms : float;
   per_query_ms : float;
-  mutable backend_count : int;
 }
 
-let create stack backend ~tag ?cache ?(cache_ttl_ms = 600_000.0) ?(per_query_ms = 0.0)
-    () =
+let cache_ttl_ms = 600_000.0
+
+let create stack backend ~tag ?cache ?(per_query_ms = 0.0) () =
   let cache_ =
     match cache with
     | Some c -> c
@@ -32,13 +31,9 @@ let create stack backend ~tag ?cache ?(cache_ttl_ms = 600_000.0) ?(per_query_ms 
         Some (Dns.Resolver.create stack ~servers:[ server ] ~enable_cache:false ())
     | Ch _ -> None
   in
-  { stack; backend; resolver; tag; cache_; cache_ttl_ms; per_query_ms; backend_count = 0 }
-
-let cache t = t.cache_
-let backend_queries t = t.backend_count
+  { stack; backend; resolver; tag; cache_; per_query_ms }
 
 let backend_lookup t (hns_name : Hns.Hns_name.t) =
-  t.backend_count <- t.backend_count + 1;
   match t.backend with
   | Bind _ -> (
       let resolver = Option.get t.resolver in
@@ -78,7 +73,7 @@ let lookup t ~service ~(hns_name : Hns.Hns_name.t) =
       | Some s ->
           let v = Wire.Value.Str s in
           Hns.Cache.insert t.cache_ ~key ~ty:Hns.Nsm_intf.text_payload_ty
-            ~ttl_ms:t.cache_ttl_ms v;
+            ~ttl_ms:cache_ttl_ms v;
           Hns.Nsm_intf.found v)
 
 let impl t =
@@ -86,6 +81,6 @@ let impl t =
       let service, hns_name = Hns.Nsm_intf.parse_arg arg in
       lookup t ~service ~hns_name)
 
-let serve t ~prog ?vers ?suite ?port ?service_overhead_ms () =
+let serve t ~prog ?service_overhead_ms () =
   Nsm_common.serve t.stack ~impl:(impl t) ~payload_ty:Hns.Nsm_intf.text_payload_ty
-    ~prog ?vers ?suite ?port ?service_overhead_ms ()
+    ~prog ?service_overhead_ms ()

@@ -21,13 +21,6 @@ val metrics_json_lines : unit -> string
     document: [{"schema":"hns-obs/1","metrics":{...}}]. *)
 val write_metrics_snapshot : path:string -> unit -> unit
 
-(** [bench_json rows] builds the [BENCH_hns.json] document from named
-    sample sets: [{"schema":"hns-bench/2","experiments":[{"name","n",
-    "mean_ms","p50_ms","p95_ms","p99_ms","p999_ms","min_ms","max_ms"},
-    ...]}]. Rows with no samples are emitted with [n = 0] and null
-    statistics. *)
-val bench_json : (string * Sim.Stats.t) list -> Json.t
-
 val write_bench_json : path:string -> (string * Sim.Stats.t) list -> unit
 
 (** Spans of the global tracer as a [{"schema":"hns-spans/1",

@@ -92,7 +92,6 @@ let histogram name =
       h)
 
 let observe h x = Sim.Stats.add h.stats_ x
-let stats h = h.stats_
 
 let time h f =
   let t0 = Sim.Engine.time () in

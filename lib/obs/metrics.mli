@@ -67,7 +67,6 @@ val get : gauge -> float
 val histogram : string -> histogram
 
 val observe : histogram -> float -> unit
-val stats : histogram -> Sim.Stats.t
 
 (** [time hist f] runs [f] and observes its duration on the virtual
     clock (no charge when called outside a simulated process — the

@@ -22,7 +22,6 @@ let create ?(max_samples = 8192) ~window_ms () =
   let empty = Float.Array.create 0 in
   { window_ms; max_samples; at = empty; vs = empty; sorted = empty; head = 0; len = 0 }
 
-let window_ms t = t.window_ms
 let capacity t = Float.Array.length t.vs
 
 (* Ring slot of the [i]-th oldest live sample. *)
@@ -121,9 +120,6 @@ let values t =
     acc := Float.Array.get t.vs (slot t i) :: !acc
   done;
   !acc
-
-(* Events per (virtual) second over the window. *)
-let rate_per_s t = float_of_int (count t) /. (t.window_ms /. 1000.0)
 
 let percentile t p =
   if p < 0.0 || p > 100.0 then invalid_arg "Timeseries.percentile: p out of range";

@@ -25,8 +25,6 @@ type t
     dropped even if still inside the window. *)
 val create : ?max_samples:int -> window_ms:float -> unit -> t
 
-val window_ms : t -> float
-
 (** Record a sample at the current virtual time. Every engine starts
     its clock at 0, so a current time earlier than the newest sample
     marks a later simulation in the same process: the window is
@@ -40,9 +38,6 @@ val count : t -> int
 
 (** Sample values currently inside the window, oldest first. *)
 val values : t -> float list
-
-(** Events per virtual second over the window. *)
-val rate_per_s : t -> float
 
 (** Exact percentile (linear interpolation) over the windowed samples.
     Raises [Invalid_argument] when the window is empty or [p] is

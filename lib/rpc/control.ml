@@ -19,8 +19,6 @@ let error_to_string e = Format.asprintf "%a" pp_error e
 
 exception Rpc_failure of error
 
-let get_ok = function Ok v -> v | Error e -> raise (Rpc_failure e)
-
 let xid_counter = ref 0l
 
 let next_xid () =

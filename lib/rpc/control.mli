@@ -22,9 +22,6 @@ val error_to_string : error -> string
 
 exception Rpc_failure of error
 
-(** [get_ok r] unwraps or raises {!Rpc_failure}. *)
-val get_ok : ('a, error) result -> 'a
-
 (** Fresh transaction id; a single global counter keeps ids unique
     across every client in a simulation, which makes traces easy to
     follow. *)

@@ -4,21 +4,17 @@ type proc = { sign : Wire.Idl.signature; impl : Wire.Value.t -> Wire.Value.t }
 
 type server = {
   listener : Tcp.listener;
-  service_overhead_ms : float;
   procs : (int32 * int * int, proc) Hashtbl.t;
   programs : (int32 * int, unit) Hashtbl.t;
   mutable running : bool;
-  mutable served : int;
 }
 
-let create stack ?(port = Address.Well_known.courier) ?(service_overhead_ms = 0.0) () =
+let create stack ?(port = Address.Well_known.courier) () =
   {
     listener = Tcp.listen stack ~port;
-    service_overhead_ms;
     procs = Hashtbl.create 16;
     programs = Hashtbl.create 4;
     running = false;
-    served = 0;
   }
 
 let addr server = Tcp.listener_addr server.listener
@@ -64,13 +60,10 @@ let serve_connection server conn =
     match Tcp.recv conn with
     | exception Tcp.Connection_closed -> ()
     | payload ->
-        (if server.service_overhead_ms > 0.0 then
-           Sim.Engine.sleep server.service_overhead_ms);
         (match Courier_wire.decode payload with
         | exception Courier_wire.Bad_message _ -> ()
         | Courier_wire.Return _ | Courier_wire.Abort _ | Courier_wire.Reject _ -> ()
         | Courier_wire.Call c ->
-            server.served <- server.served + 1;
             Tcp.send conn (Courier_wire.encode (handle server c)));
         loop ()
   in
@@ -88,17 +81,14 @@ let start server =
             serve_connection server conn)
       done)
 
-let stop server =
-  server.running <- false;
-  Tcp.close_listener server.listener
-
-let calls_served server = server.served
-
 type session = { conn : Tcp.conn; mutable next_transaction : int }
 
 let connect stack dst = { conn = Tcp.connect stack dst; next_transaction = 1 }
 
-let call session ~prog ~vers ~procnum ~sign ?(timeout = 2000.0) v =
+(* How long a call waits for its reply. *)
+let timeout = 2000.0
+
+let call session ~prog ~vers ~procnum ~sign v =
   Wire.Idl.check ~what:"Courier_rpc.call args" sign.Wire.Idl.arg v;
   let transaction = session.next_transaction land 0xFFFF in
   session.next_transaction <- session.next_transaction + 1;
@@ -153,8 +143,8 @@ let call session ~prog ~vers ~procnum ~sign ?(timeout = 2000.0) v =
 
 let close session = Tcp.close session.conn
 
-let call_once stack ~dst ~prog ~vers ~procnum ~sign ?timeout v =
+let call_once stack ~dst ~prog ~vers ~procnum ~sign v =
   let session = connect stack dst in
-  let result = call session ~prog ~vers ~procnum ~sign ?timeout v in
+  let result = call session ~prog ~vers ~procnum ~sign v in
   close session;
   result

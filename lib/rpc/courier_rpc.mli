@@ -10,10 +10,10 @@
 
 type server
 
-val create :
-  Transport.Netstack.stack -> ?port:int -> ?service_overhead_ms:float -> unit -> server
+(** The server charges no service time of its own: a call costs only
+    its network round trip and the procedure's own work. *)
+val create : Transport.Netstack.stack -> ?port:int -> unit -> server
 
-val port : server -> int
 val addr : server -> Transport.Address.t
 
 val register :
@@ -26,8 +26,6 @@ val register :
   unit
 
 val start : server -> unit
-val stop : server -> unit
-val calls_served : server -> int
 
 (** A client session (one TCP connection). *)
 type session
@@ -36,19 +34,19 @@ type session
     [Tcp.Connection_refused] when nothing listens. *)
 val connect : Transport.Netstack.stack -> Transport.Address.t -> session
 
+(** Waits 2000 ms for the reply before failing with [Timeout]. *)
 val call :
   session ->
   prog:int ->
   vers:int ->
   procnum:int ->
   sign:Wire.Idl.signature ->
-  ?timeout:float ->
   Wire.Value.t ->
   (Wire.Value.t, Control.error) result
 
 val close : session -> unit
 
-(** One-shot convenience: connect, call once, close. *)
+(** One-shot convenience: connect, {!call} once, close. *)
 val call_once :
   Transport.Netstack.stack ->
   dst:Transport.Address.t ->
@@ -56,6 +54,5 @@ val call_once :
   vers:int ->
   procnum:int ->
   sign:Wire.Idl.signature ->
-  ?timeout:float ->
   Wire.Value.t ->
   (Wire.Value.t, Control.error) result

@@ -55,8 +55,6 @@ let start ?service_overhead_ms stack =
   Sunrpc.start srv;
   { srv; table }
 
-let server t = t.srv
-
 let set t ~prog ~vers ~protocol ~port =
   Hashtbl.replace t.table (prog, vers, protocol_number protocol) port
 
@@ -72,14 +70,14 @@ let mapping_value ~prog ~vers ~protocol ~port =
       ("port", Wire.Value.Uint (Int32.of_int port));
     ]
 
-let getport stack ~portmapper ~prog ~vers ?(protocol = P_udp) ?timeout ?attempts () =
+let getport stack ~portmapper ~prog ~vers () =
   let dst =
     Transport.Address.make portmapper Transport.Address.Well_known.sunrpc_portmapper
   in
   match
     Sunrpc.call stack ~dst ~prog:program ~vers:version ~procnum:proc_getport
-      ~sign:getport_sign ?timeout ?attempts
-      (mapping_value ~prog ~vers ~protocol ~port:0)
+      ~sign:getport_sign
+      (mapping_value ~prog ~vers ~protocol:P_udp ~port:0)
   with
   | Error _ as e -> e
   | Ok v -> (

@@ -9,8 +9,6 @@
 val program : int   (* 100000 *)
 val version : int   (* 2 *)
 val proc_set : int
-val proc_unset : int
-val proc_getport : int
 
 type protocol = P_udp | P_tcp
 
@@ -19,22 +17,18 @@ type t
 (** Start the host's portmapper (a Sun RPC server on port 111). *)
 val start : ?service_overhead_ms:float -> Transport.Netstack.stack -> t
 
-val server : t -> Sunrpc.server
-
 (** Local registration, as a server's init code would do at startup. *)
 val set : t -> prog:int -> vers:int -> protocol:protocol -> port:int -> unit
 
 val unset : t -> prog:int -> vers:int -> protocol:protocol -> unit
 
-(** Remote GETPORT. [Ok None] means the mapping is not registered
+(** Remote GETPORT for the UDP mapping, with {!Sunrpc.call}'s default
+    timeout and attempts. [Ok None] means the mapping is not registered
     (the portmapper answered port 0). *)
 val getport :
   Transport.Netstack.stack ->
   portmapper:Transport.Address.ip ->
   prog:int ->
   vers:int ->
-  ?protocol:protocol ->
-  ?timeout:float ->
-  ?attempts:int ->
   unit ->
   (int option, Control.error) result

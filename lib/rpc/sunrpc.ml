@@ -8,7 +8,6 @@ type server = {
   procs : (int32 * int32 * int32, proc) Hashtbl.t;
   programs : (int32 * int32, unit) Hashtbl.t;
   mutable running : bool;
-  mutable served : int;
 }
 
 let create stack ?port ?(service_overhead_ms = 0.0) () =
@@ -21,7 +20,6 @@ let create stack ?port ?(service_overhead_ms = 0.0) () =
     procs = Hashtbl.create 16;
     programs = Hashtbl.create 4;
     running = false;
-    served = 0;
   }
 
 let port server = (Udp.local_addr server.sock).Address.port
@@ -71,14 +69,12 @@ let start server =
         | exception Sunrpc_wire.Bad_message _ -> () (* drop garbage *)
         | Sunrpc_wire.Reply _ -> () (* stray reply: drop *)
         | Sunrpc_wire.Call call ->
-            server.served <- server.served + 1;
             let rbody = handle server call in
             let reply = Sunrpc_wire.(Reply { rxid = call.xid; rbody }) in
             Udp.sendto server.sock ~dst:src (Sunrpc_wire.encode reply)
       done)
 
 let stop server = server.running <- false
-let calls_served server = server.served
 
 let call stack ~dst ~prog ~vers ~procnum ~sign ?(timeout = 1000.0) ?(attempts = 3) v =
   Wire.Idl.check ~what:"Sunrpc.call args" sign.Wire.Idl.arg v;

@@ -37,9 +37,6 @@ val start : server -> unit
 
 val stop : server -> unit
 
-(** Counters. *)
-val calls_served : server -> int
-
 (** [call stack ~dst ~prog ~vers ~procnum ~sign v] performs a complete
     remote call: XDR-encode, send, retransmit on loss, decode.
     Defaults: 1000 ms timeout, 3 attempts, doubling backoff. *)

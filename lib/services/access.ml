@@ -23,8 +23,6 @@ let create hns =
     conns = Hrpc.Conn_cache.create (Hns.Client.stack hns);
   }
 
-let hns t = t.hns_
-
 let parse_host_spec ~default_context v =
   if v = "" then Error (Malformed_location v)
   else if String.contains v '!' then
@@ -83,8 +81,6 @@ let import t ~service (host : Hns.Hns_name.t) =
               | binding ->
                   Hashtbl.replace t.bindings key binding;
                   Ok binding)))
-
-let forget t ~service host = Hashtbl.remove t.bindings (cache_key ~service host)
 
 let call t binding ~procnum ~sign v =
   match Hrpc.Conn_cache.call t.conns binding ~procnum ~sign v with

@@ -18,7 +18,6 @@ val pp_error : Format.formatter -> error -> unit
 type t
 
 val create : Hns.Client.t -> t
-val hns : t -> Hns.Client.t
 
 (** [resolve_location t ~query_class ~key name] performs the HNS query
     and parses a ["key=value"] location record, interpreting the value
@@ -44,9 +43,6 @@ val parse_host_spec :
 (** [import t ~service host] imports (and caches) a binding for
     [service] on [host] through the HNS. *)
 val import : t -> service:string -> Hns.Hns_name.t -> (Hrpc.Binding.t, error) result
-
-(** Drop a cached binding (after a failed call, say). *)
-val forget : t -> service:string -> Hns.Hns_name.t -> unit
 
 (** One remote call with argument validation mapped into [error].
     TCP-transport bindings (Courier services) reuse a cached

@@ -23,21 +23,17 @@ type t = {
   server : Hrpc.Server.t;
   files : (string, string) Hashtbl.t;
   io_ms : float;
-  mutable fetch_count : int;
-  mutable store_count : int;
 }
 
 let create stack ~suite ?port ?(io_ms = 0.0) () =
   let server = Hrpc.Server.create stack ~suite ?port ~prog ~vers () in
-  let t = { server; files = Hashtbl.create 32; io_ms; fetch_count = 0; store_count = 0 } in
+  let t = { server; files = Hashtbl.create 32; io_ms } in
   Hrpc.Server.register server ~procnum:proc_fetch ~sign:fetch_sign (fun v ->
-      t.fetch_count <- t.fetch_count + 1;
       Sim.Engine.charge t.io_ms;
       match Hashtbl.find_opt t.files (Wire.Value.get_str v) with
       | Some data -> Wire.Value.Union (0, Wire.Value.Opaque data)
       | None -> Wire.Value.Union (1, Wire.Value.Void));
   Hrpc.Server.register server ~procnum:proc_store ~sign:store_sign (fun v ->
-      t.store_count <- t.store_count + 1;
       Sim.Engine.charge t.io_ms;
       let name = Wire.Value.get_str (Wire.Value.field v "name") in
       let data =
@@ -62,9 +58,5 @@ let create stack ~suite ?port ?(io_ms = 0.0) () =
 
 let put t ~name data = Hashtbl.replace t.files name data
 let get t ~name = Hashtbl.find_opt t.files name
-let file_count t = Hashtbl.length t.files
 let binding t = Hrpc.Server.binding t.server
 let start t = Hrpc.Server.start t.server
-let stop t = Hrpc.Server.stop t.server
-let fetches t = t.fetch_count
-let stores t = t.store_count

@@ -36,9 +36,5 @@ val create :
 val put : t -> name:string -> string -> unit
 
 val get : t -> name:string -> string option
-val file_count : t -> int
 val binding : t -> Hrpc.Binding.t
 val start : t -> unit
-val stop : t -> unit
-val fetches : t -> int
-val stores : t -> int

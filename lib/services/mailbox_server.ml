@@ -35,12 +35,13 @@ type t = {
   server : Hrpc.Server.t;
   boxes : (string, message list ref) Hashtbl.t;
   io_ms : float;
-  mutable delivery_count : int;
 }
 
-let create stack ?(suite = Hrpc.Component.sunrpc_suite) ?port ?(io_ms = 0.0) () =
-  let server = Hrpc.Server.create stack ~suite ?port ~prog ~vers () in
-  let t = { server; boxes = Hashtbl.create 16; io_ms; delivery_count = 0 } in
+let create stack ?port ?(io_ms = 0.0) () =
+  let server =
+    Hrpc.Server.create stack ~suite:Hrpc.Component.sunrpc_suite ?port ~prog ~vers ()
+  in
+  let t = { server; boxes = Hashtbl.create 16; io_ms } in
   Hrpc.Server.register server ~procnum:proc_deliver ~sign:deliver_sign (fun v ->
       Sim.Engine.charge t.io_ms;
       let user = Wire.Value.get_str (Wire.Value.field v "user") in
@@ -48,7 +49,6 @@ let create stack ?(suite = Hrpc.Component.sunrpc_suite) ?port ?(io_ms = 0.0) () 
       | None -> Wire.Value.Bool false
       | Some box ->
           box := !box @ [ message_of_value (Wire.Value.field v "message") ];
-          t.delivery_count <- t.delivery_count + 1;
           Wire.Value.Bool true);
   Hrpc.Server.register server ~procnum:proc_read ~sign:read_sign (fun v ->
       Sim.Engine.charge t.io_ms;
@@ -68,7 +68,5 @@ let add_user t user =
 let mailbox t ~user =
   match Hashtbl.find_opt t.boxes user with Some box -> !box | None -> []
 
-let binding t = Hrpc.Server.binding t.server
 let start t = Hrpc.Server.start t.server
 let stop t = Hrpc.Server.stop t.server
-let deliveries t = t.delivery_count

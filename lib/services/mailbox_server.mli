@@ -10,22 +10,19 @@ val prog : int
 val vers : int
 val proc_deliver : int
 val proc_read : int
-val proc_count : int
 
 type message = { from : string; subject : string; body : string }
 
-val message_ty : Wire.Idl.ty
 val message_to_value : message -> Wire.Value.t
 val message_of_value : Wire.Value.t -> message
 val deliver_sign : Wire.Idl.signature
 val read_sign : Wire.Idl.signature
-val count_sign : Wire.Idl.signature
 
 type t
 
+(** Serves over the Sun RPC suite. *)
 val create :
   Transport.Netstack.stack ->
-  ?suite:Hrpc.Component.protocol_suite ->
   ?port:int ->
   ?io_ms:float ->
   unit ->
@@ -35,7 +32,5 @@ val create :
 val add_user : t -> string -> unit
 
 val mailbox : t -> user:string -> message list
-val binding : t -> Hrpc.Binding.t
 val start : t -> unit
 val stop : t -> unit
-val deliveries : t -> int

@@ -14,19 +14,12 @@ val exec_sign : Wire.Idl.signature
 
 type t
 
-val create :
-  Transport.Netstack.stack ->
-  ?suite:Hrpc.Component.protocol_suite ->
-  ?port:int ->
-  unit ->
-  t
+(** Serves over the Sun RPC suite. *)
+val create : Transport.Netstack.stack -> ?port:int -> unit -> t
 
 (** [register_command t name ~cpu_ms f] — [f args] produces output;
     executing charges [cpu_ms] of virtual CPU. *)
 val register_command :
   t -> string -> cpu_ms:float -> (string list -> string) -> unit
 
-val binding : t -> Hrpc.Binding.t
 val start : t -> unit
-val stop : t -> unit
-val executions : t -> int

@@ -229,7 +229,6 @@ let spawn_child ?name f =
   | None -> invalid_arg "Engine.spawn_child: no process is running"
 
 let sleep d = Effect.perform (Sleep d)
-let yield () = Effect.perform (Sleep 0.0)
 let charge d = if d > 0.0 && Option.is_some !running then sleep d
 
 module Ivar = struct

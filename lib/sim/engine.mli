@@ -96,9 +96,6 @@ val charge : time -> unit
 (** Block the calling process for [d] ms ([d >= 0]). *)
 val sleep : time -> unit
 
-(** Yield to other processes runnable at the same instant. *)
-val yield : unit -> unit
-
 (** {1 Write-once synchronization variables} *)
 
 module Ivar : sig

@@ -29,12 +29,6 @@ let float t x =
   let v = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
   x *. (v /. 9007199254740992.0 (* 2^53 *))
 
-let int_in t lo hi =
-  if lo > hi then invalid_arg "Rng.int_in: empty range";
-  lo + int t (hi - lo + 1)
-
-let bool t = Int64.logand (bits64 t) 1L = 1L
-
 let exponential t ~mean =
   if mean <= 0.0 then invalid_arg "Rng.exponential: mean must be positive";
   let u = float t 1.0 in

@@ -22,11 +22,6 @@ val int : t -> int -> int
 (** [float t x] is uniform in [0, x). *)
 val float : t -> float -> float
 
-(** Uniform in [lo, hi]. Requires [lo <= hi]. *)
-val int_in : t -> int -> int -> int
-
-val bool : t -> bool
-
 (** Exponentially distributed with the given mean (> 0). *)
 val exponential : t -> mean:float -> float
 

@@ -25,8 +25,6 @@ let create ?(name = "") () =
     hi = neg_infinity;
   }
 
-let name t = t.stat_name
-
 let add t x =
   if t.n = Float.Array.length t.xs then begin
     let xs = Float.Array.create (max 8 (2 * t.n)) in

@@ -11,7 +11,6 @@
 type t
 
 val create : ?name:string -> unit -> t
-val name : t -> string
 val add : t -> float -> unit
 val count : t -> int
 val total : t -> float

@@ -53,4 +53,3 @@ let delay t ~src ~dst ~bytes =
   end
 
 let same_host a b = a.id = b.id
-let pp_host ppf h = Format.fprintf ppf "%s#%d" h.hostname h.id

@@ -34,4 +34,3 @@ val set_link : t -> host -> host -> latency_ms:float -> per_byte_ms:float -> uni
 val delay : t -> src:host -> dst:host -> bytes:int -> float
 
 val same_host : host -> host -> bool
-val pp_host : Format.formatter -> host -> unit

@@ -126,11 +126,6 @@ let size t ~file =
   | Some f -> String.length f.durable + Buffer.length f.pending
   | None -> 0
 
-let exists t ~file =
-  match Hashtbl.find_opt t.table file with
-  | Some f -> String.length f.durable > 0 || Buffer.length f.pending > 0
-  | None -> false
-
 let files t =
   Hashtbl.fold (fun name f acc -> if String.length f.durable > 0 || Buffer.length f.pending > 0 then name :: acc else acc) t.table []
   |> List.sort String.compare

@@ -21,11 +21,6 @@ type cost_model = {
   fsync_ms : float;  (** write-cache flush (rotational settle) *)
 }
 
-(** Calibrated to the paper era's server disk (a Fujitsu-Eagle-class
-    drive: ~18 ms average seek, ~1.8 MB/s sustained transfer, 8.3 ms
-    rotational settle on flush). *)
-val default_cost : cost_model
-
 (** A free device for tests that measure logic, not latency. *)
 val free_cost : cost_model
 
@@ -40,7 +35,10 @@ type fault_oracle = now:float -> file:string -> pending:int -> crash_fate
 type t
 
 (** [create ?name ?cost ()] — [name] identifies the device in chaos
-    plans and traces (default ["disk0"]). *)
+    plans and traces (default ["disk0"]). [cost] defaults to the paper
+    era's server disk (a Fujitsu-Eagle-class drive: 18 ms average
+    seek, ~1.8 MB/s sustained transfer, 8.3 ms rotational settle on
+    flush). *)
 val create : ?name:string -> ?cost:cost_model -> unit -> t
 
 val name : t -> string
@@ -70,8 +68,6 @@ val durable_size : t -> file:string -> int
 
 (** Durable + pending size. *)
 val size : t -> file:string -> int
-
-val exists : t -> file:string -> bool
 
 (** All files with durable or pending bytes, sorted. *)
 val files : t -> string list

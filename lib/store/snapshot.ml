@@ -48,7 +48,11 @@ let snaps_on disk ~base =
     (Disk.files disk)
   |> List.sort (fun (a, _) (b, _) -> Int32.compare b a)
 
-let save ?(base = "snap") ?(keep = 2) disk ~serial payload =
+(* Snapshots kept on the medium after a save: the new one and its
+   predecessor. *)
+let keep = 2
+
+let save ?(base = "snap") disk ~serial payload =
   let file = snap_file base serial in
   ignore (Disk.append disk ~file (frame payload));
   Disk.fsync disk ~file;

@@ -6,7 +6,9 @@
     crash mid-save tears the new file, its CRC fails, and
     {!load_latest} falls back to the previous one. *)
 
-val save : ?base:string -> ?keep:int -> Disk.t -> serial:int32 -> string -> unit
+(** Keeps the newest two snapshots: the one saved and its
+    predecessor. *)
+val save : ?base:string -> Disk.t -> serial:int32 -> string -> unit
 
 (** The newest snapshot whose frame verifies, with its serial.
     Charges disk reads (this is the recovery path). *)

@@ -131,7 +131,6 @@ let create ?(base = "wal") ?(group_window_ms = 2.0) ?(segment_bytes = 64 * 1024)
     group_commits = Obs.Metrics.owned m_commits;
   }
 
-let disk t = t.disk
 let base t = t.base
 let bytes t = t.total_bytes
 let segments t = List.length (segment_files t.disk ~base:t.base)

@@ -64,7 +64,6 @@ val segments : t -> int
 (** This log's own [store.wal.appends] and [store.wal.group_commits]. *)
 val metrics : t -> Obs.Metrics.scope
 
-val disk : t -> Disk.t
 val base : t -> string
 
 (** CRC-32 (IEEE), exposed for tests and snapshot framing. *)

@@ -57,14 +57,14 @@ and stack = {
   mutable next_tcp_ephemeral : int;
 }
 
-let create ?(drop_probability = 0.0) ?(seed = 0x9E3779B9L) engine topology =
+let create ?(drop_probability = 0.0) engine topology =
   if drop_probability < 0.0 || drop_probability >= 1.0 then
     invalid_arg "Netstack.create: drop probability out of [0,1)";
   {
     engine;
     topology;
     drop_probability;
-    rng = Sim.Rng.create ~seed;
+    rng = Sim.Rng.create ~seed:0x9E3779B9L;
     next_ip = 0x0A000001l (* 10.0.0.1 *);
     stacks = Hashtbl.create 16;
     by_host = Hashtbl.create 16;
@@ -74,9 +74,6 @@ let create ?(drop_probability = 0.0) ?(seed = 0x9E3779B9L) engine topology =
     received = Obs.Metrics.owned m_received;
     bytes = Obs.Metrics.owned m_bytes;
   }
-
-let engine t = t.engine
-let topology t = t.topology
 
 let attach t host =
   if Hashtbl.mem t.by_host host.Sim.Topology.id then
@@ -106,7 +103,6 @@ let ip s = s.stack_ip
 let host s = s.stack_host
 let net s = s.net_
 let find_stack t ip = Hashtbl.find_opt t.stacks ip
-let stack_of_host t h = Hashtbl.find_opt t.by_host h.Sim.Topology.id
 
 let count_sent t ~bytes =
   Obs.Metrics.incr t.sent;
@@ -135,24 +131,6 @@ let consult t ~src ~dst ~payload =
   | Some oracle ->
       oracle ~now:(Sim.Engine.now t.engine) ~src:src.stack_host
         ~dst:dst.stack_host ~payload
-
-let transit t ~src ~dst ~bytes k =
-  count_sent t ~bytes;
-  if random_drop t ~src ~dst then count_dropped t
-  else
-    match consult t ~src ~dst ~payload:None with
-    | Fault_drop -> count_dropped t
-    | (Fault_pass | Fault_deliver _) as verdict ->
-        let extra =
-          match verdict with
-          | Fault_deliver { extra_delay_ms; _ } -> extra_delay_ms
-          | _ -> 0.0
-        in
-        let delay =
-          Sim.Topology.delay t.topology ~src:src.stack_host ~dst:dst.stack_host
-            ~bytes
-        in
-        Sim.Engine.at t.engine (delay +. extra) (deliver t k)
 
 let transit_msg t ~src ~dst ~bytes payload k =
   count_sent t ~bytes;

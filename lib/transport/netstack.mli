@@ -10,11 +10,9 @@
 type t
 type stack
 
-val create :
-  ?drop_probability:float -> ?seed:int64 -> Sim.Engine.t -> Sim.Topology.t -> t
-
-val engine : t -> Sim.Engine.t
-val topology : t -> Sim.Topology.t
+(** Random drops draw from a generator with the fixed seed
+    [0x9E3779B9], so a run's losses repeat exactly. *)
+val create : ?drop_probability:float -> Sim.Engine.t -> Sim.Topology.t -> t
 
 (** [attach t host] creates the host's stack and assigns the next IP
     (starting at 10.0.0.1). A host can attach at most once. *)
@@ -24,7 +22,6 @@ val ip : stack -> Address.ip
 val host : stack -> Sim.Topology.host
 val net : stack -> t
 val find_stack : t -> Address.ip -> stack option
-val stack_of_host : t -> Sim.Topology.host -> stack option
 
 (** Every attached stack, in attachment order (used by broadcast). *)
 val all_stacks : t -> stack list
@@ -57,13 +54,11 @@ type fault_oracle =
 val set_fault_oracle : t -> fault_oracle -> unit
 val clear_fault_oracle : t -> unit
 
-(** [transit t ~src ~dst ~bytes k] schedules [k] after the simulated
-    network delay from [src] to [dst]. When the hop leaves the host,
-    [k] is dropped (never run) with the configured drop probability. *)
-val transit : t -> src:stack -> dst:stack -> bytes:int -> (unit -> unit) -> unit
-
-(** Like {!transit} for a datagram whose payload the fault oracle may
-    corrupt: [k] receives the payload that actually arrives. *)
+(** [transit_msg t ~src ~dst ~bytes payload k] schedules [k] after the
+    simulated network delay from [src] to [dst], passing it the payload
+    that actually arrives (the fault oracle may corrupt it). When the
+    hop leaves the host, [k] is dropped (never run) with the configured
+    drop probability. *)
 val transit_msg :
   t -> src:stack -> dst:stack -> bytes:int -> string -> (string -> unit) -> unit
 
@@ -73,7 +68,7 @@ type channel
 
 val channel : unit -> channel
 
-(** Like {!transit} but never drops (TCP retransmission is folded into
+(** Like {!transit_msg} but never drops (TCP retransmission is folded into
     the delay model) and preserves order within the [channel]: an event
     never overtakes an earlier event on the same channel even when it
     is smaller. *)

@@ -109,9 +109,6 @@ let connect ?(timeout_ms = default_connect_timeout_ms) stack dst =
             recv_open = true;
           })
 
-let local_addr c = c.local
-let peer_addr c = c.peer
-
 let send c payload =
   if not c.send_open then raise Connection_closed;
   let net = Netstack.net c.stack in

@@ -30,9 +30,6 @@ val close_listener : listener -> unit
     a partitioned peer must not hang the caller forever). *)
 val connect : ?timeout_ms:float -> Netstack.stack -> Address.t -> conn
 
-val local_addr : conn -> Address.t
-val peer_addr : conn -> Address.t
-
 (** Queue one message for in-order delivery. Never blocks.
     Raises {!Connection_closed} after a local [close]. *)
 val send : conn -> string -> unit

@@ -8,7 +8,6 @@ let of_name = function
   | _ -> None
 
 let equal a b = a = b
-let pp ppf t = Format.pp_print_string ppf (name t)
 let alignment = function Xdr -> 4 | Courier -> 2
 
 let encode t ?check ty wr v =
@@ -24,6 +23,3 @@ let to_string t ty v =
 
 let of_string t ty s =
   match t with Xdr -> Xdr.of_string ty s | Courier -> Courier.of_string ty s
-
-let encoded_size t ty v =
-  match t with Xdr -> Xdr.encoded_size ty v | Courier -> Courier.encoded_size ty v

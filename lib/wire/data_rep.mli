@@ -9,7 +9,6 @@ type t = Xdr | Courier
 val name : t -> string
 val of_name : string -> t option
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 
 (** Word alignment of the representation in bytes (4 for XDR, 2 for
     Courier). *)
@@ -21,5 +20,3 @@ val to_string : t -> Idl.ty -> Value.t -> string
 
 (** Raises [Xdr.Decode_error] or [Courier.Decode_error] accordingly. *)
 val of_string : t -> Idl.ty -> string -> Value.t
-
-val encoded_size : t -> Idl.ty -> Value.t -> int

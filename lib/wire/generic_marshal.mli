@@ -11,8 +11,9 @@
 
     This module reproduces both halves:
 
-    - {!compile} builds an encoder/decoder pipeline by interpreting an
-      {!Idl.ty} into a tree of closures — structurally the indirect-call
+    - {!marshal} and {!unmarshal} build an encoder/decoder pipeline by
+      interpreting an {!Idl.ty} into a tree of closures, then run it on
+      a fresh buffer — structurally the indirect-call
       shape of generated stub code (and functionally identical to the
       direct {!Data_rep} codecs, which property tests verify);
     - {!cost} is the calibrated virtual-time cost model, linear in the
@@ -20,15 +21,6 @@
       and hand-coded paths. Simulated services charge this cost to the
       virtual clock when they marshal. *)
 
-type codec = {
-  enc : Bytebuf.Wr.t -> Value.t -> unit;
-  dec : Bytebuf.Rd.t -> Value.t;
-}
-
-(** Build the closure pipeline for a descriptor under a representation. *)
-val compile : Data_rep.t -> Idl.ty -> codec
-
-(** Convenience: compile then run on a fresh buffer/string. *)
 val marshal : Data_rep.t -> Idl.ty -> Value.t -> string
 
 val unmarshal : Data_rep.t -> Idl.ty -> string -> Value.t

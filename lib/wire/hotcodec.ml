@@ -27,7 +27,6 @@ let count_decode ~bytes =
 let count_fallback () = Obs.Metrics.incr m_fallbacks
 let count_value_materialization () = Obs.Metrics.incr m_value_allocs
 let hand_decodes () = Obs.Metrics.value m_hand_decodes
-let generic_fallbacks () = Obs.Metrics.value m_fallbacks
 let value_materializations () = Obs.Metrics.value m_value_allocs
 
 (* --- cost model ----------------------------------------------------- *)
@@ -46,12 +45,11 @@ let cost m ~records = m.per_call_ms +. (m.per_record_ms *. float records)
    one backing store instead of allocating per record (the same trick
    generated stubs can't play: each stub call builds its own
    intermediate tree and buffer). *)
-type pool = { mutable free : Bytebuf.Wr.t list; mutable outstanding : int }
+type pool = { mutable free : Bytebuf.Wr.t list }
 
-let create_pool () = { free = []; outstanding = 0 }
+let create_pool () = { free = [] }
 
 let borrow p =
-  p.outstanding <- p.outstanding + 1;
   match p.free with
   | w :: rest ->
       p.free <- rest;
@@ -63,7 +61,6 @@ let borrow p =
       Bytebuf.Wr.create ~initial:128 ()
 
 let give_back p w =
-  p.outstanding <- p.outstanding - 1;
   p.free <- w :: p.free
 
 (* Hand-rolled instead of [Fun.protect]: this wraps every single hot

@@ -30,7 +30,6 @@ val count_fallback : unit -> unit
 val count_value_materialization : unit -> unit
 
 val hand_decodes : unit -> int
-val generic_fallbacks : unit -> int
 val value_materializations : unit -> int
 
 (** {1 Cost model} *)
@@ -44,8 +43,6 @@ val cost : cost_model -> records:int -> float
 (** {1 Buffer pool} *)
 
 type pool
-
-val create_pool : unit -> pool
 
 (** [with_wr pool f] borrows a cleared writer (reusing a previously
     grown backing store when one is free — a pool hit), runs [f], and

@@ -81,7 +81,6 @@ let get_int = function
 let get_str = function Str s -> s | v -> shape_error "get_str" v
 let get_bool = function Bool b -> b | v -> shape_error "get_bool" v
 let get_array = function Array xs -> xs | v -> shape_error "get_array" v
-let get_struct = function Struct fs -> fs | v -> shape_error "get_struct" v
 
 let field v name =
   match v with

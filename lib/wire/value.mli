@@ -41,7 +41,6 @@ val get_int : t -> int
 val get_str : t -> string
 val get_bool : t -> bool
 val get_array : t -> t list
-val get_struct : t -> (string * t) list
 
 (** [field v name] looks a field up in a [Struct]. *)
 val field : t -> string -> t

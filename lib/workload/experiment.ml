@@ -43,10 +43,9 @@ let print_cells ~title cells =
          ])
        cells)
 
-let repeat_timed ?reset ~trials f =
+let repeat_timed ~trials f =
   let stats = Sim.Stats.create ~name:"trials" () in
   for _ = 1 to trials do
-    (match reset with Some r -> r () | None -> ());
     let t0 = Sim.Engine.time () in
     f ();
     Sim.Stats.add stats (Sim.Engine.time () -. t0)

@@ -18,9 +18,6 @@ val print_cells : title:string -> cell list -> unit
 (** Render an arbitrary table: header row then rows, columns padded. *)
 val print_table : title:string -> header:string list -> string list list -> unit
 
-val ms : float -> string
-
-(** Run [trials] repetitions of a thunk (flushing via [reset] between
-    repetitions when given) and collect virtual-time durations. Must
-    run inside a simulated process. *)
-val repeat_timed : ?reset:(unit -> unit) -> trials:int -> (unit -> unit) -> Sim.Stats.t
+(** Run [trials] repetitions of a thunk back to back and collect
+    virtual-time durations. Must run inside a simulated process. *)
+val repeat_timed : trials:int -> (unit -> unit) -> Sim.Stats.t

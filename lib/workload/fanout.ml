@@ -359,19 +359,17 @@ let run cfg =
 
 (* --- presets ------------------------------------------------------ *)
 
-let point ?(label = "point") ?(partitions = 2) ?(replicas = 0) ?(chain_k = 2)
-    ?(clients = 6) ?(reads_per_client = 16) ?(read_interval_ms = 25.0)
-    ?(contexts_per_partition = 4) ?(rww_rounds = 0) ?(read_your_writes = true)
-    () =
+let point ?(label = "point") ?(replicas = 0) ?(clients = 6) ?(reads_per_client = 16)
+    ?(rww_rounds = 0) ?(read_your_writes = true) () =
   {
     label;
-    partitions;
+    partitions = 2;
     replicas;
-    chain_k;
+    chain_k = 2;
     clients;
     reads_per_client;
-    read_interval_ms;
-    contexts_per_partition;
+    read_interval_ms = 25.0;
+    contexts_per_partition = 4;
     rww_rounds;
     read_your_writes;
   }

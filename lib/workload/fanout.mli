@@ -63,25 +63,18 @@ type report = {
     the tree fails to converge within the 55 s backstop. *)
 val run : config -> report
 
-(** Single config point with workload defaults: 2 partitions, no
-    replicas, [chain_k] 2, 6 clients x 16 reads at 25 ms, 4 contexts
-    per partition, no rww phase, pinning on. *)
+(** Single config point: always 2 partitions, [chain_k] 2, reads
+    25 ms apart and 4 contexts per partition; by default no replicas,
+    6 clients x 16 reads, no rww phase, pinning on. *)
 val point :
   ?label:string ->
-  ?partitions:int ->
   ?replicas:int ->
-  ?chain_k:int ->
   ?clients:int ->
   ?reads_per_client:int ->
-  ?read_interval_ms:float ->
-  ?contexts_per_partition:int ->
   ?rww_rounds:int ->
   ?read_your_writes:bool ->
   unit ->
   config
-
-(** Scale factors of the headline sweep (clients = 3x each). *)
-val sweep_scales : int list
 
 (** The headline A/B: per scale point [m], [(baseline, replicated)] —
     [3m] clients against 0 replicas vs [m] replicas per partition. *)

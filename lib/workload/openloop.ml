@@ -487,14 +487,9 @@ let run cfg =
 
 (* --- presets ------------------------------------------------------ *)
 
-let smoke ?(ranking = Decayed) ?label () =
-  let label =
-    match label with
-    | Some l -> l
-    | None -> ( match ranking with Decayed -> "smoke" | Sliding -> "smoke_naive")
-  in
+let smoke ?(ranking = Decayed) () =
   {
-    label;
+    label = (match ranking with Decayed -> "smoke" | Sliding -> "smoke_naive");
     seed = 11;
     clients = 20_000;
     agent_hosts = 4;

@@ -69,13 +69,10 @@ val drive_closed : n:int -> submit:(int -> bool) -> unit -> drive_result
 (** {1 The confederation harness} *)
 
 type ranking =
-  | Decayed  (** {!Dns.Hotrank.Decayed}, half-life {!decayed_half_life_ms}. *)
+  | Decayed  (** {!Dns.Hotrank.Decayed}, half-life 300 s. *)
   | Sliding
-      (** {!Dns.Hotrank.Sliding_count} over {!sliding_window_ms} — the
-          naive recency-windowed baseline the A/B bench measures. *)
-
-val decayed_half_life_ms : float (* 300_000. *)
-val sliding_window_ms : float (* 10_000. *)
+      (** {!Dns.Hotrank.Sliding_count} over a 10 s window — the naive
+          recency-windowed baseline the A/B bench measures. *)
 
 (** A flash crowd: between [at_ms] and [at_ms +. len_ms] (offsets into
     the measured window), [fraction] of arrivals are redirected to the
@@ -111,9 +108,8 @@ type config = {
           generated stubs — heterogeneity is the point *)
   meta_replicas : int;
       (** meta-zone replica servers chained under the primary; every
-          fleet client routes its meta reads over them
-          ({!Scenario.new_replica_set}). 0 = the single-primary
-          deployment *)
+          fleet client routes its meta reads over them. 0 = the
+          single-primary deployment *)
   flash : flash option;
   storm : storm option;
   slo_target_ms : float;  (** steady-resolve SLO target *)
@@ -148,8 +144,9 @@ type report = {
 val run : config -> report
 
 (** Small-N preset for [make check] / CI smoke (a few thousand
-    clients, one virtual minute). *)
-val smoke : ?ranking:ranking -> ?label:string -> unit -> config
+    clients, one virtual minute), labelled ["smoke"] (["smoke_naive"]
+    under [Sliding]). *)
+val smoke : ?ranking:ranking -> unit -> config
 
 (** The bench suite: poisson + diurnal baselines, the
     flash.decayed/flash.sliding A/B pair at a million clients, and a

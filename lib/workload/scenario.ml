@@ -113,8 +113,7 @@ let new_replica_set t ~on =
       Some
         (Dns.Replica_set.create on ~zone:Hns.Meta_schema.zone_origin
            ~primary:(meta_addr t)
-           ~replicas:(List.map Dns.Server.addr servers)
-           ())
+           ~replicas:(List.map Dns.Server.addr servers))
 
 let new_hns_raw ?staleness_budget_ms ?rpc_policy ?enable_bundle ?negative_ttl_ms
     ?nsm_cache_ttl_ms ?(hand_codec = false) ?replica_set ~cache_mode

@@ -112,10 +112,6 @@ val attach_meta_replicas : t -> Dns.Secondary.t list
 
 val detach_meta_replicas : t -> Dns.Secondary.t list -> unit
 
-(** A fresh routing view over the replica fleet for a client on [on];
-    [None] when the scenario was built without [meta_replicas]. *)
-val new_replica_set : t -> on:Transport.Netstack.stack -> Dns.Replica_set.t option
-
 (** Run a thunk as a simulated process and drive the engine to
     quiescence; returns the thunk's value. *)
 val in_sim : t -> (unit -> 'a) -> 'a

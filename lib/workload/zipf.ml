@@ -15,9 +15,6 @@ let create ~n ~s =
   cdf.(n - 1) <- 1.0;
   { n_ = n; s_ = s; cdf }
 
-let n t = t.n_
-let s t = t.s_
-
 let sample t rng =
   let u = Sim.Rng.float rng 1.0 in
   (* Binary search for the first index with cdf >= u. *)

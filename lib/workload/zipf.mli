@@ -11,9 +11,6 @@ type t
 (** [create ~n ~s] precomputes the CDF. Requires [n > 0], [s >= 0]. *)
 val create : n:int -> s:float -> t
 
-val n : t -> int
-val s : t -> float
-
 (** Sample a rank in [0, n). *)
 val sample : t -> Sim.Rng.t -> int
 

@@ -11,10 +11,5 @@ val check_domain : t -> (bool, Rpc.Control.error) result
 (** [match_ t ~map key] — [Ok None] when the key is unbound. *)
 val match_ : t -> map:string -> string -> (string option, Rpc.Control.error) result
 
-val first : t -> map:string -> ((string * string) option, Rpc.Control.error) result
-
-val next :
-  t -> map:string -> after:string -> ((string * string) option, Rpc.Control.error) result
-
 (** Enumerate a whole map via FIRST/NEXT. *)
 val all : t -> map:string -> ((string * string) list, Rpc.Control.error) result

@@ -5,7 +5,6 @@ let proc_match = 3
 let proc_first = 4
 let proc_next = 5
 let map_hosts_byname = "hosts.byname"
-let map_services_byname = "services.byname"
 
 let value_result =
   Wire.Idl.T_union ([ (0, Wire.Idl.T_opaque); (1, Wire.Idl.T_void) ], None)

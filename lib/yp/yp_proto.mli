@@ -16,8 +16,6 @@ val proc_next : int (* 5 *)
 (** Well-known map names. *)
 val map_hosts_byname : string
 
-val map_services_byname : string
-
 val domain_sign : Wire.Idl.signature
 val match_sign : Wire.Idl.signature
 val first_sign : Wire.Idl.signature

@@ -7,7 +7,6 @@ type t = {
   domain_ : string;
   maps : (string, yp_map) Hashtbl.t;
   lookup_ms : float;
-  mutable lookup_count : int;
 }
 
 let get_map t name =
@@ -30,7 +29,7 @@ let opaque_str v =
 
 let create stack ?(port = 834) ?(lookup_ms = 0.0) ~domain () =
   let server = Rpc.Sunrpc.create stack ~port () in
-  let t = { server; domain_ = domain; maps = Hashtbl.create 8; lookup_ms; lookup_count = 0 } in
+  let t = { server; domain_ = domain; maps = Hashtbl.create 8; lookup_ms } in
   let reg procnum sign impl =
     Rpc.Sunrpc.register server ~prog:Yp_proto.program ~vers:Yp_proto.version ~procnum
       ~sign impl
@@ -42,7 +41,6 @@ let create stack ?(port = 834) ?(lookup_ms = 0.0) ~domain () =
   reg Yp_proto.proc_domain Yp_proto.domain_sign (fun v ->
       Wire.Value.Bool (String.equal (Wire.Value.get_str v) t.domain_));
   reg Yp_proto.proc_match Yp_proto.match_sign (fun v ->
-      t.lookup_count <- t.lookup_count + 1;
       Sim.Engine.charge t.lookup_ms;
       with_domain v (fun () ->
           let map = get_map t (Wire.Value.get_str (Wire.Value.field v "map")) in
@@ -51,13 +49,11 @@ let create stack ?(port = 834) ?(lookup_ms = 0.0) ~domain () =
           | Some value -> found value
           | None -> missing));
   reg Yp_proto.proc_first Yp_proto.first_sign (fun v ->
-      t.lookup_count <- t.lookup_count + 1;
       Sim.Engine.charge t.lookup_ms;
       with_domain v (fun () ->
           let map = get_map t (Wire.Value.get_str (Wire.Value.field v "map")) in
           match map.entries with [] -> missing | e :: _ -> entry_found e));
   reg Yp_proto.proc_next Yp_proto.next_sign (fun v ->
-      t.lookup_count <- t.lookup_count + 1;
       Sim.Engine.charge t.lookup_ms;
       with_domain v (fun () ->
           let map = get_map t (Wire.Value.get_str (Wire.Value.field v "map")) in
@@ -74,7 +70,6 @@ let create stack ?(port = 834) ?(lookup_ms = 0.0) ~domain () =
 
 let port t = Rpc.Sunrpc.port t.server
 let addr t = Rpc.Sunrpc.addr t.server
-let domain t = t.domain_
 
 let set t ~map ~key value =
   let m = get_map t map in
@@ -86,7 +81,5 @@ let remove t ~map ~key =
   let m = get_map t map in
   m.entries <- List.filter (fun (k, _) -> not (String.equal k key)) m.entries
 
-let map_size t ~map = List.length (get_map t map).entries
 let start t = Rpc.Sunrpc.start t.server
 let stop t = Rpc.Sunrpc.stop t.server
-let lookups t = t.lookup_count

@@ -20,14 +20,11 @@ val create :
 
 val port : t -> int
 val addr : t -> Transport.Address.t
-val domain : t -> string
 
 (** Set a key (insertion order preserved; existing key keeps its
     position). *)
 val set : t -> map:string -> key:string -> string -> unit
 
 val remove : t -> map:string -> key:string -> unit
-val map_size : t -> map:string -> int
 val start : t -> unit
 val stop : t -> unit
-val lookups : t -> int

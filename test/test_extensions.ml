@@ -150,14 +150,6 @@ let stats_clear_resets () =
   Sim.Stats.add s 1.0;
   check_float_near "fresh mean" 1.0 (Sim.Stats.mean s)
 
-let trace_recordf_formats () =
-  let tr = Sim.Trace.create () in
-  Sim.Trace.enable tr;
-  Sim.Trace.recordf tr ~time:1.5 ~tag:"rpc" "call %d to %s" 7 "fiji";
-  match Sim.Trace.lines tr with
-  | [ (1.5, "rpc", msg) ] -> check_string "formatted" "call 7 to fiji" msg
-  | _ -> Alcotest.fail "expected one line"
-
 let secondary_refresh_override () =
   let w = make_world ~hosts:2 () in
   let transfers =
@@ -224,7 +216,6 @@ let suite =
     Alcotest.test_case "Errors.get_ok" `Quick errors_get_ok_raises;
     Alcotest.test_case "hns name ordering" `Quick hns_name_ordering;
     Alcotest.test_case "stats clear" `Quick stats_clear_resets;
-    Alcotest.test_case "trace recordf" `Quick trace_recordf_formats;
     Alcotest.test_case "secondary refresh cycles" `Quick secondary_refresh_override;
     Alcotest.test_case "filing remove" `Quick file_remove_via_filing;
   ]

@@ -204,7 +204,6 @@ let crash_rebootstrap_serves_through () =
             ~zone:Hns.Meta_schema.zone_origin
             ~primary:(Dns.Server.addr primary)
             ~replicas:[ Dns.Server.addr replica ]
-            ()
         in
         let client =
           mk_meta_client w.stacks.(2) ~replica_set:rs
@@ -347,7 +346,6 @@ let routed_matches_primary writes =
           ~zone:Hns.Meta_schema.zone_origin
           ~primary:(Dns.Server.addr primary)
           ~replicas:[ Dns.Server.addr replica ]
-          ()
       in
       Dns.Replica_set.refresh_serials rs;
       let routed =

@@ -143,6 +143,39 @@ let lost_notify_degrades_to_polling () =
   check_bool "poll backstop converged after heal" true converged;
   check_int "no NOTIFY ever arrived" 0 kicks
 
+(* --- NOTIFY fan-out holds 8 pushes in flight --- *)
+
+let m_notify_sent = Obs.Metrics.counter "dns.notify.sent"
+
+(* 20 subscribers nobody listens for: each push ties its worker up for
+   1.5 s (a 500 ms attempt, then a 1000 ms retry), so one update's
+   sends leave in waves of 8, 8 and 4, 1.5 s apart. *)
+let notify_fanout_holds_eight_in_flight () =
+  let w = make_world ~hosts:3 () in
+  let sent_at =
+    in_sim w (fun () ->
+        let primary = Dns.Server.create w.stacks.(0) ~allow_update:true () in
+        Dns.Server.add_zone primary
+          (Dns.Zone.simple ~origin:zname [ mk_a "h.z" 7l ]);
+        Dns.Server.start primary;
+        let dead_ip = Transport.Netstack.ip w.stacks.(1) in
+        for port = 40_000 to 40_019 do
+          Dns.Server.register_notify primary (Transport.Address.make dead_ip port)
+        done;
+        let before = Obs.Metrics.value m_notify_sent in
+        update w primary (mk_a "new.z" 9l);
+        (* Offsets from the update's ack, a few ms after the push. *)
+        List.map
+          (fun offset_ms ->
+            Sim.Engine.sleep offset_ms;
+            Obs.Metrics.value m_notify_sent - before)
+          [ 0.0; 1_400.0; 200.0; 1_300.0; 200.0; 2_000.0 ])
+  in
+  Alcotest.(check (list int))
+    "sent at +0, +1.4, +1.6, +2.9, +3.1 and +5.1 s"
+    [ 8; 8; 16; 16; 20; 20 ] sent_at
+
+
 (* --- the preloaded meta client, kept coherent by deltas --- *)
 
 let meta_value = Wire.Value.str "UW-BIND"
@@ -395,6 +428,8 @@ let suite =
       truncated_journal_falls_back_to_axfr;
     Alcotest.test_case "lost NOTIFY degrades to polling" `Quick
       lost_notify_degrades_to_polling;
+    Alcotest.test_case "NOTIFY fan-out holds 8 in flight" `Quick
+      notify_fanout_holds_eight_in_flight;
     Alcotest.test_case "client applies added records" `Quick
       client_applies_added_records;
     Alcotest.test_case "client invalidates deleted records" `Quick

@@ -720,37 +720,6 @@ let topology_duplicate_host () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "duplicate host should raise"
 
-(* --- Trace --- *)
-
-let trace_ring () =
-  let tr = Sim.Trace.create ~capacity:3 () in
-  Sim.Trace.record tr ~time:1.0 ~tag:"t" "dropped when disabled";
-  check_int "disabled records nothing" 0 (List.length (Sim.Trace.lines tr));
-  Sim.Trace.enable tr;
-  List.iter (fun i -> Sim.Trace.record tr ~time:(float_of_int i) ~tag:"t" (string_of_int i))
-    [ 1; 2; 3; 4 ];
-  let lines = Sim.Trace.lines tr in
-  check_int "capacity bounds" 3 (List.length lines);
-  check_string "oldest dropped" "2" (match lines with (_, _, m) :: _ -> m | [] -> "")
-
-(* Regression: recordf on a disabled trace must not render its
-   arguments. A %t printer with a side effect detects any rendering. *)
-let trace_recordf_lazy () =
-  let tr = Sim.Trace.create () in
-  let rendered = ref 0 in
-  let probe ppf =
-    incr rendered;
-    Format.pp_print_string ppf "probe"
-  in
-  Sim.Trace.recordf tr ~time:1.0 ~tag:"t" "value=%t" probe;
-  check_int "disabled recordf renders nothing" 0 !rendered;
-  check_int "disabled recordf stores nothing" 0 (List.length (Sim.Trace.lines tr));
-  Sim.Trace.enable tr;
-  Sim.Trace.recordf tr ~time:2.0 ~tag:"t" "value=%t" probe;
-  check_int "enabled recordf renders once" 1 !rendered;
-  check_string "enabled recordf stores line" "value=probe"
-    (match Sim.Trace.lines tr with [ (_, _, m) ] -> m | _ -> "")
-
 let suite =
   [
     Alcotest.test_case "heap pop order" `Quick heap_pop_order;
@@ -798,8 +767,6 @@ let suite =
     Alcotest.test_case "histogram" `Quick histogram_counts;
     Alcotest.test_case "topology delays" `Quick topology_delays;
     Alcotest.test_case "topology duplicate host" `Quick topology_duplicate_host;
-    Alcotest.test_case "trace ring" `Quick trace_ring;
-    Alcotest.test_case "trace recordf lazy when disabled" `Quick trace_recordf_lazy;
   ]
 
 (* pretty-printer smoke tests: they must never raise and must contain
@@ -817,11 +784,7 @@ let pp_smoke () =
   check_bool "stats pp mentions mean" true (contains ~needle:"mean=2.00" rendered);
   let h = Sim.Stats.Histogram.create ~lo:0.0 ~hi:10.0 ~bins:2 in
   Sim.Stats.Histogram.add h 1.0;
-  check_bool "histogram pp" true (String.length (Format.asprintf "%a" Sim.Stats.Histogram.pp h) > 0);
-  let tr = Sim.Trace.create () in
-  Sim.Trace.enable tr;
-  Sim.Trace.record tr ~time:1.0 ~tag:"t" "m";
-  check_bool "trace pp" true (String.length (Format.asprintf "%a" Sim.Trace.pp tr) > 0)
+  check_bool "histogram pp" true (String.length (Format.asprintf "%a" Sim.Stats.Histogram.pp h) > 0)
 
 let pp_cases = [ Alcotest.test_case "pp smoke" `Quick pp_smoke ]
 

@@ -104,8 +104,8 @@ let bechamel_tests () =
       hot_names.(if i < 1024 then i else i * i * 7919 mod 1024)
   done;
   (* The engine alone, one whole run each: timed waits that each get
-     their answer 0.1 ms in, beside plain sleeps as the per-event
-     baseline. *)
+     their answer 0.1 ms in, and reads woken by a fill at the same
+     instant, beside plain sleeps as the per-event baseline. *)
   let engine_answered_waits () =
     let e = Sim.Engine.create () and mb = Sim.Engine.Mailbox.create () in
     Sim.Engine.spawn e (fun () ->
@@ -116,6 +116,16 @@ let bechamel_tests () =
         for i = 1 to 1_000 do
           Sim.Engine.sleep 0.1;
           Sim.Engine.Mailbox.send mb i
+        done);
+    Sim.Engine.run e
+  in
+  let engine_wakes () =
+    let e = Sim.Engine.create () in
+    Sim.Engine.spawn e (fun () ->
+        for _ = 1 to 1_000 do
+          let iv = Sim.Engine.Ivar.create () in
+          Sim.Engine.at e 0.0 (fun () -> Sim.Engine.Ivar.fill iv ());
+          Sim.Engine.Ivar.read iv
         done);
     Sim.Engine.run e
   in
@@ -148,6 +158,7 @@ let bechamel_tests () =
            Dns.Hotrank.note hot ~group:"g" ~now_ms:5_000.0 hot_names.(0)));
     Test.make ~name:"engine: 1,000 recv_timeouts answered after 0.1 ms"
       (Staged.stage engine_answered_waits);
+    Test.make ~name:"engine: 1,000 zero-delay wakes" (Staged.stage engine_wakes);
     Test.make ~name:"engine: 1,000 sleeps" (Staged.stage engine_sleeps);
   ]
   @ List.concat_map codec_rows

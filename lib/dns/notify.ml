@@ -7,7 +7,7 @@ let id_counter = ref 0x7000
 
 let max_inflight = 8
 
-let push stack ~zone ?on_result targets =
+let push stack ~zone ~on_result targets =
   if targets <> [] then begin
     (* A bounded worker pool rather than one fiber per target: with
        hundreds of subscribers an unbounded fan-out would put the
@@ -34,7 +34,7 @@ let push stack ~zone ?on_result targets =
             Obs.Metrics.incr m_failed;
             false
       in
-      match on_result with Some f -> f target ok | None -> ()
+      on_result target ok
     in
     let workers = min max_inflight (List.length targets) in
     for _ = 1 to workers do

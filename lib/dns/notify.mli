@@ -8,8 +8,8 @@
     latency — receivers keep their SOA-poll loops as the backstop, so
     chaos-dropped notifies degrade to polling, never divergence. *)
 
-(** [push stack ~zone targets] — fire-and-forget: a bounded pool of 8
-    worker fibers drains the target list concurrently, each send
+(** [push stack ~zone ~on_result targets] — fire-and-forget: a bounded
+    pool of 8 worker fibers drains the target list concurrently, each send
     carrying [zone]'s current SOA and waiting briefly for the ack (a
     500 ms attempt, then one 1000 ms retry), so a large subscriber list
     never serializes behind its slowest members nor floods the net all
@@ -23,6 +23,6 @@
 val push :
   Transport.Netstack.stack ->
   zone:Zone.t ->
-  ?on_result:(Transport.Address.t -> bool -> unit) ->
+  on_result:(Transport.Address.t -> bool -> unit) ->
   Transport.Address.t list ->
   unit

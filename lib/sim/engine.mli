@@ -53,11 +53,13 @@ val run_until : t -> time -> unit
     whose wait was answered early never runs and is not counted. *)
 val events_executed : t -> int
 
-(** Number of events in the queue, counting the timeouts of answered
-    waits that it has not yet dropped. The engine drops those in one
-    pass once there are at least 32 and they are more than half of the
-    queue, so it never holds more than twice its live events, or 31
-    more than them, whichever is larger. *)
+(** Number of events in the queue: timed events and those due at the
+    current instant with no delay (spawns, wakes, answered waits, and
+    {!at} callbacks with a zero delay), counting the timeouts of
+    answered waits that it has not yet dropped. The engine drops those
+    in one pass once there are at least 32 and they are more than half
+    of its timed events, so it never holds more than twice its live
+    events, or 31 more than them, whichever is larger. *)
 val pending : t -> int
 
 exception Process_failure of string * exn

@@ -54,38 +54,17 @@ let pop h =
   if h.size = 0 then raise Not_found;
   let top = h.data.(0) in
   h.size <- h.size - 1;
-  (* No slot may keep a popped element reachable (for the engine, an
-     event closure over a fiber continuation). The vacated slot keeps
-     the element just moved to the root, which is live; an emptied
-     heap has no live element to fill with, so it drops the array. *)
+  (* An emptied heap drops its array, so that no slot keeps a popped
+     element reachable. Otherwise the vacated slot keeps the element
+     just moved to the root, and keeps it after it too is popped, until
+     a push reuses the slot: a polymorphic heap has no value of its own
+     to fill a free slot with. *)
   if h.size = 0 then h.data <- [||]
   else begin
     h.data.(0) <- h.data.(h.size);
     sift_down h 0
   end;
   top
-
-let filter h keep =
-  let n = h.size in
-  let kept = ref 0 in
-  for i = 0 to n - 1 do
-    let x = h.data.(i) in
-    if keep x then begin
-      h.data.(!kept) <- x;
-      incr kept
-    end
-  done;
-  h.size <- !kept;
-  if h.size = 0 then h.data <- [||]
-  else begin
-    (* As in [pop]: every slot past the kept elements, including the
-       spare capacity [grow] filled, gets a live element, so none keeps
-       a dropped one reachable. *)
-    Array.fill h.data h.size (Array.length h.data - h.size) h.data.(0);
-    for i = (h.size / 2) - 1 downto 0 do
-      sift_down h i
-    done
-  end
 
 let clear h =
   h.data <- [||];

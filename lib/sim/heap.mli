@@ -1,9 +1,11 @@
-(** Array-backed binary min-heap, used as the simulator's event queue.
+(** Array-backed binary min-heap. It is the event queue of the
+    reference engine that tests hold {!Engine} to, and the queue the
+    benchmark's [sim.heap_ns] probe times. {!Engine} keeps its own
+    queue, specialised to events.
 
     The heap is polymorphic in its element type; ordering is fixed at
     creation time by a [leq] total preorder. All operations are the
-    textbook O(log n) except [of_list], which is O(n log n), and
-    [filter]. *)
+    textbook O(log n) except [of_list], which is O(n log n). *)
 
 type 'a t
 
@@ -22,13 +24,6 @@ val pop : 'a t -> 'a
 (** [peek h] is a minimal element without removing it. Raises
     [Not_found] on an empty heap. *)
 val peek : 'a t -> 'a
-
-(** [filter h keep] removes every element for which [keep] is false
-    and restores heap order. It takes time linear in the length of the
-    array behind [h]: at most twice the most elements [h] has held
-    since it was last empty, or 16. No slot keeps a removed element
-    reachable. *)
-val filter : 'a t -> ('a -> bool) -> unit
 
 val clear : 'a t -> unit
 val of_list : leq:('a -> 'a -> bool) -> 'a list -> 'a t

@@ -44,32 +44,6 @@ let heap_sorts_any_list =
       let h = Sim.Heap.of_list ~leq:(fun a b -> a <= b) xs in
       Sim.Heap.to_sorted_list h = List.sort compare xs)
 
-let heap_filter_keeps_order =
-  QCheck.Test.make ~name:"heap filter drains like List.sort of the kept" ~count:200
-    QCheck.(triple (list small_int) (int_range 1 4) (list small_int))
-    (fun (xs, m, ys) ->
-      let keep x = x mod m <> 0 in
-      let h = Sim.Heap.of_list ~leq:(fun a b -> a <= b) xs in
-      Sim.Heap.filter h keep;
-      List.iter (Sim.Heap.push h) ys;
-      Sim.Heap.to_sorted_list h = List.sort compare (List.filter keep xs @ ys))
-
-(* Filters one boxed value out of a heap, leaving only a weak pointer to
-   it. Pushed first, it also fills the spare capacity [grow] made. *)
-let[@inline never] push_filter_out h w =
-  let x = ref 42 in
-  Weak.set w 0 (Some x);
-  Sim.Heap.push h x;
-  Sim.Heap.push h (ref 1);
-  Sim.Heap.filter h (fun y -> y != x)
-
-let heap_filter_releases () =
-  let h = Sim.Heap.create ~leq:(fun (a : int ref) b -> !a <= !b) and w = Weak.create 1 in
-  push_filter_out h w;
-  Gc.full_major ();
-  check_bool "filtered element collected" false (Weak.check w 0);
-  check_int "kept element" 1 !(Sim.Heap.pop h)
-
 (* --- Rng --- *)
 
 let rng_deterministic () =
@@ -468,6 +442,20 @@ let engine_answered_timeout_keeps_clock wait () =
   check_float_near "as the model's does" want.now_after_run got.now_after_run;
   check_int "one event fewer than the model" (want.executed - 1) got.executed
 
+(* 32 waits answered at once: the 32nd answer drops all 32 timeouts in
+   one pass, before any comes due, so only that pass can tell [run]
+   where to end. *)
+let engine_dropped_timeouts_keep_clock () =
+  let n = 32 in
+  let receiver = List.init n (fun _ -> Recv 1000.0)
+  and sender = List.concat (List.init n (fun _ -> [ Send; Sleep 0.0 ])) in
+  let p = { fibers = [ receiver; sender ]; until = None } in
+  let got = On_engine.run p and want = On_model.run p in
+  check_int "every wait answered" n got.answered;
+  check_float_near "run ends at the deadline" 1000.0 got.now_after_run;
+  check_float_near "as the model's does" want.now_after_run got.now_after_run;
+  check_int "no timeout ran" (want.executed - n) got.executed
+
 (* A wait answered 0.1 ms after it starts, 10,000 times: cancelled
    timeouts are dropped, so the queue stays near its live events instead
    of holding each timeout for its whole second. *)
@@ -488,6 +476,51 @@ let engine_pending_bounded () =
   check_int "every wait answered" 10_000 !answered;
   check_int "queue drained" 0 (Sim.Engine.pending e);
   if !peak > 100 then Alcotest.failf "the queue reached %d events" !peak
+
+(* An [at] whose delay rounds away at the current instant is due now,
+   like a zero-delay one, so it runs between the zero-delay callbacks
+   queued before and after it. *)
+let engine_same_instant_order () =
+  let e = Sim.Engine.create () in
+  Sim.Engine.run_until e 1e6;
+  let order = ref [] in
+  let note i () = order := i :: !order in
+  Sim.Engine.at e 0.0 (note 1);
+  Sim.Engine.at e 1e-12 (note 2);
+  Sim.Engine.at e 0.0 (note 3);
+  Sim.Engine.run e;
+  check (Alcotest.list Alcotest.int) "scheduling order" [ 1; 2; 3 ] (List.rev !order);
+  check_float_near "clock did not move" 1e6 (Sim.Engine.now e)
+
+(* Queues a zero-delay and a timed callback that capture one boxed
+   value, leaving only a weak pointer to it. The timed one is queued
+   after the event due at 5 ms, so it moves between slots before it
+   runs. *)
+let[@inline never] queue_capturing e w =
+  let x = ref 42 in
+  Weak.set w 0 (Some x);
+  let use () = ignore (Sys.opaque_identity !x) in
+  Sim.Engine.at e 0.5 ignore;
+  Sim.Engine.at e 5.0 ignore;
+  Sim.Engine.at e 1.0 use;
+  Sim.Engine.at e 0.0 use
+
+let engine_releases_run_events () =
+  let e = Sim.Engine.create () and w = Weak.create 1 in
+  queue_capturing e w;
+  Sim.Engine.run_until e 2.0;
+  Gc.full_major ();
+  check_bool "value collected" false (Weak.check w 0);
+  check_int "one event still queued" 1 (Sim.Engine.pending e)
+
+let engine_pending_counts_spawns () =
+  let e = Sim.Engine.create () in
+  for _ = 1 to 3 do
+    Sim.Engine.spawn e ignore
+  done;
+  check_int "three spawns queued" 3 (Sim.Engine.pending e);
+  Sim.Engine.run e;
+  check_int "drained" 0 (Sim.Engine.pending e)
 
 (* --- The running-process slot --- *)
 
@@ -571,32 +604,42 @@ let engine_spawn_child_outside_process () =
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "spawn_child outside a process should raise"
 
-(* Minor words per call of [f], over 100,000 calls inside a process. *)
+(* Minor words per call of [f e], over 100,000 calls inside a process
+   on engine [e]. *)
 let words_per_call f =
   let e = Sim.Engine.create () and words = ref nan in
   let n = 100_000 in
   Sim.Engine.spawn e (fun () ->
-      f ();
+      f e;
       let before = Gc.minor_words () in
       for _ = 1 to n do
-        f ()
+        f e
       done;
       words := (Gc.minor_words () -. before) /. float_of_int n);
   Sim.Engine.run e;
   !words
 
 (* The ambient reads allocate nothing but the float [time ()] returns.
-   [sleep] and [spawn_child] are held at their current counts, 41 and
-   19 words. *)
+   The other primitives are held at their current counts. An answered
+   wait here is a [recv_timeout] answered by an [at] callback 0.5 ms
+   later, and a wake is an [Ivar.read] woken by a zero-delay fill. *)
 let engine_allocation_guards () =
   let guard name limit f =
     let words = words_per_call f in
     if words > limit then Alcotest.failf "%s allocated %.3f minor words per call" name words
   in
-  guard "self_pid" 0.001 (fun () -> ignore (Sys.opaque_identity (Sim.Engine.self_pid ())));
-  guard "time" 2.001 (fun () -> ignore (Sys.opaque_identity (Sim.Engine.time ())));
-  guard "sleep" 41.001 (fun () -> Sim.Engine.sleep 1.0);
-  guard "spawn_child" 19.01 (fun () -> Sim.Engine.spawn_child ignore)
+  guard "self_pid" 0.001 (fun _ -> ignore (Sys.opaque_identity (Sim.Engine.self_pid ())));
+  guard "time" 2.001 (fun _ -> ignore (Sys.opaque_identity (Sim.Engine.time ())));
+  guard "sleep" 22.001 (fun _ -> Sim.Engine.sleep 1.0);
+  guard "spawn_child" 12.02 (fun _ -> Sim.Engine.spawn_child ignore);
+  let mb = Sim.Engine.Mailbox.create () in
+  guard "answered recv_timeout" 59.01 (fun e ->
+      Sim.Engine.at e 0.5 (fun () -> Sim.Engine.Mailbox.send mb ());
+      ignore (Sim.Engine.Mailbox.recv_timeout mb 1000.0));
+  guard "woken Ivar.read" 44.001 (fun e ->
+      let iv = Sim.Engine.Ivar.create () in
+      Sim.Engine.at e 0.0 (fun () -> Sim.Engine.Ivar.fill iv ());
+      Sim.Engine.Ivar.read iv)
 
 (* --- Stats --- *)
 
@@ -726,8 +769,6 @@ let suite =
     Alcotest.test_case "heap empty ops" `Quick heap_empty;
     Alcotest.test_case "heap pop releases element" `Quick heap_pop_releases;
     qtest heap_sorts_any_list;
-    qtest heap_filter_keeps_order;
-    Alcotest.test_case "heap filter releases element" `Quick heap_filter_releases;
     Alcotest.test_case "rng deterministic" `Quick rng_deterministic;
     Alcotest.test_case "rng split" `Quick rng_split_independent;
     qtest rng_int_in_range;
@@ -749,7 +790,13 @@ let suite =
       (engine_answered_timeout_keeps_clock (Recv 1000.0));
     Alcotest.test_case "answered read_timeout keeps the clock" `Quick
       (engine_answered_timeout_keeps_clock (Read (0, 1000.0)));
+    Alcotest.test_case "timeouts dropped in one pass keep the clock" `Quick
+      engine_dropped_timeouts_keep_clock;
     Alcotest.test_case "pending stays bounded" `Quick engine_pending_bounded;
+    Alcotest.test_case "same-instant events run in scheduling order" `Quick
+      engine_same_instant_order;
+    Alcotest.test_case "run events are released" `Quick engine_releases_run_events;
+    Alcotest.test_case "pending counts spawns" `Quick engine_pending_counts_spawns;
     Alcotest.test_case "no process at top level or in at" `Quick engine_ambient_outside_process;
     Alcotest.test_case "nested run restores the process" `Quick engine_nested_run_restores_slot;
     Alcotest.test_case "raising out of run clears the process" `Quick

@@ -137,6 +137,10 @@ let bechamel_tests () =
         done);
     Sim.Engine.run e
   in
+  (* One always-on registry histogram, fed samples that spread over 14
+     octaves, 0.1 to 2,000 ms. *)
+  let observe = Obs.Metrics.observe (Obs.Metrics.histogram "bench.obs.observe_ms") in
+  let observed = List.init 1_000 (fun i -> 0.1 *. (1.01 ** float_of_int i)) in
   [
     Test.make ~name:"table-3.1 row (all-linked, 3 cache states)"
       (Staged.stage table31);
@@ -160,6 +164,8 @@ let bechamel_tests () =
       (Staged.stage engine_answered_waits);
     Test.make ~name:"engine: 1,000 zero-delay wakes" (Staged.stage engine_wakes);
     Test.make ~name:"engine: 1,000 sleeps" (Staged.stage engine_sleeps);
+    Test.make ~name:"obs: 1,000 histogram observes"
+      (Staged.stage (fun () -> List.iter observe observed));
   ]
   @ List.concat_map codec_rows
       [ ("meta query", meta_query); ("meta UNSPEC reply", meta_reply); ("6-answer A reply", six_reply) ]

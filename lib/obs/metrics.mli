@@ -12,9 +12,18 @@
     handle once (one hashtable lookup, typically from a module-level
     [let]) and then pay one mutable-field update per event (two for
     an owner counter, which also bumps its global). Latency
-    histograms are backed by {!Sim.Stats} and measure {e virtual}
-    milliseconds — the same clock every paper reproduction number is
-    quoted in. *)
+    histograms measure {e virtual} milliseconds — the same clock every
+    paper reproduction number is quoted in.
+
+    A histogram's memory is fixed, whatever its sample count: 32 KB of
+    bucket counts from its first positive sample on. Its [n], [total],
+    [mean], [min] and [max] are exact. Its percentiles come from
+    buckets that split each octave from 2^-30 to 2^34 ms into 64 equal
+    parts. When every sample is [0.] or in that range, each percentile
+    is within 1/128 (0.78%) of the exact one that {!Sim.Stats} would
+    give. A sample below the range is counted in the first bucket, one
+    above it in the last, and a sample [<= 0.] reads as [0.]. Every
+    reading is clamped to [[min, max]]. *)
 
 type counter
 type gauge
@@ -66,11 +75,13 @@ val get : gauge -> float
 (** Same get-or-create contract as {!counter}. *)
 val histogram : string -> histogram
 
+(** Allocates nothing. *)
 val observe : histogram -> float -> unit
 
 (** [time hist f] runs [f] and observes its duration on the virtual
     clock (no charge when called outside a simulated process — the
-    observation is then [0.]). *)
+    observation is then [0.]). If [f] raises, the time up to the raise
+    is observed and the exception goes on with its backtrace. *)
 val time : histogram -> (unit -> 'a) -> 'a
 
 (** {1 Reading the registry} *)
@@ -105,6 +116,6 @@ val lint : unit -> string list
 
 (** Zero every registered instrument {e without} invalidating handles
     held by instrumented modules: counters and gauges go to zero,
-    histograms forget their samples. Registrations and owner counters
+    histograms zero their counts. Registrations and owner counters
     survive. *)
 val reset : unit -> unit

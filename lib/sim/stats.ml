@@ -1,7 +1,7 @@
 (* Samples live unboxed in the first [n] slots of [xs], in insertion
    order; the array doubles when full. [sorted] caches an ascending
-   copy for percentile reads: the first read after an [add] or [clear]
-   makes it, and later reads share it. *)
+   copy for percentile reads: the first read after an [add] makes it,
+   and later reads share it. *)
 type t = {
   stat_name : string;
   mutable xs : Float.Array.t;
@@ -87,15 +87,6 @@ let percentile t p =
   end
 
 let median t = percentile t 50.0
-
-let clear t =
-  t.xs <- Float.Array.create 0;
-  t.n <- 0;
-  t.sorted <- None;
-  t.sum <- 0.0;
-  t.sumsq <- 0.0;
-  t.lo <- infinity;
-  t.hi <- neg_infinity
 
 let pp ppf t =
   if t.n = 0 then Format.fprintf ppf "%s: (no samples)" t.stat_name

@@ -2,11 +2,12 @@
 
     Samples are stored, so percentiles are exact. Each costs 8 bytes
     (an unboxed float in an array that doubles when full), and nothing
-    is ever dropped: an always-on registry histogram holds every sample
-    of the run, hundreds of thousands on a long one. [add] is amortised
-    O(1). The first percentile read after a batch of adds sorts one
-    copy of the samples (another 8 bytes each); later reads share it,
-    O(1) each, until the next [add] or [clear]. *)
+    is ever dropped, so a [t] grows with its run: it holds an
+    experiment's own rows. The always-on registry histograms of
+    [Obs.Metrics] keep fixed-size bucket counts instead. [add] is
+    amortised O(1). The first percentile read after a batch of adds
+    sorts one copy of the samples (another 8 bytes each); later reads
+    share it, O(1) each, until the next [add]. *)
 
 type t
 
@@ -31,8 +32,6 @@ val median : t -> float
 
 (** All samples in insertion order. *)
 val samples : t -> float list
-
-val clear : t -> unit
 
 (** One-line summary: name, n, mean, stddev, min, p50, p95, max. *)
 val pp : Format.formatter -> t -> unit

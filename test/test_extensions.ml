@@ -142,14 +142,6 @@ let hns_name_ordering () =
   check_bool "name breaks ties" true (Hns.Hns_name.compare a2 a < 0);
   check_int "equal" 0 (Hns.Hns_name.compare a a)
 
-let stats_clear_resets () =
-  let s = Sim.Stats.create ~name:"x" () in
-  Sim.Stats.add s 5.0;
-  Sim.Stats.clear s;
-  check_int "count" 0 (Sim.Stats.count s);
-  Sim.Stats.add s 1.0;
-  check_float_near "fresh mean" 1.0 (Sim.Stats.mean s)
-
 let secondary_refresh_override () =
   let w = make_world ~hosts:2 () in
   let transfers =
@@ -215,7 +207,6 @@ let suite =
     Alcotest.test_case "rep mismatch is garbage" `Quick hrpc_rep_mismatch_is_garbage;
     Alcotest.test_case "Errors.get_ok" `Quick errors_get_ok_raises;
     Alcotest.test_case "hns name ordering" `Quick hns_name_ordering;
-    Alcotest.test_case "stats clear" `Quick stats_clear_resets;
     Alcotest.test_case "secondary refresh cycles" `Quick secondary_refresh_override;
     Alcotest.test_case "filing remove" `Quick file_remove_via_filing;
   ]

@@ -459,6 +459,21 @@ let load_gate_budget () =
         (Experiments.load_gate ~budget { r with O.sim_events = budget + 1 }))
     [ Experiments.load_smoke_budget; Experiments.load_full_budget ]
 
+(* Nothing grows with run length: in one process, the smoke config at
+   1x and then at 4x its window leaves the same live heap, within a
+   fixed slack, once its report is dropped. *)
+let live_heap_flat_in_run_length () =
+  let live_after scale =
+    let c = O.smoke () in
+    ignore (Sys.opaque_identity (O.run { c with O.duration_ms = c.O.duration_ms *. scale }));
+    Gc.full_major ();
+    (Gc.stat ()).live_words
+  in
+  let x1 = live_after 1.0 in
+  let x4 = live_after 4.0 in
+  if x4 > x1 + 4_096 then
+    Alcotest.failf "live words %d after the 4x window, %d after the 1x" x4 x1
+
 let suite =
   [
     Alcotest.test_case "schedule determinism" `Quick schedule_deterministic;
@@ -474,4 +489,5 @@ let suite =
     Alcotest.test_case "harness determinism" `Quick harness_deterministic;
     Alcotest.test_case "harness event budget" `Quick harness_event_budget;
     Alcotest.test_case "load gate: sim-event budget" `Quick load_gate_budget;
+    Alcotest.test_case "live heap flat in run length" `Quick live_heap_flat_in_run_length;
   ]

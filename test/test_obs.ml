@@ -90,6 +90,12 @@ let scoped_outside_registry () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "reading a name the scope lacks should raise"
 
+(* A registry percentile is within 1/128 of the exact one when every
+   sample is 0 or from 2^-30 to 2^34 ms (metrics.mli); the factor
+   absorbs the rounding of the interpolation. *)
+let within_bound ~exact got =
+  Float.abs (got -. exact) <= Float.abs exact /. 128.0 *. (1.0 +. 1e-9)
+
 let histogram_percentiles () =
   Obs.Metrics.reset ();
   let h = Obs.Metrics.histogram "test.obs.latency_ms" in
@@ -101,11 +107,64 @@ let histogram_percentiles () =
   | Some (Obs.Metrics.Summary s) ->
       check_int "n" 100 s.n;
       check_float_near "mean" 50.5 s.mean;
-      check_float_near "p50" 50.5 s.p50;
       check_float_near "min" 1.0 s.min;
       check_float_near "max" 100.0 s.max;
-      check_bool "p95 at the edge" true (s.p95 >= 95.0 && s.p95 <= 96.0)
+      check_bool "p50 within the bound of 50.5" true (within_bound ~exact:50.5 s.p50);
+      check_bool "p95 within the bound of 95.05" true (within_bound ~exact:95.05 s.p95)
   | _ -> Alcotest.fail "histogram summary expected"
+
+(* Generated streams: plateaus, runs of 0., values spread over 1e-4 to
+   1e6 ms, a single sample, all samples equal. The registry's summary
+   keeps n, total, mean, min and max bit-equal to an exact [Sim.Stats]
+   fed the same stream, and every percentile within the bound. *)
+let histogram_matches_exact =
+  let gen =
+    QCheck.Gen.(
+      let spread = map (fun e -> 10.0 ** e) (float_range (-4.0) 6.0) in
+      let value = frequency [ (1, return 0.0); (6, spread) ] in
+      let run = map2 (fun n x -> List.init n (fun _ -> x)) in
+      frequency
+        [
+          (1, map (fun x -> [ x ]) value);
+          (1, run (int_range 2 300) value);
+          (6, map List.concat (list_size (int_range 1 40) (run (int_range 1 30) value)));
+        ])
+  in
+  QCheck.Test.make ~name:"histogram: exact moments, percentiles within 1/128" ~count:300
+    (QCheck.make ~print:QCheck.Print.(list float) gen)
+    (fun xs ->
+      Obs.Metrics.reset ();
+      let h = Obs.Metrics.histogram "test.obs.bucketed_ms" and s = Sim.Stats.create () in
+      List.iter
+        (fun x ->
+          Obs.Metrics.observe h x;
+          Sim.Stats.add s x)
+        xs;
+      match Obs.Metrics.find "test.obs.bucketed_ms" with
+      | Some (Obs.Metrics.Summary r) ->
+          r.n = Sim.Stats.count s
+          && same_bits r.total (Sim.Stats.total s)
+          && same_bits r.mean (Sim.Stats.mean s)
+          && same_bits r.min (Sim.Stats.min_value s)
+          && same_bits r.max (Sim.Stats.max_value s)
+          && List.for_all2
+               (fun p got -> within_bound ~exact:(Sim.Stats.percentile s p) got)
+               [ 50.0; 95.0; 99.0; 99.9 ] [ r.p50; r.p95; r.p99; r.p999 ]
+      | _ -> false)
+
+(* Samples over several octaves, a zero and one past the range: the
+   counts array is allocated once, by the first positive sample. *)
+let observe_allocates_nothing () =
+  let h = Obs.Metrics.histogram "test.obs.alloc_ms" in
+  let feed = List.iter (Obs.Metrics.observe h) in
+  let xs = [ 0.0; 0.3; 2.0; 47.5; 1_000.0; 1e12 ] in
+  feed xs;
+  let before = Gc.minor_words () in
+  for _ = 1 to 100_000 / List.length xs do
+    feed xs
+  done;
+  let words = Gc.minor_words () -. before in
+  if words > 0.0 then Alcotest.failf "100,000 observes allocated %.0f minor words" words
 
 let histogram_empty_summary () =
   Obs.Metrics.reset ();
@@ -129,6 +188,54 @@ let time_observes_virtual_clock () =
   match Obs.Metrics.find "test.obs.timed_ms" with
   | Some (Obs.Metrics.Summary s) -> check_int "second observation" 2 s.n
   | _ -> Alcotest.fail "summary expected"
+
+(* A raise inside [time] is observed once, with the time up to the
+   raise, and leaves with the backtrace of the raise itself. *)
+let time_observes_a_raise () =
+  Obs.Metrics.reset ();
+  let h = Obs.Metrics.histogram "test.obs.timed_ms" in
+  let w = make_world ~hosts:1 () in
+  let recording = Printexc.backtrace_status () in
+  Printexc.record_backtrace true;
+  let bt =
+    in_sim w (fun () ->
+        match
+          Obs.Metrics.time h (fun () ->
+              Sim.Engine.sleep 5.0;
+              raise Exit)
+        with
+        | () -> Alcotest.fail "time should re-raise"
+        | exception Exit -> Printexc.get_raw_backtrace ())
+  in
+  Printexc.record_backtrace recording;
+  (match Obs.Metrics.find "test.obs.timed_ms" with
+  | Some (Obs.Metrics.Summary s) ->
+      check_int "observed once" 1 s.n;
+      check_float_near "time up to the raise" 5.0 s.mean
+  | _ -> Alcotest.fail "summary expected");
+  let first_raise =
+    Option.bind (Printexc.backtrace_slots bt) (fun slots ->
+        Option.map
+          (fun l -> l.Printexc.filename)
+          (Printexc.Slot.location slots.(0)))
+  in
+  check (Alcotest.option Alcotest.string) "raised from" (Some "test/test_obs.ml") first_raise
+
+(* [time] around a no-op inside a process allocates one boxed float a
+   call. *)
+let time_allocation () =
+  let h = Obs.Metrics.histogram "test.obs.timed_noop_ms" in
+  let e = Sim.Engine.create () and words = ref nan in
+  let n = 100_000 in
+  Sim.Engine.spawn e (fun () ->
+      Obs.Metrics.time h ignore;
+      let before = Gc.minor_words () in
+      for _ = 1 to n do
+        Obs.Metrics.time h ignore
+      done;
+      words := (Gc.minor_words () -. before) /. float_of_int n);
+  Sim.Engine.run e;
+  if !words > 2.001 then Alcotest.failf "time allocated %.3f minor words per call" !words
 
 (* --- spans ---------------------------------------------------------- *)
 
@@ -304,7 +411,11 @@ let suite =
     Alcotest.test_case "scoped counters outside registry" `Quick scoped_outside_registry;
     Alcotest.test_case "histogram percentiles" `Quick histogram_percentiles;
     Alcotest.test_case "empty histogram summary" `Quick histogram_empty_summary;
+    qtest histogram_matches_exact;
+    Alcotest.test_case "observe allocates nothing" `Quick observe_allocates_nothing;
     Alcotest.test_case "time uses virtual clock" `Quick time_observes_virtual_clock;
+    Alcotest.test_case "time observes a raise once" `Quick time_observes_a_raise;
+    Alcotest.test_case "time allocation" `Quick time_allocation;
     Alcotest.test_case "span nesting" `Quick span_nesting;
     Alcotest.test_case "span orphan close" `Quick span_orphan_close;
     Alcotest.test_case "span disabled transparent" `Quick span_disabled_is_transparent;

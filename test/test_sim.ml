@@ -675,7 +675,6 @@ module Stats_model = struct
 
   let create () = { xs = [] }
   let add t x = t.xs <- x :: t.xs
-  let clear t = t.xs <- []
   let samples t = List.rev t.xs
 
   let percentile t p =
@@ -689,14 +688,14 @@ module Stats_model = struct
     end
 end
 
-type stats_op = Add of float | Read | Clear
+type stats_op = Add of float | Read
 
 let stats_matches_model =
   let op =
     QCheck.Gen.(
-      frequency [ (6, map (fun v -> Add v) gen_dup_float); (3, return Read); (1, return Clear) ])
+      frequency [ (6, map (fun v -> Add v) gen_dup_float); (3, return Read) ])
   in
-  let print = function Add v -> Printf.sprintf "add %h" v | Read -> "read" | Clear -> "clear" in
+  let print = function Add v -> Printf.sprintf "add %h" v | Read -> "read" in
   QCheck.Test.make ~name:"stats: samples and percentiles bit-identical to the list model"
     ~count:300
     (QCheck.make ~print:QCheck.Print.(list print) QCheck.Gen.(list_size (int_range 0 80) op))
@@ -716,10 +715,7 @@ let stats_matches_model =
           | Add v ->
               Sim.Stats.add s v;
               Stats_model.add m v
-          | Read -> ()
-          | Clear ->
-              Sim.Stats.clear s;
-              Stats_model.clear m);
+          | Read -> ());
           agrees ())
         ops)
 

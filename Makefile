@@ -54,14 +54,18 @@ fmt:
 		echo "ocamlformat not installed; skipping fmt"; \
 	fi
 
-# The grep keeps out code that catches Effect.Unhandled to learn whether
-# it runs in a simulated process: Sim.Engine.time, self_pid and charge
-# answer that without an effect. The surface audit reads the typed trees
-# that `dune build @check` writes and fails on a lib/ export no other
-# module uses or an optional parameter no call passes (see the header of
+# The first grep keeps out code that catches Effect.Unhandled to learn
+# whether it runs in a simulated process: Sim.Engine.time, self_pid and
+# charge answer that without an effect. The second keeps each RPC
+# protocol's envelope built and read in one module: only lib/rpc/ names
+# Sunrpc_wire or Courier_wire, and HRPC calls Rpc.Sunrpc and
+# Rpc.Courier_rpc for it. The surface audit reads the typed trees that
+# `dune build @check` writes and fails on a lib/ export no other module
+# uses or an optional parameter no call passes (see the header of
 # tools/surface_audit.ml).
 check: fmt
 	! grep -rn 'Effect.Unhandled' lib bin bench examples
+	! grep -rn 'Sunrpc_wire\.\|Courier_wire\.' lib bin bench examples --include='*.ml' --include='*.mli' | grep -v '^lib/rpc/'
 	dune build
 	dune build @check
 	dune exec tools/surface_audit.exe

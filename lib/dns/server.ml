@@ -390,9 +390,9 @@ let start t =
         Some bytes
   in
   let stop_udp =
-    Rpc.Rawrpc.serve t.stack ~port:t.port ~service_overhead_ms:t.service_overhead_ms
+    Rpc.Rawrpc.serve_udp (Udp.bind t.stack ~port:t.port)
       ~name:(Printf.sprintf "bind:%d" t.port)
-      udp_handler ()
+      ~service_overhead_ms:t.service_overhead_ms ~concurrent:false udp_handler
   in
   t.stop_udp <- Some stop_udp;
   (* TCP zone-transfer service. *)

@@ -1023,7 +1023,8 @@ let notify_serial (request : Dns.Msg.t) =
 let start_notify_listener t =
   let port = Transport.Netstack.alloc_udp_port t.stack in
   let stop =
-    Rpc.Rawrpc.serve t.stack ~port ~name:"hns-notify" (fun ~src:_ payload ->
+    Rpc.Rawrpc.serve_udp (Transport.Udp.bind t.stack ~port) ~name:"hns-notify"
+      ~service_overhead_ms:0.0 ~concurrent:false (fun ~src:_ payload ->
         match Dns.Msg.decode payload with
         | exception Dns.Msg.Bad_message _ -> None
         | request ->
@@ -1071,7 +1072,6 @@ let start_notify_listener t =
               Some (Dns.Msg.encode (Dns.Msg.notify_ack ~request))
             end
             else None)
-      ()
   in
   (Transport.Address.make (Transport.Netstack.ip t.stack) port, stop)
 

@@ -6,7 +6,12 @@
     components were separated at stub-generation time and are
     recombined here, at call time — the emulation mechanism that lets
     one linked client speak Sun RPC, Courier, or a raw message
-    protocol depending on what it is bound to.
+    protocol depending on what it is bound to. Each component is the
+    native implementation in [lib/rpc] ({!Rpc.Sunrpc.frame},
+    {!Rpc.Courier_rpc.frame}, {!Rpc.Rawrpc.exchange},
+    {!Rpc.Rawrpc.await}); this module adds the caller's retry policy,
+    the [hrpc.client.*] metrics, the [hrpc_call] span and the trace
+    stamp ({!Rpc.Trace_header}).
 
     Retries are governed by a {!Rpc.Control.retry_policy}: UDP
     transports retransmit with escalating per-attempt deadlines and a
@@ -28,10 +33,22 @@ val call :
   Wire.Value.t ->
   (Wire.Value.t, Rpc.Control.error) result
 
-(** [call_raw] sends pre-encoded bytes with the binding's control and
-    transport components, skipping value marshalling — used by the
-    HNS's HRPC interface to BIND, whose payloads are native DNS
-    messages. *)
+(** [call_on exchange b ~procnum ~sign v] is {!call} over a transport
+    the caller supplies: [exchange (payload, accept)] sends the framed
+    call and returns the first reply [accept] takes. {!Conn_cache} runs
+    TCP calls on its cached connections this way. *)
+val call_on :
+  (string * Rpc.Rawrpc.matcher -> (string, Rpc.Control.error) result) ->
+  Binding.t ->
+  procnum:int ->
+  sign:Wire.Idl.signature ->
+  Wire.Value.t ->
+  (Wire.Value.t, Rpc.Control.error) result
+
+(** [call_raw] sends pre-encoded bytes over the binding's transport
+    component and takes the first response, skipping value marshalling
+    and the control envelope — used by the HNS's HRPC interface to
+    BIND, whose payloads are native DNS messages. *)
 val call_raw :
   Transport.Netstack.stack ->
   Binding.t ->

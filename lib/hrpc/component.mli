@@ -11,7 +11,11 @@
     The data representation component lives in {!Wire.Data_rep}; this
     module names the transport and control choices and groups the
     three wire-level components into a {!protocol_suite}. (Stubs are
-    {!Stub}; binding protocols are {!Bind_protocol}.) *)
+    {!Stub}; binding protocols are {!Bind_protocol}.) Each choice names
+    a native implementation in [lib/rpc], which {!Client} and {!Server}
+    select from the suite: the Sun RPC, Courier or raw control protocol
+    ({!Rpc.Sunrpc}, {!Rpc.Courier_rpc}, {!Rpc.Rawrpc}) over the UDP
+    exchange or the TCP reply wait ({!Rpc.Rawrpc}). *)
 
 type transport_kind = T_udp | T_tcp
 

@@ -7,7 +7,14 @@
     served this way.
 
     Raw control cannot be exported here — raw servers {e are} the
-    native message-passing programs (e.g. the BIND server). *)
+    native message-passing programs (e.g. the BIND server).
+
+    The procedure table, the control protocol's dispatcher and the
+    service loop are the native ones ({!Rpc.Control.procedures},
+    {!Rpc.Sunrpc.dispatch} or {!Rpc.Courier_rpc.dispatch},
+    {!Rpc.Rawrpc.serve_udp} or {!Rpc.Rawrpc.serve_tcp}), chosen from
+    the suite; this module adds the [hrpc_serve] span each call runs
+    under. *)
 
 type t
 

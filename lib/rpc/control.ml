@@ -25,15 +25,6 @@ let next_xid () =
   xid_counter := Int32.add !xid_counter 1l;
   !xid_counter
 
-let with_retries ~attempts ~timeout ?(backoff = 2.0) f =
-  if attempts < 1 then invalid_arg "Control.with_retries: attempts must be >= 1";
-  let rec go n timeout =
-    match f ~timeout with
-    | Some _ as r -> r
-    | None -> if n <= 1 then None else go (n - 1) (timeout *. backoff)
-  in
-  go attempts timeout
-
 (* --- Retry policy ---------------------------------------------------- *)
 
 type retry_policy = {
@@ -58,6 +49,10 @@ let default_policy =
     jitter_ratio = 0.1;
     jitter_seed = 0x5DEECE66DL;
   }
+
+(* A zero base makes every pause zero, whatever the jitter. *)
+let native_policy ~attempts ~timeout =
+  { default_policy with attempts; attempt_timeout_ms = timeout; backoff_base_ms = 0.0 }
 
 let validate_policy p =
   if p.attempts < 1 then invalid_arg "Control: policy attempts must be >= 1";
@@ -104,3 +99,63 @@ let retry_budget_ms p =
       !budget +. Float.min p.backoff_cap_ms (nominal *. (1.0 +. p.jitter_ratio))
   done;
   !budget
+
+let decode_results rep sign = function
+  | Error e -> Error e
+  | Ok body -> (
+      match Wire.Data_rep.of_string rep sign.Wire.Idl.res body with
+      | exception _ -> Error (Protocol_error "undecodable results")
+      | res -> Ok res)
+
+(* --- Procedure tables --------------------------------------------------- *)
+
+type proc = { sign : Wire.Idl.signature; impl : Wire.Value.t -> Wire.Value.t }
+
+type procedures = (int * int * int, proc) Hashtbl.t
+
+let procedures () = Hashtbl.create 16
+
+let register t ~prog ~vers ~procnum ~sign impl =
+  if Hashtbl.mem t (prog, vers, procnum) then
+    invalid_arg
+      (Printf.sprintf "Control.register: duplicate procedure %d/%d/%d" prog vers procnum);
+  Hashtbl.replace t (prog, vers, procnum) { sign; impl }
+
+(* Whether [t] exports [prog] at a version [ok] accepts; only refused
+   calls ask, so a scan is cheap enough. *)
+let exports t ~prog ok = Hashtbl.fold (fun (p, v, _) _ found -> found || (p = prog && ok v)) t false
+
+type refusal =
+  | No_program
+  | No_version
+  | No_procedure
+  | Bad_arguments
+  | Crashed of string
+
+type serve =
+  trace:int ->
+  parent:int ->
+  procnum:int ->
+  (unit -> (string, refusal) result) ->
+  (string, refusal) result
+
+let untraced ~trace:_ ~parent:_ ~procnum:_ run = run ()
+
+let invoke t ~rep ~(serve : serve) ~prog ~vers ~procnum body =
+  match Hashtbl.find_opt t (prog, vers, procnum) with
+  | None ->
+      Error
+        (if not (exports t ~prog (fun _ -> true)) then No_program
+         else if exports t ~prog (Int.equal vers) then No_procedure
+         else No_version)
+  | Some { sign; impl } -> (
+      let trace, parent, body = Trace_header.strip body in
+      match Wire.Data_rep.of_string rep sign.Wire.Idl.arg body with
+      | exception _ -> Error Bad_arguments
+      | arg ->
+          serve ~trace ~parent ~procnum (fun () ->
+              (* A crashing procedure must not take the server process
+                 (and the whole simulation) down with it. *)
+              match impl arg with
+              | res -> Ok (Wire.Data_rep.to_string rep sign.Wire.Idl.res res)
+              | exception (Failure m | Invalid_argument m) -> Error (Crashed m)))

@@ -1,9 +1,10 @@
 (** The control-protocol component shared by the concrete RPC systems:
-    transaction ids, call outcomes, and the retransmission policy.
+    transaction ids, call outcomes, the retransmission policy, and the
+    procedure table every Sun RPC and Courier server dispatches from.
 
     In the five-component HRPC model this is the piece that "tracks the
     state of a call". Both Sun RPC and Raw exchanges retransmit over
-    UDP; Courier relies on its reliable transport. *)
+    UDP ({!Rawrpc.exchange}); Courier relies on its reliable transport. *)
 
 (** Uniform failure vocabulary across RPC systems. *)
 type error =
@@ -26,16 +27,6 @@ exception Rpc_failure of error
     across every client in a simulation, which makes traces easy to
     follow. *)
 val next_xid : unit -> int32
-
-(** [with_retries ~attempts ~timeout ~backoff f] calls [f ~timeout]
-    up to [attempts] times, doubling the timeout by [backoff] after
-    each [None], returning the first [Some]. [attempts >= 1]. *)
-val with_retries :
-  attempts:int ->
-  timeout:float ->
-  ?backoff:float ->
-  (timeout:float -> 'a option) ->
-  'a option
 
 (** {1 Retry policy}
 
@@ -60,6 +51,12 @@ type retry_policy = {
     10% jitter. *)
 val default_policy : retry_policy
 
+(** [native_policy ~attempts ~timeout]: [attempts] tries whose deadlines
+    double from [timeout], with no pause between them — how the native
+    Sun RPC and raw clients retransmit (1000, 2000 and 4000 ms by
+    default). *)
+val native_policy : attempts:int -> timeout:float -> retry_policy
+
 (** Raises [Invalid_argument] on a non-positive attempt count or
     timeout, or a jitter ratio outside [0,1). *)
 val validate_policy : retry_policy -> unit
@@ -79,3 +76,69 @@ val backoff_schedule : retry_policy -> seed:int64 -> float array
     pause. After a fault heals, a client is guaranteed to have issued
     a fresh attempt within this budget. *)
 val retry_budget_ms : retry_policy -> float
+
+(** [decode_results rep sign reply] reads an [Ok] reply body as
+    [sign]'s result; a body that does not decode is
+    [Protocol_error "undecodable results"], and an [Error] passes
+    through. *)
+val decode_results :
+  Wire.Data_rep.t ->
+  Wire.Idl.signature ->
+  (string, error) result ->
+  (Wire.Value.t, error) result
+
+(** {1 Procedure tables}
+
+    The procedures a server exports, keyed by (program, version,
+    procedure). Native Sun RPC and Courier servers and HRPC servers all
+    keep one and run every call through {!invoke}. *)
+
+type procedures
+
+val procedures : unit -> procedures
+
+(** The implementation runs inside a simulated process and may sleep to
+    model work. Raises [Invalid_argument] on a duplicate
+    (prog, vers, procnum). *)
+val register :
+  procedures ->
+  prog:int ->
+  vers:int ->
+  procnum:int ->
+  sign:Wire.Idl.signature ->
+  (Wire.Value.t -> Wire.Value.t) ->
+  unit
+
+(** Why a server answers a call without a result. *)
+type refusal =
+  | No_program       (** the program is not exported *)
+  | No_version       (** the program is, but not at this version *)
+  | No_procedure
+  | Bad_arguments    (** the arguments do not decode *)
+  | Crashed of string
+      (** the procedure raised [Failure] or [Invalid_argument] *)
+
+(** How a server runs a procedure whose arguments decoded, given the
+    caller's stamped span context ({!Trace_header}): HRPC servers run it
+    under their [hrpc_serve] span; native servers use {!untraced}. *)
+type serve =
+  trace:int ->
+  parent:int ->
+  procnum:int ->
+  (unit -> (string, refusal) result) ->
+  (string, refusal) result
+
+val untraced : serve
+
+(** [invoke procs ~rep ~serve ~prog ~vers ~procnum body] strips the
+    trace header from [body], decodes the arguments in [rep], runs the
+    procedure under [serve] and encodes its result in [rep]. *)
+val invoke :
+  procedures ->
+  rep:Wire.Data_rep.t ->
+  serve:serve ->
+  prog:int ->
+  vers:int ->
+  procnum:int ->
+  string ->
+  (string, refusal) result

@@ -1,85 +1,77 @@
 open Transport
 
-type proc = { sign : Wire.Idl.signature; impl : Wire.Value.t -> Wire.Value.t }
+let frame ~transaction ~prog ~vers ~procnum body =
+  let call =
+    Courier_wire.(encode (Call { transaction; prog = Int32.of_int prog; vers; procnum; body }))
+  in
+  let accept resp =
+    match Courier_wire.decode resp with
+    | exception Courier_wire.Bad_message m -> Some (Error (Control.Protocol_error m))
+    | Courier_wire.Call _ -> None
+    | Courier_wire.Return r -> if r.transaction <> transaction then None else Some (Ok r.body)
+    | Courier_wire.Abort a ->
+        if a.transaction <> transaction then None
+        else
+          let detail =
+            match Wire.Courier.of_string Wire.Idl.T_string a.body with
+            | Wire.Value.Str s -> s
+            | _ | (exception _) -> Printf.sprintf "abort %d" a.error
+          in
+          Some (Error (Control.Protocol_error ("remote abort: " ^ detail)))
+    | Courier_wire.Reject r ->
+        if r.transaction <> transaction then None
+        else Some (Error (Courier_wire.reject_to_error r.code))
+  in
+  (call, accept)
+
+let dispatch procs ~rep ~serve payload =
+  match Courier_wire.decode payload with
+  | exception Courier_wire.Bad_message _ -> None
+  | Courier_wire.Return _ | Courier_wire.Abort _ | Courier_wire.Reject _ -> None
+  | Courier_wire.Call c ->
+      let transaction = c.transaction in
+      let reject code = Courier_wire.Reject { transaction; code } in
+      let reply =
+        match
+          Control.invoke procs ~rep ~serve ~prog:(Int32.to_int c.prog) ~vers:c.vers
+            ~procnum:c.procnum c.body
+        with
+        | Ok body -> Courier_wire.Return { transaction; body }
+        | Error Control.No_program -> reject Courier_wire.No_such_program
+        | Error Control.No_version -> reject Courier_wire.No_such_version
+        | Error Control.No_procedure -> reject Courier_wire.No_such_procedure
+        | Error Control.Bad_arguments -> reject Courier_wire.Invalid_arguments
+        | Error (Control.Crashed msg) ->
+            Courier_wire.Abort
+              {
+                transaction;
+                error = 1;
+                body = Wire.Courier.to_string Wire.Idl.T_string (Wire.Value.Str msg);
+              }
+      in
+      Some (Courier_wire.encode reply)
 
 type server = {
   listener : Tcp.listener;
-  procs : (int32 * int * int, proc) Hashtbl.t;
-  programs : (int32 * int, unit) Hashtbl.t;
+  procs : Control.procedures;
   mutable running : bool;
 }
 
 let create stack ?(port = Address.Well_known.courier) () =
-  {
-    listener = Tcp.listen stack ~port;
-    procs = Hashtbl.create 16;
-    programs = Hashtbl.create 4;
-    running = false;
-  }
+  { listener = Tcp.listen stack ~port; procs = Control.procedures (); running = false }
 
 let addr server = Tcp.listener_addr server.listener
-let port server = (addr server).Address.port
-
-let register server ~prog ~vers ~procnum ~sign impl =
-  let key = (Int32.of_int prog, vers, procnum) in
-  if Hashtbl.mem server.procs key then
-    invalid_arg
-      (Printf.sprintf "Courier_rpc.register: duplicate procedure %d/%d/%d" prog vers
-         procnum);
-  Hashtbl.replace server.procs key { sign; impl };
-  Hashtbl.replace server.programs (Int32.of_int prog, vers) ()
-
-let handle server (c : Courier_wire.call) : Courier_wire.msg =
-  let reject code = Courier_wire.Reject { transaction = c.transaction; code } in
-  if not (Hashtbl.mem server.programs (c.prog, c.vers)) then
-    reject Courier_wire.No_such_program
-  else
-    match Hashtbl.find_opt server.procs (c.prog, c.vers, c.procnum) with
-    | None -> reject Courier_wire.No_such_procedure
-    | Some { sign; impl } -> (
-        match Wire.Courier.of_string sign.Wire.Idl.arg c.body with
-        | exception _ -> reject Courier_wire.Invalid_arguments
-        | arg -> (
-            match impl arg with
-            | res ->
-                Courier_wire.Return
-                  {
-                    transaction = c.transaction;
-                    body = Wire.Courier.to_string sign.Wire.Idl.res res;
-                  }
-            | exception (Failure msg | Invalid_argument msg) ->
-                Courier_wire.Abort
-                  {
-                    transaction = c.transaction;
-                    error = 1;
-                    body = Wire.Courier.to_string Wire.Idl.T_string (Wire.Value.Str msg);
-                  }))
-
-let serve_connection server conn =
-  let rec loop () =
-    match Tcp.recv conn with
-    | exception Tcp.Connection_closed -> ()
-    | payload ->
-        (match Courier_wire.decode payload with
-        | exception Courier_wire.Bad_message _ -> ()
-        | Courier_wire.Return _ | Courier_wire.Abort _ | Courier_wire.Reject _ -> ()
-        | Courier_wire.Call c ->
-            Tcp.send conn (Courier_wire.encode (handle server c)));
-        loop ()
-  in
-  loop ();
-  Tcp.close conn
+let register server = Control.register server.procs
 
 let start server =
   if server.running then invalid_arg "Courier_rpc.start: already running";
   server.running <- true;
-  let name = Printf.sprintf "courier:%d" (port server) in
-  Sim.Engine.spawn_child ~name (fun () ->
-      while server.running do
-        let conn = Tcp.accept server.listener in
-        Sim.Engine.spawn_child ~name:(name ^ ":conn") (fun () ->
-            serve_connection server conn)
-      done)
+  let name = Printf.sprintf "courier:%d" (addr server).Address.port in
+  (* A Courier daemon serves until the simulation ends: nothing stops it. *)
+  ignore
+    (Rawrpc.serve_tcp server.listener ~name ~service_overhead_ms:0.0
+       (dispatch server.procs ~rep:Wire.Data_rep.Courier ~serve:Control.untraced)
+      : unit -> unit)
 
 type session = { conn : Tcp.conn; mutable next_transaction : int }
 
@@ -92,59 +84,11 @@ let call session ~prog ~vers ~procnum ~sign v =
   Wire.Idl.check ~what:"Courier_rpc.call args" sign.Wire.Idl.arg v;
   let transaction = session.next_transaction land 0xFFFF in
   session.next_transaction <- session.next_transaction + 1;
-  let call_msg =
-    Courier_wire.(
-      encode
-        (Call
-           {
-             transaction;
-             prog = Int32.of_int prog;
-             vers;
-             procnum;
-             body = Wire.Courier.to_string sign.Wire.Idl.arg v;
-           }))
+  let payload, accept =
+    frame ~transaction ~prog ~vers ~procnum (Wire.Courier.to_string sign.Wire.Idl.arg v)
   in
-  Tcp.send session.conn call_msg;
-  let t0 = Sim.Engine.time () in
-  let timed_out () = Error (Control.Timeout { elapsed_ms = Sim.Engine.time () -. t0 }) in
-  let rec wait deadline =
-    let remaining = deadline -. Sim.Engine.time () in
-    if remaining <= 0.0 then timed_out ()
-    else
-      match Tcp.recv_timeout session.conn remaining with
-      | exception Tcp.Connection_closed -> Error Control.Refused
-      | None -> timed_out ()
-      | Some payload -> (
-          match Courier_wire.decode payload with
-          | exception Courier_wire.Bad_message m -> Error (Control.Protocol_error m)
-          | Courier_wire.Call _ -> wait deadline
-          | Courier_wire.Return r ->
-              if r.transaction <> transaction then wait deadline
-              else begin
-                match Wire.Courier.of_string sign.Wire.Idl.res r.body with
-                | exception _ -> Error (Control.Protocol_error "undecodable results")
-                | res -> Ok res
-              end
-          | Courier_wire.Abort a ->
-              if a.transaction <> transaction then wait deadline
-              else begin
-                let detail =
-                  match Wire.Courier.of_string Wire.Idl.T_string a.body with
-                  | Wire.Value.Str s -> s
-                  | _ | (exception _) -> Printf.sprintf "abort %d" a.error
-                in
-                Error (Control.Protocol_error ("remote abort: " ^ detail))
-              end
-          | Courier_wire.Reject r ->
-              if r.transaction <> transaction then wait deadline
-              else Error (Courier_wire.reject_to_error r.code))
-  in
-  wait (Sim.Engine.time () +. timeout)
+  Tcp.send session.conn payload;
+  Control.decode_results Wire.Data_rep.Courier sign
+    (Rawrpc.await session.conn ~t0:(Sim.Engine.time ()) ~timeout ~accept)
 
 let close session = Tcp.close session.conn
-
-let call_once stack ~dst ~prog ~vers ~procnum ~sign v =
-  let session = connect stack dst in
-  let result = call session ~prog ~vers ~procnum ~sign v in
-  close session;
-  result

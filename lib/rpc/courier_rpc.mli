@@ -6,7 +6,34 @@
     is paid. Bodies are Courier-representation values.
 
     Remote errors raised by server procedures travel as Courier ABORT
-    messages and surface as [Error (Protocol_error _)]. *)
+    messages and surface as [Error (Protocol_error "remote abort: <message>")].
+    A call to a program the server exports at other versions only is
+    rejected with [No_such_version].
+
+    {!frame} and {!dispatch} are the Courier control protocol itself;
+    HRPC runs them for a Courier binding over any transport and data
+    representation. *)
+
+(** [frame ~transaction ~prog ~vers ~procnum args] is a CALL message
+    carrying the marshalled [args], and the matcher that takes the
+    RETURN, ABORT or REJECT for [transaction]. A message that does not
+    decode is a [Protocol_error]. *)
+val frame :
+  transaction:int ->
+  prog:int ->
+  vers:int ->
+  procnum:int ->
+  string ->
+  string * Rawrpc.matcher
+
+(** [dispatch procs ~rep ~serve payload] answers one CALL message from
+    [procs] ({!Control.invoke}); [None] for anything else. *)
+val dispatch :
+  Control.procedures ->
+  rep:Wire.Data_rep.t ->
+  serve:Control.serve ->
+  string ->
+  string option
 
 type server
 
@@ -45,14 +72,3 @@ val call :
   (Wire.Value.t, Control.error) result
 
 val close : session -> unit
-
-(** One-shot convenience: connect, {!call} once, close. *)
-val call_once :
-  Transport.Netstack.stack ->
-  dst:Transport.Address.t ->
-  prog:int ->
-  vers:int ->
-  procnum:int ->
-  sign:Wire.Idl.signature ->
-  Wire.Value.t ->
-  (Wire.Value.t, Control.error) result

@@ -5,7 +5,26 @@
     bodies receive and return {!Wire.Value.t}; argument/result layout
     is fixed by an {!Wire.Idl.signature} and travels as XDR. Procedure
     0 of every registered program is the NULL procedure, answered
-    automatically. *)
+    automatically.
+
+    {!frame} and {!dispatch} are the Sun RPC control protocol itself;
+    HRPC runs them for a Sun RPC binding over any transport and data
+    representation. *)
+
+(** [frame ~prog ~vers ~procnum args] is a CALL message carrying the
+    marshalled [args] under a fresh xid, and the matcher that takes
+    that xid's reply. *)
+val frame :
+  prog:int -> vers:int -> procnum:int -> string -> string * Rawrpc.matcher
+
+(** [dispatch procs ~rep ~serve payload] answers one CALL message from
+    [procs] ({!Control.invoke}); [None] for anything else. *)
+val dispatch :
+  Control.procedures ->
+  rep:Wire.Data_rep.t ->
+  serve:Control.serve ->
+  string ->
+  string option
 
 type server
 
@@ -35,11 +54,13 @@ val register :
     daemons being modelled). *)
 val start : server -> unit
 
+(** Stops the service loop and closes the socket. *)
 val stop : server -> unit
 
 (** [call stack ~dst ~prog ~vers ~procnum ~sign v] performs a complete
-    remote call: XDR-encode, send, retransmit on loss, decode.
-    Defaults: 1000 ms timeout, 3 attempts, doubling backoff. *)
+    remote call: XDR-encode, send, retransmit on loss under
+    {!Control.native_policy}, decode. Defaults: 1000 ms timeout, 3
+    attempts. *)
 val call :
   Transport.Netstack.stack ->
   dst:Transport.Address.t ->

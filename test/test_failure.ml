@@ -271,10 +271,11 @@ let crashing_raw_handler_stays_silent () =
   let r =
     in_sim w (fun () ->
         let _stop =
-          Rpc.Rawrpc.serve w.stacks.(0) ~port:7070
+          Rpc.Rawrpc.serve_udp
+            (Transport.Udp.bind w.stacks.(0) ~port:7070)
+            ~name:"raw" ~service_overhead_ms:0.0 ~concurrent:false
             (fun ~src:_ payload ->
               if payload = "boom" then failwith "handler crash" else Some "ok")
-            ()
         in
         let dst = Transport.Address.make (Transport.Netstack.ip w.stacks.(0)) 7070 in
         let crash = Rpc.Rawrpc.call w.stacks.(1) ~dst ~timeout:30.0 ~attempts:1 "boom" in

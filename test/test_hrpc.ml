@@ -148,11 +148,61 @@ let hrpc_emulates_courier_server () =
         in
         Hrpc.Server.register server ~procnum:1 ~sign:echo_sign (fun v -> v);
         Hrpc.Server.start server;
-        Rpc.Courier_rpc.call_once w.stacks.(1)
-          ~dst:(Hrpc.Server.binding server).Hrpc.Binding.server ~prog:2 ~vers:3
-          ~procnum:1 ~sign:echo_sign (Wire.Value.Str "native courier client"))
+        let session =
+          Rpc.Courier_rpc.connect w.stacks.(1)
+            (Hrpc.Server.binding server).Hrpc.Binding.server
+        in
+        let r =
+          Rpc.Courier_rpc.call session ~prog:2 ~vers:3 ~procnum:1 ~sign:echo_sign
+            (Wire.Value.Str "native courier client")
+        in
+        Rpc.Courier_rpc.close session;
+        r)
   in
   check_bool "native courier -> hrpc" true (r = Ok (Wire.Value.Str "native courier client"))
+
+(* Native and HRPC Courier servers run one dispatcher, and every
+   client one reply matcher: the same call gets the same answer from
+   either server. A version the program is not exported at is
+   No_such_version, and an abort reads "remote abort: <message>". *)
+let courier_native_and_hrpc_agree () =
+  let w = make_world () in
+  in_sim w (fun () ->
+      let crash _ = failwith "deliberate" in
+      let native = Rpc.Courier_rpc.create w.stacks.(0) () in
+      Rpc.Courier_rpc.register native ~prog:2 ~vers:3 ~procnum:1 ~sign:echo_sign crash;
+      Rpc.Courier_rpc.start native;
+      let hrpc =
+        Hrpc.Server.create w.stacks.(0) ~suite:Hrpc.Component.courier_suite ~prog:2
+          ~vers:3 ()
+      in
+      Hrpc.Server.register hrpc ~procnum:1 ~sign:echo_sign crash;
+      Hrpc.Server.start hrpc;
+      List.iter
+        (fun (what, dst) ->
+          let conn = Transport.Tcp.connect w.stacks.(1) dst in
+          Transport.Tcp.send conn
+            (Rpc.Courier_wire.encode
+               (Rpc.Courier_wire.Call
+                  { transaction = 9; prog = 2l; vers = 4; procnum = 1; body = "" }));
+          (match Rpc.Courier_wire.decode (Transport.Tcp.recv conn) with
+          | Rpc.Courier_wire.Reject { transaction = 9; code = Rpc.Courier_wire.No_such_version }
+            ->
+              ()
+          | _ -> Alcotest.failf "%s server: expected No_such_version" what);
+          Transport.Tcp.close conn;
+          let b =
+            Hrpc.Binding.make ~suite:Hrpc.Component.courier_suite ~server:dst ~prog:2
+              ~vers:3
+          in
+          check_bool (what ^ " server: the abort carries its message") true
+            (Hrpc.Client.call w.stacks.(1) b ~procnum:1 ~sign:echo_sign
+               (Wire.Value.Str "x")
+            = Error (Rpc.Control.Protocol_error "remote abort: deliberate")))
+        [
+          ("native", Rpc.Courier_rpc.addr native);
+          ("hrpc", (Hrpc.Server.binding hrpc).Hrpc.Binding.server);
+        ])
 
 let hrpc_call_raw_to_bind () =
   (* call_raw speaks a server's native format: a DNS query here. *)
@@ -279,6 +329,24 @@ let hrpc_backoff_seeded_at_call_start () =
   | Error e -> Alcotest.failf "expected Timeout, got %a" Rpc.Control.pp_error e
   | Ok _ -> Alcotest.fail "call to a dead port cannot succeed"
 
+(* The native clients retransmit with no pause between attempts: to a
+   port nobody serves, the 1000, 2000 and 4000 ms deadlines add up to
+   exactly 7000 ms. *)
+let native_timeout_has_no_pauses () =
+  let w = make_world () in
+  let dead = Transport.Address.make (Transport.Netstack.ip w.stacks.(0)) 19999 in
+  let sun, raw =
+    in_sim w (fun () ->
+        let sun =
+          Rpc.Sunrpc.call w.stacks.(1) ~dst:dead ~prog:1 ~vers:1 ~procnum:1
+            ~sign:echo_sign (Wire.Value.Str "void")
+        in
+        (sun, Rpc.Rawrpc.call w.stacks.(1) ~dst:dead "void"))
+  in
+  let timeout = Error (Rpc.Control.Timeout { elapsed_ms = 7000. }) in
+  check_bool "sunrpc: 1000 + 2000 + 4000 ms" true (sun = timeout);
+  check_bool "rawrpc: 1000 + 2000 + 4000 ms" true (raw = timeout)
+
 (* --- binding protocols --- *)
 
 let bind_protocol_static () =
@@ -375,12 +443,15 @@ let suite =
     Alcotest.test_case "emulate sun (server)" `Quick hrpc_emulates_sun_server;
     Alcotest.test_case "emulate courier (client)" `Quick hrpc_emulates_courier_client;
     Alcotest.test_case "emulate courier (server)" `Quick hrpc_emulates_courier_server;
+    Alcotest.test_case "courier: native and hrpc servers agree" `Quick
+      courier_native_and_hrpc_agree;
     Alcotest.test_case "raw call to BIND" `Quick hrpc_call_raw_to_bind;
     Alcotest.test_case "wrong prog" `Quick hrpc_wrong_prog;
     Alcotest.test_case "timeout carries cumulative elapsed" `Quick
       hrpc_timeout_cumulative_elapsed;
     Alcotest.test_case "backoff seeded at call start" `Quick
       hrpc_backoff_seeded_at_call_start;
+    Alcotest.test_case "native timeout has no pauses" `Quick native_timeout_has_no_pauses;
     Alcotest.test_case "static binding" `Quick bind_protocol_static;
     Alcotest.test_case "portmapper binding" `Quick bind_protocol_portmapper;
     Alcotest.test_case "clearinghouse binding" `Quick bind_protocol_clearinghouse;

@@ -94,10 +94,9 @@ let open_vs_closed () =
   let open_r, closed_r =
     in_sim w (fun () ->
         let stop =
-          Rpc.Rawrpc.serve w.stacks.(0) ~port ~service_overhead_ms:20.0
-            ~name:"slowpoke"
+          Rpc.Rawrpc.serve_udp (Transport.Udp.bind w.stacks.(0) ~port) ~name:"slowpoke"
+            ~service_overhead_ms:20.0 ~concurrent:false
             (fun ~src:_ payload -> Some payload)
-            ()
         in
         let submit _ =
           match

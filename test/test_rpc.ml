@@ -11,27 +11,6 @@ let control_xids_unique () =
   let a = Rpc.Control.next_xid () and b = Rpc.Control.next_xid () in
   check_bool "distinct" true (a <> b)
 
-let control_retries () =
-  let calls = ref 0 in
-  let r =
-    Rpc.Control.with_retries ~attempts:3 ~timeout:1.0 (fun ~timeout:_ ->
-        incr calls;
-        if !calls = 3 then Some "ok" else None)
-  in
-  check_bool "eventually succeeds" true (r = Some "ok");
-  check_int "three attempts" 3 !calls
-
-let control_retries_exhausted () =
-  let timeouts = ref [] in
-  let r =
-    Rpc.Control.with_retries ~attempts:3 ~timeout:10.0 ~backoff:2.0 (fun ~timeout ->
-        timeouts := timeout :: !timeouts;
-        None)
-  in
-  check_bool "fails" true (r = None);
-  check (Alcotest.list (Alcotest.float 1e-9)) "doubling backoff" [ 40.0; 20.0; 10.0 ]
-    !timeouts
-
 (* --- Sun RPC wire --- *)
 
 let sunrpc_wire_roundtrip () =
@@ -264,19 +243,15 @@ let courier_reject_codes () =
   let w = make_world () in
   let r =
     with_courier_server w (fun server ->
-        let dst = Rpc.Courier_rpc.addr server in
-        let bad_prog =
-          Rpc.Courier_rpc.call_once w.stacks.(1) ~dst ~prog:99 ~vers:3 ~procnum:1
-            ~sign:echo_sign (Wire.Value.Str "x")
+        let session = Rpc.Courier_rpc.connect w.stacks.(1) (Rpc.Courier_rpc.addr server) in
+        let call ~prog ~vers ~procnum =
+          Rpc.Courier_rpc.call session ~prog ~vers ~procnum ~sign:echo_sign
+            (Wire.Value.Str "x")
         in
-        let bad_vers =
-          Rpc.Courier_rpc.call_once w.stacks.(1) ~dst ~prog:2 ~vers:9 ~procnum:1
-            ~sign:echo_sign (Wire.Value.Str "x")
-        in
-        let bad_proc =
-          Rpc.Courier_rpc.call_once w.stacks.(1) ~dst ~prog:2 ~vers:3 ~procnum:9
-            ~sign:echo_sign (Wire.Value.Str "x")
-        in
+        let bad_prog = call ~prog:99 ~vers:3 ~procnum:1 in
+        let bad_vers = call ~prog:2 ~vers:9 ~procnum:1 in
+        let bad_proc = call ~prog:2 ~vers:3 ~procnum:9 in
+        Rpc.Courier_rpc.close session;
         (bad_prog, bad_vers, bad_proc))
   in
   check_bool "reject mapping" true
@@ -289,14 +264,16 @@ let courier_abort () =
   let w = make_world () in
   let r =
     with_courier_server w (fun server ->
-        Rpc.Courier_rpc.call_once w.stacks.(1) ~dst:(Rpc.Courier_rpc.addr server)
-          ~prog:2 ~vers:3 ~procnum:2 ~sign:echo_sign (Wire.Value.Str "x"))
+        let session = Rpc.Courier_rpc.connect w.stacks.(1) (Rpc.Courier_rpc.addr server) in
+        let r =
+          Rpc.Courier_rpc.call session ~prog:2 ~vers:3 ~procnum:2 ~sign:echo_sign
+            (Wire.Value.Str "x")
+        in
+        Rpc.Courier_rpc.close session;
+        r)
   in
-  match r with
-  | Error (Rpc.Control.Protocol_error m) ->
-      check_bool "abort carries message" true
-        (String.length m > 0 && String.length m >= String.length "remote abort")
-  | _ -> Alcotest.fail "expected abort"
+  check_bool "abort carries the message" true
+    (r = Error (Rpc.Control.Protocol_error "remote abort: deliberate"))
 
 (* --- raw --- *)
 
@@ -305,9 +282,10 @@ let rawrpc_native_payload () =
   let r =
     in_sim w (fun () ->
         let stop =
-          Rpc.Rawrpc.serve w.stacks.(0) ~port:6000 ~service_overhead_ms:2.0
+          Rpc.Rawrpc.serve_udp
+            (Transport.Udp.bind w.stacks.(0) ~port:6000)
+            ~name:"raw" ~service_overhead_ms:2.0 ~concurrent:false
             (fun ~src:_ payload -> Some (String.uppercase_ascii payload))
-            ()
         in
         let reply =
           Rpc.Rawrpc.call w.stacks.(1)
@@ -324,7 +302,10 @@ let rawrpc_silent_server_times_out () =
   let r =
     in_sim w (fun () ->
         let stop =
-          Rpc.Rawrpc.serve w.stacks.(0) ~port:6001 (fun ~src:_ _ -> None) ()
+          Rpc.Rawrpc.serve_udp
+            (Transport.Udp.bind w.stacks.(0) ~port:6001)
+            ~name:"raw" ~service_overhead_ms:0.0 ~concurrent:false
+            (fun ~src:_ _ -> None)
         in
         let reply =
           Rpc.Rawrpc.call w.stacks.(1)
@@ -340,8 +321,6 @@ let rawrpc_silent_server_times_out () =
 let suite =
   [
     Alcotest.test_case "xids unique" `Quick control_xids_unique;
-    Alcotest.test_case "retries succeed" `Quick control_retries;
-    Alcotest.test_case "retries backoff" `Quick control_retries_exhausted;
     Alcotest.test_case "sunrpc wire roundtrip" `Quick sunrpc_wire_roundtrip;
     Alcotest.test_case "sunrpc wire garbage" `Quick sunrpc_wire_rejects_garbage;
     Alcotest.test_case "sunrpc echo" `Quick sunrpc_echo;

@@ -175,6 +175,78 @@ let exports_deterministic () =
       check_string "span trees render byte-identically" s1 s2;
       check_string "flight records render byte-identically" q1 q2)
 
+(* --- stamped calls reach every server kind --- *)
+
+let echo_sign = Wire.Idl.signature ~arg:Wire.Idl.T_string ~res:Wire.Idl.T_string
+
+(* A traced HRPC call stamps its context into the call body, and native
+   servers strip it like HRPC servers do, so the call still succeeds. *)
+let stamped_call_to_native_servers () =
+  with_tracing (fun () ->
+      let w = make_world () in
+      let sun, courier =
+        in_sim w (fun () ->
+            let sun = Rpc.Sunrpc.create w.stacks.(0) () in
+            Rpc.Sunrpc.register sun ~prog:301 ~vers:1 ~procnum:1 ~sign:echo_sign (fun v -> v);
+            Rpc.Sunrpc.start sun;
+            let courier = Rpc.Courier_rpc.create w.stacks.(0) () in
+            Rpc.Courier_rpc.register courier ~prog:2 ~vers:3 ~procnum:4 ~sign:echo_sign
+              (fun v -> v);
+            Rpc.Courier_rpc.start courier;
+            let call suite server ~prog ~vers ~procnum =
+              Hrpc.Client.call w.stacks.(1)
+                (Hrpc.Binding.make ~suite ~server ~prog ~vers)
+                ~procnum ~sign:echo_sign (Wire.Value.Str "stamped")
+            in
+            ( call Hrpc.Component.sunrpc_suite (Rpc.Sunrpc.addr sun) ~prog:301 ~vers:1
+                ~procnum:1,
+              call Hrpc.Component.courier_suite (Rpc.Courier_rpc.addr courier) ~prog:2
+                ~vers:3 ~procnum:4 ))
+      in
+      check_bool "native sun server" true (sun = Ok (Wire.Value.Str "stamped"));
+      check_bool "native courier server" true (courier = Ok (Wire.Value.Str "stamped")))
+
+(* A call through the connection cache is an ordinary HRPC call: it is
+   counted, opens hrpc_call and stamps it, so the server's hrpc_serve
+   joins the caller's trace from another process. *)
+let conn_cache_call_is_traced () =
+  with_tracing (fun () ->
+      let w = make_world () in
+      let calls () =
+        match Obs.Metrics.find "hrpc.client.calls" with
+        | Some (Obs.Metrics.Count n) -> n
+        | _ -> 0
+      in
+      let before = calls () in
+      let r =
+        in_sim w (fun () ->
+            let server =
+              Hrpc.Server.create w.stacks.(0) ~suite:Hrpc.Component.courier_suite ~prog:88
+                ~vers:1 ()
+            in
+            Hrpc.Server.register server ~procnum:1 ~sign:echo_sign (fun v -> v);
+            Hrpc.Server.start server;
+            Hrpc.Conn_cache.call
+              (Hrpc.Conn_cache.create w.stacks.(1))
+              (Hrpc.Server.binding server) ~procnum:1 ~sign:echo_sign
+              (Wire.Value.Str "cached"))
+      in
+      check_bool "cached call answers" true (r = Ok (Wire.Value.Str "cached"));
+      check_int "one hrpc.client.calls" 1 (calls () - before);
+      let spans = parse_spans (Obs.Export.spans_json ()) in
+      match
+        ( List.filter (fun s -> s.j_name = "hrpc_call") spans,
+          List.filter (fun s -> s.j_name = "hrpc_serve") spans )
+      with
+      | [ call ], [ serve ] ->
+          check_bool "serve is a remote child of the call" true
+            (serve.j_remote && serve.j_parent = Some call.j_id);
+          check_int "one trace" call.j_trace serve.j_trace;
+          check_bool "two processes" true (call.j_pid <> serve.j_pid)
+      | calls, serves ->
+          Alcotest.failf "expected one hrpc_call and one hrpc_serve, got %d and %d"
+            (List.length calls) (List.length serves))
+
 (* --- coalesced followers link the leader's trace --- *)
 
 let followers_link_leader_trace () =
@@ -539,6 +611,10 @@ let suite =
       one_tree_across_three_processes;
     Alcotest.test_case "same seed, byte-identical span and qlog exports" `Quick
       exports_deterministic;
+    Alcotest.test_case "stamped calls reach native servers" `Quick
+      stamped_call_to_native_servers;
+    Alcotest.test_case "conn-cache calls are counted and traced" `Quick
+      conn_cache_call_is_traced;
     Alcotest.test_case "coalesced followers link the leader's trace" `Quick
       followers_link_leader_trace;
     Alcotest.test_case "SLO breach retains a resolvable exemplar" `Quick

@@ -21,6 +21,7 @@ let () =
       ("soak", Test_soak.suite);
       ("hrpc", Test_hrpc.suite);
       ("hns", Test_hns.suite);
+      ("cache", Test_cache.suite);
       ("coldpath", Test_coldpath.suite);
       ("agent", Test_agent.suite);
       ("nsm", Test_nsm.suite);

@@ -59,13 +59,17 @@ fmt:
 # charge answer that without an effect. The second keeps each RPC
 # protocol's envelope built and read in one module: only lib/rpc/ names
 # Sunrpc_wire or Courier_wire, and HRPC calls Rpc.Sunrpc and
-# Rpc.Courier_rpc for it. The surface audit reads the typed trees that
+# Rpc.Courier_rpc for it. The third keeps every NSM's cached read in
+# one place: an NSM reads and fills its cache only through
+# Nsm_common.lookup, so the TTL, per-query charge and serve-stale rules
+# cannot drift apart between NSMs again. The surface audit reads the typed trees that
 # `dune build @check` writes and fails on a lib/ export no other module
 # uses or an optional parameter no call passes (see the header of
 # tools/surface_audit.ml).
 check: fmt
 	! grep -rn 'Effect.Unhandled' lib bin bench examples
 	! grep -rn 'Sunrpc_wire\.\|Courier_wire\.' lib bin bench examples --include='*.ml' --include='*.mli' | grep -v '^lib/rpc/'
+	! grep -rn 'Cache\.\(find\|insert\|through\)\b' lib/nsm --include='*.ml' | grep -v '^lib/nsm/nsm_common.ml:'
 	dune build
 	dune build @check
 	dune exec tools/surface_audit.exe

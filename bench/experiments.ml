@@ -1555,7 +1555,7 @@ let prop_measure ~zone_size ~mode () =
       let converged () =
         Int32.compare (Dns.Secondary.serial secondary) (Dns.Zone.serial zone)
         >= 0
-        && Hns.Cache.peek (Hns.Meta_client.cache client) ~key:cache_key
+        && Hns.Cache.probe (Hns.Meta_client.cache client) ~key:cache_key = Some Hns.Cache.Fresh
       in
       let rec wait () =
         if converged () then ()
@@ -1842,7 +1842,7 @@ let dur_restart ~zone_size ~durable () =
       in
       let converged () =
         Int32.compare (Dns.Secondary.serial secondary) target >= 0
-        && Hns.Cache.peek (Hns.Meta_client.cache client) ~key:cache_key
+        && Hns.Cache.probe (Hns.Meta_client.cache client) ~key:cache_key = Some Hns.Cache.Fresh
       in
       let rec wait () =
         if converged () then ()

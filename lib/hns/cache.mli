@@ -23,36 +23,53 @@
     charges go to the virtual clock; a cache used outside a simulated
     process (engine not running) charges nothing.
 
+    {b Reads.} Four entry points, all decided by one classifier
+    ({!state}). {!through} is the read-through every cached mapping
+    uses: a fresh hit, else the caller's fetch, else an expired answer
+    inside the staleness budget (RFC 8767's serve-stale). {!find} is
+    the same read without a fetch, {!probe} charges nothing, and
+    {!find_addr} serves native host-address entries.
+
     {b Serve-stale degradation.} With a nonzero [staleness_budget_ms],
-    expired entries are not evicted immediately: they linger for the
-    budget past their expiry. {!find} still treats them as misses —
-    freshness is always preferred — but when the refresh that follows
-    a miss fails (backend crashed or partitioned), {!find_stale}
-    returns the expired value so resolution degrades to slightly-old
-    data instead of an error. Each such answer is counted in the
-    [hns.cache.stale_served] metric.
+    an expired positive entry lingers for the budget past its expiry.
+    A read still misses on it — freshness is always preferred — but
+    when the fetch that follows fails (backend crashed or
+    partitioned), {!through} serves the expired value instead of an
+    error, counted in [hns.cache.stale_served].
 
     {b Negative caching.} {!insert_negative} records that a lookup
-    found {e nothing}, with its own (short) TTL. A later {!find} on
-    that key is a {!Negative_hit}: the caller can fail fast without a
-    round trip. Negative entries never poison — a positive
-    {!insert} at the same key simply overwrites them, they are never
-    served stale, and they disappear at TTL expiry. Counted in
-    [hns.cache.neg_hits].
+    found {e nothing}, with its own (short) TTL; a later read of that
+    key is a negative hit (counted in [hns.cache.neg_hits]) and fails
+    fast. Negative entries never poison — a positive {!insert}
+    overwrites them, they are never served stale (RFC 2308), and they
+    die at TTL expiry.
 
     {b Capacity bound.} With [max_entries] set, inserting a new key
-    into a full cache first evicts the least-recently-used entry
-    (counted in [hns.cache.evictions]). The default is unbounded,
-    matching the prototype's "whole meta zone fits in ~2KB" regime;
-    the bound matters once AXFR preloading pulls in entire zones.
+    into a full cache first evicts one entry (counted in
+    [hns.cache.evictions]): the least recently used dead entry, pinned
+    or not; else the least recently used unpinned entry; else the
+    least recently used of all. The default is unbounded, matching the
+    prototype's "whole meta zone fits in ~2KB" regime; the bound
+    matters once AXFR preloading pulls in entire zones.
 
     {b Preload-aware admission.} Entries seeded by {!preload} are
-    {e pinned}: the LRU scan passes over them, so demand churn in a
-    bounded cache cannot wash out a zone snapshot that cost a
-    transfer. In exchange preloads respect a quota — pinned entries
-    may hold at most 3/4 of [max_entries]; overflow rows are skipped
-    (counted in [hns.cache.preload_skipped]) rather than inserted
-    only to evict each other. *)
+    {e pinned}: eviction passes over live pinned entries, so demand
+    churn in a bounded cache cannot wash out a zone snapshot that cost
+    a transfer. In exchange preloads respect a quota — pinned entries
+    may hold at most 3/4 of [max_entries]. The first row of a bulk load
+    that meets a full quota first drops the dead pinned entries; a row
+    still refused is skipped (counted in [hns.cache.preload_skipped])
+    and takes any older value at its key with it.
+
+    {b Invariants}, checked with a reference model
+    ([test/cache_model.ml]) over generated operation sequences: no
+    entry is served fresh past its TTL; a stale answer comes only after
+    a failed fetch, inside the budget; a negative entry is never served
+    stale; pinned entries never exceed the quota. The model found three
+    admission faults, now fixed: a full cache evicted a live entry while
+    a dead one stayed; dead pinned entries kept their quota share; a row
+    the quota skipped left the older value at its key, served as fresh
+    for that value's whole TTL. *)
 
 type mode = Marshalled | Demarshalled
 
@@ -65,7 +82,8 @@ type t
     re-demarshalling the entry. With [hand_cost] set, marshalled-mode
     hits on hot record shapes demarshal through the hand codec
     ({!Hot_codec}) and charge its much smaller cost instead; unknown
-    shapes still fall back to the generated path. *)
+    shapes still fall back to the generated path. An insert that names
+    no TTL keeps its entry for an hour. *)
 val create :
   mode:mode ->
   ?generated_cost:Wire.Generic_marshal.cost_model ->
@@ -73,45 +91,44 @@ val create :
   ?hit_overhead_ms:float ->
   ?hit_per_node_ms:float ->
   ?insert_overhead_ms:float ->
-  ?default_ttl_ms:float ->
   ?staleness_budget_ms:float ->
   ?max_entries:int ->
   unit ->
   t
 
-(** The LRU capacity bound, if any. *)
-val max_entries : t -> int option
+(** What the entry under a key is at the current virtual time: a
+    fresh positive entry, a fresh negative one, a positive entry past
+    its TTL but inside the staleness budget, or one past both (an
+    expired negative entry is dead at once). *)
+type state = Fresh | Negative | Stale | Dead
 
-(** [find t ~key ~ty] returns the cached value, charging the
-    mode-dependent hit cost, or [None] (charging nothing — miss costs
-    are the remote lookup the caller now performs). Expired entries
-    are removed and count as misses. *)
+(** [probe t ~key] is the state of the entry under [key], [None] when
+    nothing is cached. Charges no virtual time and moves no counter —
+    an instrumentation-free probe for "would the walk hit?". *)
+val probe : t -> key:string -> state option
+
+(** The answer of a read-through. *)
+type ('a, 'e) read =
+  | Hit of Wire.Value.t  (** a fresh entry, decoded and charged *)
+  | Negative_hit  (** a fresh cached absence; the fetch did not run *)
+  | Fetched of 'a  (** a miss; the fetch answered *)
+  | Stale_hit of Wire.Value.t
+      (** the fetch failed; an expired entry inside the budget answered *)
+  | Failed of 'e  (** the fetch failed and nothing could answer *)
+
+(** [through t ~key ~ty ~fetch] answers a fresh hit (charging the
+    mode-dependent hit cost) or a fresh negative (charging only
+    [hit_overhead_ms]) without calling [fetch]. Otherwise it counts a
+    miss, drops a dead entry and calls [fetch], which inserts what it
+    finds. When [fetch] fails, an entry under [key] then inside the
+    staleness budget is decoded, charged and served. *)
+val through :
+  t -> key:string -> ty:Wire.Idl.ty -> fetch:(unit -> ('a, 'e) result) -> ('a, 'e) read
+
+(** [find t ~key ~ty] is {!through} without a fetch: the value of a
+    fresh entry, or [None] for a miss or a negative hit (charged and
+    counted as such). *)
 val find : t -> key:string -> ty:Wire.Idl.ty -> Wire.Value.t option
-
-(** Three-way lookup result distinguishing a cached absence from an
-    ordinary miss. *)
-type outcome = Hit of Wire.Value.t | Negative_hit | Miss
-
-(** Like {!find} but reporting negative entries explicitly. A
-    [Negative_hit] charges only [hit_overhead_ms] (nothing to decode)
-    and counts in [hns.cache.neg_hits], not as a hit. *)
-val find_outcome : t -> key:string -> ty:Wire.Idl.ty -> outcome
-
-(** [peek t ~key] is true when a fresh {e positive} entry is cached
-    under [key]. Charges no virtual time and moves no counter — an
-    instrumentation-free probe for "would the walk hit?", used to
-    decide whether a bundle round trip is worth issuing. *)
-val peek : t -> key:string -> bool
-
-(** As {!peek}, but true when a fresh {e negative} entry is cached. *)
-val peek_negative : t -> key:string -> bool
-
-(** [find_stale t ~key ~ty] returns an expired entry still within the
-    staleness budget, charging the normal hit cost. For use only after
-    a backend refresh has failed; the answer is counted in
-    [hns.cache.stale_served], not as a hit. [None] when the entry is
-    missing, fresh (use {!find}), or past the budget. *)
-val find_stale : t -> key:string -> ty:Wire.Idl.ty -> Wire.Value.t option
 
 (** [insert t ~key ~ty ?ttl_ms v] stores [v] (marshalling it when in
     [Marshalled] mode) and charges the insert cost. *)
@@ -129,8 +146,8 @@ val insert_negative : t -> key:string -> ttl_ms:float -> unit
     materialising the [Uint] on access (counted in
     [wire.codec.value_materializations]). *)
 
-(** [insert_addr t ~key ip] stores a native address entry for the
-    cache's default TTL. *)
+(** [insert_addr t ~key ip] stores a native address entry for an
+    hour. *)
 val insert_addr : t -> key:string -> int32 -> unit
 
 (** [find_addr t ~key] serves a fresh address entry natively, charging
@@ -140,8 +157,8 @@ val insert_addr : t -> key:string -> int32 -> unit
 val find_addr : t -> key:string -> int32 option
 
 (** [preload_addrs t rows] bulk-seeds [(key, ttl_ms, ip)] native
-    address rows, pinned under the same admission quota as
-    {!preload}. Returns the number inserted. *)
+    address rows, pinned under the same admission as {!preload}.
+    Returns the number inserted. *)
 val preload_addrs : t -> (string * float * int32) list -> int
 
 (** [remove t ~key] drops the entry cached under [key] — the
@@ -153,8 +170,8 @@ val remove : t -> key:string -> bool
 (** [preload t entries] bulk-inserts [(key, ty, ttl_ms, value)] rows —
     the AXFR seeding and IXFR delta-refresh path — counting them in
     [hns.cache.preloaded]. The rows are {e pinned} (exempt from LRU
-    eviction) up to the admission quota; overflow is skipped. Returns
-    the number inserted. *)
+    eviction while live) up to the admission quota; overflow is
+    skipped. Returns the number inserted. *)
 val preload :
   t -> (string * Wire.Idl.ty * float * Wire.Value.t) list -> int
 
@@ -165,7 +182,7 @@ val flush : t -> unit
 (** This cache's own counts: [hns.cache.<mode>.hits] and
     [hns.cache.<mode>.misses] for its storage mode, plus
     [hns.cache.stale_served], [hns.cache.neg_hits],
-    [hns.cache.evictions] (the LRU bound), [hns.cache.preloaded],
+    [hns.cache.evictions] (the capacity bound), [hns.cache.preloaded],
     [hns.cache.preload_skipped] and [hns.cache.invalidations]. *)
 val metrics : t -> Obs.Metrics.scope
 

@@ -219,6 +219,20 @@ let decode_value (ty : Wire.Idl.ty) bytes : Wire.Value.t option =
       Option.map Meta_schema.ns_info_to_value (decode_ns_info bytes)
   | _ -> None
 
+(* The one choice of codec for a hot record: the hand codec's decode
+   when one is configured and the shape is hot; otherwise [None], and
+   the caller runs its generic decoder. A hand decode that rejects the
+   bytes is counted as a fallback. *)
+let decode_hot hand ty bytes =
+  match hand with
+  | Some _ when is_hot_ty ty -> (
+      match decode_value ty bytes with
+      | Some _ as v -> v
+      | None ->
+          Wire.Hotcodec.count_fallback ();
+          None)
+  | _ -> None
+
 let encode_value (ty : Wire.Idl.ty) (v : Wire.Value.t) : string option =
   match (ty, v) with
   | Wire.Idl.T_string, Wire.Value.Str s -> Some (encode_string s)

@@ -30,13 +30,13 @@ val decode_ns_info : string -> Meta_schema.ns_info option
 val encode_alternates : string list -> string
 val decode_alternates : string -> string list option
 
-(** [is_hot_ty ty] — whether the hand codec covers records of [ty]. *)
-val is_hot_ty : Wire.Idl.ty -> bool
-
-(** Hand-lowered decode straight to the final cached {!Wire.Value.t}
-    (a flat run of reads, no {!Wire.Generic_marshal} interpreter).
-    [None] means the shape is cold/unknown: fall back to the generic
-    codec. *)
-val decode_value : Wire.Idl.ty -> string -> Wire.Value.t option
+(** [decode_hot hand ty bytes] decodes a record with the hand codec
+    when one is configured ([hand] is [Some _]) and [ty] is a hot shape:
+    a flat run of reads straight to the final cached {!Wire.Value.t},
+    no {!Wire.Generic_marshal} interpreter. [None] sends the caller to
+    its own generic decoder; when the hand codec was tried and rejected
+    the bytes, the fallback is counted in
+    [wire.codec.generic_fallbacks]. Each caller charges its own cost. *)
+val decode_hot : Wire.Hotcodec.cost_model option -> Wire.Idl.ty -> string -> Wire.Value.t option
 
 val encode_value : Wire.Idl.ty -> Wire.Value.t -> string option

@@ -398,56 +398,44 @@ let note_negative t ckey =
    hand codec rejects the bytes — counted, so heterogeneous peers keep
    working). [None] means malformed under both codecs. *)
 let decode_record t ~ty bytes =
-  let generic () =
-    match Wire.Xdr.of_string ty bytes with
-    | exception _ -> None
-    | v ->
-        Sim.Engine.charge (Wire.Generic_marshal.cost t.generated_cost v);
-        Some v
-  in
-  match t.hand_codec with
-  | Some hc when Hot_codec.is_hot_ty ty -> (
-      match Hot_codec.decode_value ty bytes with
-      | Some v ->
-          Sim.Engine.charge (Wire.Hotcodec.cost hc ~records:1);
-          Some v
-      | None ->
-          Wire.Hotcodec.count_fallback ();
-          generic ())
-  | _ -> generic ()
+  match (t.hand_codec, Hot_codec.decode_hot t.hand_codec ty bytes) with
+  | Some hc, Some v ->
+      Sim.Engine.charge (Wire.Hotcodec.cost hc ~records:1);
+      Some v
+  | _ -> (
+      match Wire.Xdr.of_string ty bytes with
+      | exception _ -> None
+      | v ->
+          Sim.Engine.charge (Wire.Generic_marshal.cost t.generated_cost v);
+          Some v)
 
 let lookup_remote t ~key ~ckey ~ty =
-  match () with
-  | () -> (
-      match raw_query t key with
-      | Error _ as e -> e
-      | Ok reply -> (
-          (* Negative and NODATA replies carry the zone SOA in their
-             authority section (RFC 2308); learn the zone's negative
-             TTL from it before recording the absence. *)
-          observe_authority_soa t reply;
-          match reply.rcode with
-          | Dns.Msg.Nx_domain ->
+  match raw_query t key with
+  | Error _ as e -> e
+  | Ok reply -> (
+      (* Negative and NODATA replies carry the zone SOA in their
+         authority section (RFC 2308); learn the zone's negative TTL
+         from it before recording the absence. *)
+      observe_authority_soa t reply;
+      match reply.rcode with
+      | Dns.Msg.Nx_domain ->
+          note_negative t ckey;
+          Ok None
+      | Dns.Msg.No_error -> (
+          match first_unspec reply with
+          | None ->
               note_negative t ckey;
               Ok None
-          | Dns.Msg.No_error -> (
-              match first_unspec reply with
+          | Some (bytes, ttl_s) -> (
+              match decode_record t ~ty bytes with
               | None ->
-                  note_negative t ckey;
-                  Ok None
-              | Some (bytes, ttl_s) -> (
-                  match decode_record t ~ty bytes with
-                  | None ->
-                      Error
-                        (Errors.Meta_error
-                           (Printf.sprintf "malformed record at %s"
-                              (Dns.Name.to_string key)))
-                  | Some v ->
-                      Cache.insert t.cache_ ~key:ckey ~ty
-                        ~ttl_ms:(Int32.to_float ttl_s *. 1000.0)
-                        v;
-                      Ok (Some v)))
-          | rc -> Error (Errors.Meta_error (Dns.Msg.rcode_to_string rc))))
+                  Error
+                    (Errors.Meta_error
+                       (Printf.sprintf "malformed record at %s" (Dns.Name.to_string key)))
+              | Some v ->
+                  Cache.insert t.cache_ ~key:ckey ~ty ~ttl_ms:(Int32.to_float ttl_s *. 1000.0) v;
+                  Ok (Some v)))
+      | rc -> Error (Errors.Meta_error (Dns.Msg.rcode_to_string rc)))
 
 let lookup t ~key ~ty =
   let t0 = Sim.Engine.time () in
@@ -462,25 +450,21 @@ let lookup t ~key ~ty =
     log_mapping t ckey hit elapsed;
     outcome
   in
-  match Cache.find_outcome t.cache_ ~key:ckey ~ty with
+  match Cache.through t.cache_ ~key:ckey ~ty ~fetch:(fun () -> lookup_remote t ~key ~ckey ~ty) with
   | Cache.Hit v -> finish true (Ok (Some v))
   | Cache.Negative_hit ->
       (* A cached absence: answer "no record" without a round trip. *)
       Obs.Span.add_attr "negative" "true";
       Obs.Qlog.note_outcome Obs.Qlog.Negative;
       finish true (Ok None)
-  | Cache.Miss -> (
-      match lookup_remote t ~key ~ckey ~ty with
-      | Error _ as e -> (
-          (* Backend unreachable: serve the expired entry if it is
-             still within the cache's staleness budget. *)
-          match Cache.find_stale t.cache_ ~key:ckey ~ty with
-          | Some v ->
-              Obs.Span.add_attr "stale" "true";
-              Obs.Qlog.note_outcome Obs.Qlog.Stale;
-              finish false (Ok (Some v))
-          | None -> finish false e)
-      | ok -> finish false ok)
+  | Cache.Fetched answer -> finish false (Ok answer)
+  | Cache.Stale_hit v ->
+      (* Backend unreachable: the expired entry, still within the
+         cache's staleness budget, answers. *)
+      Obs.Span.add_attr "stale" "true";
+      Obs.Qlog.note_outcome Obs.Qlog.Stale;
+      finish false (Ok (Some v))
+  | Cache.Failed e -> finish false (Error e)
 
 (* {1 The batched FindNSM bundle} *)
 
@@ -632,17 +616,15 @@ let find_nsm_bundle t ~context ~query_class =
        cache hits; a bundle round trip would cost more than it saves.
        (Partially-warm states still take the bundle: one round trip
        beats two.) *)
-    if Cache.peek t.cache_ ~key:ctx_cache_key then Bundle_unavailable
-    else if Cache.peek_negative t.cache_ ~key:ctx_cache_key then begin
-      (* A fresh "no such context" answers the whole FindNSM with no
-         traffic; go through find_outcome for the usual negative-hit
-         charge and accounting. *)
-      ignore
-        (Cache.find_outcome t.cache_ ~key:ctx_cache_key
-           ~ty:Meta_schema.string_ty);
-      Bundle_negative (Errors.Unknown_context context)
-    end
-    else
+    match Cache.probe t.cache_ ~key:ctx_cache_key with
+    | Some Cache.Fresh -> Bundle_unavailable
+    | Some Cache.Negative ->
+        (* A fresh "no such context" answers the whole FindNSM with no
+           traffic; go through find for the usual negative-hit charge
+           and accounting. *)
+        ignore (Cache.find t.cache_ ~key:ctx_cache_key ~ty:Meta_schema.string_ty);
+        Bundle_negative (Errors.Unknown_context context)
+    | Some (Cache.Stale | Cache.Dead) | None ->
       Obs.Span.with_span "find_nsm_bundle"
         ~attrs:(fun () -> [ ("context", context); ("query_class", query_class) ])
         (fun () ->
@@ -846,38 +828,22 @@ let preload_row t (rr : Dns.Rr.t) =
   | Dns.Rr.Unspec bytes -> (
       match Meta_schema.ty_of_key rr.name with
       | None -> None
-      | Some ty -> (
-          let hand_decoded =
-            match t.hand_codec with
-            | Some _ when Hot_codec.is_hot_ty ty -> (
-                match Hot_codec.decode_value ty bytes with
-                | Some v -> Some v
-                | None ->
-                    Wire.Hotcodec.count_fallback ();
-                    None)
-            | _ -> None
+      | Some ty ->
+          let decoded =
+            match Hot_codec.decode_hot t.hand_codec ty bytes with
+            | Some v ->
+                Sim.Engine.charge (Option.value t.hand_preload_record_ms ~default:t.preload_record_ms);
+                Some v
+            | None -> (
+                match Wire.Xdr.of_string ty bytes with
+                | exception _ -> None
+                | v ->
+                    Sim.Engine.charge t.preload_record_ms;
+                    Some v)
           in
-          match hand_decoded with
-          | Some v ->
-              Sim.Engine.charge
-                (match t.hand_preload_record_ms with
-                | Some ms -> ms
-                | None -> t.preload_record_ms);
-              Some
-                ( Meta_schema.cache_key rr.name,
-                  ty,
-                  Int32.to_float rr.ttl *. 1000.0,
-                  v )
-          | None -> (
-              match Wire.Xdr.of_string ty bytes with
-              | exception _ -> None
-              | v ->
-                  Sim.Engine.charge t.preload_record_ms;
-                  Some
-                    ( Meta_schema.cache_key rr.name,
-                      ty,
-                      Int32.to_float rr.ttl *. 1000.0,
-                      v ))))
+          Option.map
+            (fun v -> (Meta_schema.cache_key rr.name, ty, Int32.to_float rr.ttl *. 1000.0, v))
+            decoded)
   | _ -> None
 
 (* Seed the cache from a full transfer payload (SOA first). *)

@@ -11,7 +11,9 @@
     the NSM's service directory, or directly when written
     ["<prog>:<vers>"].
 
-    About 230 lines, as the paper says of its BIND binding NSM. *)
+    The paper's BIND binding NSM took about 230 lines; this one is
+    about 60, because the read-through cache and the BIND and
+    portmapper steps live in {!Nsm_common}. *)
 
 type t
 
@@ -32,9 +34,6 @@ val add_service : t -> string -> prog:int -> vers:int -> unit
 val impl : t -> Hns.Nsm_intf.impl
 
 val cache : t -> Hns.Cache.t
-
-(** Queries answered from the backing name service (cache misses). *)
-val backend_queries : t -> int
 
 (** Warm the result cache for every (directory service x host) pair.
     Unlike the HNS meta preload there is no bulk-transfer shortcut —

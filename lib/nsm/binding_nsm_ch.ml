@@ -12,43 +12,20 @@ let cache_ttl_ms = 600_000.0
 
 let create stack ~ch_server ~credentials ~domain ~org ?cache ?(per_query_ms = 0.0)
     () =
-  let cache_ =
-    match cache with
-    | Some c -> c
-    | None -> Hns.Cache.create ~mode:Hns.Cache.Demarshalled ()
-  in
+  let cache_ = Nsm_common.own_cache cache in
   { stack; ch_server; credentials; domain; org; cache_; per_query_ms }
 
 let lookup t ~service ~(hns_name : Hns.Hns_name.t) =
-  let key = Nsm_common.cache_key ~tag:"ch-binding" ~service hns_name in
-  match Hns.Cache.find t.cache_ ~key ~ty:Hrpc.Binding.idl_ty with
-  | Some v -> Hns.Nsm_intf.found v
-  | None -> (
-      Sim.Engine.charge t.per_query_ms;
-      let local = if service = "" then hns_name.name else service in
-      let obj = Clearinghouse.Ch_name.make ~local ~domain:t.domain ~org:t.org in
-      let client =
-        Clearinghouse.Ch_client.connect t.stack ~server:t.ch_server
-          ~credentials:t.credentials
-      in
-      let result =
-        Clearinghouse.Ch_client.retrieve_item client obj
-          ~prop:Clearinghouse.Property.Id.service_binding
-      in
-      Clearinghouse.Ch_client.close client;
-      match result with
-      | Error Clearinghouse.Ch_client.Not_found -> Hns.Nsm_intf.not_found
-      | Error (Clearinghouse.Ch_client.Rpc_error e) ->
-          failwith
-            (Format.asprintf "Clearinghouse lookup failed: %a" Rpc.Control.pp_error e)
-      | Ok bytes -> (
+  Nsm_common.lookup t.cache_ ~tag:"ch-binding" ~service hns_name ~ty:Hrpc.Binding.idl_ty
+    ~ttl_ms:cache_ttl_ms ~per_query_ms:t.per_query_ms (fun () ->
+      Nsm_common.and_then
+        (Nsm_common.ch_retrieve t.stack ~server:t.ch_server ~credentials:t.credentials
+           ~domain:t.domain ~org:t.org ~prop:Clearinghouse.Property.Id.service_binding
+           (if service = "" then hns_name.name else service))
+        (fun bytes ->
           match Hrpc.Binding.of_bytes bytes with
-          | exception Invalid_argument m -> failwith m
-          | binding ->
-              let v = Hrpc.Binding.to_value binding in
-              Hns.Cache.insert t.cache_ ~key ~ty:Hrpc.Binding.idl_ty
-                ~ttl_ms:cache_ttl_ms v;
-              Hns.Nsm_intf.found v))
+          | exception Invalid_argument m -> Error m
+          | binding -> Ok (Some (Hrpc.Binding.to_value binding))))
 
 let impl t =
   Nsm_common.instrument ~name:"ch.hrpcbinding" (fun arg ->

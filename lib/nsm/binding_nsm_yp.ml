@@ -1,76 +1,28 @@
 type t = {
   stack : Transport.Netstack.stack;
   client : Yp.Yp_client.t;
-  services : (string, int * int) Hashtbl.t;
+  services : Nsm_common.directory;
   cache_ : Hns.Cache.t;
 }
 
 let cache_ttl_ms = 600_000.0
 
 let create stack ~yp_server ~domain ?(services = []) () =
-  let t =
-    {
-      stack;
-      client = Yp.Yp_client.create stack ~server:yp_server ~domain;
-      services = Hashtbl.create 8;
-      cache_ = Hns.Cache.create ~mode:Hns.Cache.Demarshalled ();
-    }
-  in
-  List.iter (fun (name, (prog, vers)) -> Hashtbl.replace t.services name (prog, vers)) services;
-  t
-
-let service_numbers t service =
-  match Hashtbl.find_opt t.services service with
-  | Some pv -> Some pv
-  | None -> (
-      match String.split_on_char ':' service with
-      | [ p; v ] -> (
-          match (int_of_string_opt p, int_of_string_opt v) with
-          | Some prog, Some vers -> Some (prog, vers)
-          | _ -> None)
-      | _ -> None)
+  {
+    stack;
+    client = Yp.Yp_client.create stack ~server:yp_server ~domain;
+    services = Nsm_common.directory services;
+    cache_ = Hns.Cache.create ~mode:Hns.Cache.Demarshalled ();
+  }
 
 let lookup t ~service ~(hns_name : Hns.Hns_name.t) =
-  let key = Nsm_common.cache_key ~tag:"yp-binding" ~service hns_name in
-  match Hns.Cache.find t.cache_ ~key ~ty:Hrpc.Binding.idl_ty with
-  | Some v -> Hns.Nsm_intf.found v
-  | None -> (
-      match service_numbers t service with
-      | None -> failwith (Printf.sprintf "unknown ServiceName %S" service)
-      | Some (prog, vers) -> (
-          match
-            Yp.Yp_client.match_ t.client ~map:Yp.Yp_proto.map_hosts_byname
-              hns_name.name
-          with
-          | Error e ->
-              failwith (Format.asprintf "YP lookup failed: %a" Rpc.Control.pp_error e)
-          | Ok None -> Hns.Nsm_intf.not_found
-          | Ok (Some entry) -> (
-              let addr_part =
-                match String.index_opt entry ' ' with
-                | Some i -> String.sub entry 0 i
-                | None -> entry
-              in
-              match Nsm_common.parse_dotted_quad addr_part with
-              | None -> failwith (Printf.sprintf "malformed hosts.byname entry %S" entry)
-              | Some host_ip -> (
-                  match
-                    Rpc.Portmap.getport t.stack ~portmapper:host_ip ~prog ~vers ()
-                  with
-                  | Error e ->
-                      failwith
-                        (Format.asprintf "portmapper failed: %a" Rpc.Control.pp_error e)
-                  | Ok None -> Hns.Nsm_intf.not_found
-                  | Ok (Some port) ->
-                      let binding =
-                        Hrpc.Binding.make ~suite:Hrpc.Component.sunrpc_suite
-                          ~server:(Transport.Address.make host_ip port)
-                          ~prog ~vers
-                      in
-                      let v = Hrpc.Binding.to_value binding in
-                      Hns.Cache.insert t.cache_ ~key ~ty:Hrpc.Binding.idl_ty
-                        ~ttl_ms:cache_ttl_ms v;
-                      Hns.Nsm_intf.found v))))
+  Nsm_common.lookup t.cache_ ~tag:"yp-binding" ~service hns_name ~ty:Hrpc.Binding.idl_ty
+    ~ttl_ms:cache_ttl_ms ~per_query_ms:0.0 (fun () ->
+      match Nsm_common.service_numbers t.services service with
+      | Error m -> Error m
+      | Ok (prog, vers) ->
+          Nsm_common.and_then (Nsm_common.yp_host_addr t.client hns_name.name) (fun host_ip ->
+              Nsm_common.sun_binding t.stack host_ip ~prog ~vers))
 
 let impl t =
   Nsm_common.instrument ~name:"yp.hrpcbinding" (fun arg ->

@@ -20,44 +20,20 @@ let decode_address s =
 
 let create stack ~ch_server ~credentials ~domain ~org ?cache
     ?(cache_ttl_ms = 600_000.0) ?(per_query_ms = 0.0) () =
-  let cache_ =
-    match cache with
-    | Some c -> c
-    | None -> Hns.Cache.create ~mode:Hns.Cache.Demarshalled ()
-  in
+  let cache_ = Nsm_common.own_cache cache in
   { stack; ch_server; credentials; domain; org; cache_; cache_ttl_ms; per_query_ms }
 
 let lookup t ~(hns_name : Hns.Hns_name.t) =
-  let key = Nsm_common.cache_key ~tag:"ch-hostaddr" ~service:"" hns_name in
-  match Hns.Cache.find t.cache_ ~key ~ty:Hns.Nsm_intf.host_address_payload_ty with
-  | Some v -> Hns.Nsm_intf.found v
-  | None -> (
-      Sim.Engine.charge t.per_query_ms;
-      let obj =
-        Clearinghouse.Ch_name.make ~local:hns_name.name ~domain:t.domain ~org:t.org
-      in
-      let client =
-        Clearinghouse.Ch_client.connect t.stack ~server:t.ch_server
-          ~credentials:t.credentials
-      in
-      let result =
-        Clearinghouse.Ch_client.retrieve_item client obj
-          ~prop:Clearinghouse.Property.Id.address
-      in
-      Clearinghouse.Ch_client.close client;
-      match result with
-      | Error Clearinghouse.Ch_client.Not_found -> Hns.Nsm_intf.not_found
-      | Error (Clearinghouse.Ch_client.Rpc_error e) ->
-          failwith
-            (Format.asprintf "Clearinghouse lookup failed: %a" Rpc.Control.pp_error e)
-      | Ok bytes -> (
+  Nsm_common.lookup t.cache_ ~tag:"ch-hostaddr" ~service:"" hns_name
+    ~ty:Hns.Nsm_intf.host_address_payload_ty ~ttl_ms:t.cache_ttl_ms
+    ~per_query_ms:t.per_query_ms (fun () ->
+      Nsm_common.and_then
+        (Nsm_common.ch_retrieve t.stack ~server:t.ch_server ~credentials:t.credentials
+           ~domain:t.domain ~org:t.org ~prop:Clearinghouse.Property.Id.address hns_name.name)
+        (fun bytes ->
           match decode_address bytes with
-          | None -> failwith "malformed address property"
-          | Some ip ->
-              let v = Wire.Value.Uint ip in
-              Hns.Cache.insert t.cache_ ~key ~ty:Hns.Nsm_intf.host_address_payload_ty
-                ~ttl_ms:t.cache_ttl_ms v;
-              Hns.Nsm_intf.found v))
+          | None -> Error "malformed address property"
+          | Some ip -> Ok (Some (Wire.Value.Uint ip))))
 
 let impl t =
   Nsm_common.instrument ~name:"ch.hostaddress" (fun arg ->

@@ -16,30 +16,10 @@ let create stack ~yp_server ~domain ?(per_query_ms = 0.0) () =
   }
 
 let lookup t ~(hns_name : Hns.Hns_name.t) =
-  let key = Nsm_common.cache_key ~tag:"yp-hostaddr" ~service:"" hns_name in
-  match Hns.Cache.find t.cache_ ~key ~ty:Hns.Nsm_intf.host_address_payload_ty with
-  | Some v -> Hns.Nsm_intf.found v
-  | None -> (
-      Sim.Engine.charge t.per_query_ms;
-      match
-        Yp.Yp_client.match_ t.client ~map:Yp.Yp_proto.map_hosts_byname hns_name.name
-      with
-      | Error e -> failwith (Format.asprintf "YP lookup failed: %a" Rpc.Control.pp_error e)
-      | Ok None -> Hns.Nsm_intf.not_found
-      | Ok (Some entry) -> (
-          (* hosts.byname values look like "10.1.0.1 sparcstation1" *)
-          let addr_part =
-            match String.index_opt entry ' ' with
-            | Some i -> String.sub entry 0 i
-            | None -> entry
-          in
-          match Nsm_common.parse_dotted_quad addr_part with
-          | None -> failwith (Printf.sprintf "malformed hosts.byname entry %S" entry)
-          | Some ip ->
-              let v = Wire.Value.Uint ip in
-              Hns.Cache.insert t.cache_ ~key ~ty:Hns.Nsm_intf.host_address_payload_ty
-                ~ttl_ms:cache_ttl_ms v;
-              Hns.Nsm_intf.found v))
+  Nsm_common.lookup t.cache_ ~tag:"yp-hostaddr" ~service:"" hns_name
+    ~ty:Hns.Nsm_intf.host_address_payload_ty ~ttl_ms:cache_ttl_ms
+    ~per_query_ms:t.per_query_ms (fun () ->
+      Result.map (Option.map (fun ip -> Wire.Value.Uint ip)) (Nsm_common.yp_host_addr t.client hns_name.name))
 
 let impl t =
   Nsm_common.instrument ~name:"yp.hostaddress" (fun arg ->

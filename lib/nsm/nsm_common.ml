@@ -37,8 +37,74 @@ let serve stack ~impl ~payload_ty ~prog ?service_overhead_ms () =
     impl;
   server
 
-let cache_key ~tag ~service hns_name =
-  Printf.sprintf "nsm:%s:%s!%s" tag service (Hns.Hns_name.to_string hns_name)
+let own_cache = function
+  | Some c -> c
+  | None -> Hns.Cache.create ~mode:Hns.Cache.Demarshalled ()
+
+type 'a step = ('a option, string) result
+
+let and_then step k = match step with Ok (Some x) -> k x | Ok None -> Ok None | Error m -> Error m
+
+(* The one NSM lookup: the cache's read-through over the backend, with
+   the NSM's per-query charge on every miss and its TTL on every
+   answer. A backend failure is served stale when the cache's budget
+   allows, and raised otherwise. *)
+let lookup cache ~tag ~service hns_name ~ty ~ttl_ms ~per_query_ms fetch =
+  let key = Printf.sprintf "nsm:%s:%s!%s" tag service (Hns.Hns_name.to_string hns_name) in
+  match
+    Hns.Cache.through cache ~key ~ty ~fetch:(fun () ->
+        Sim.Engine.charge per_query_ms;
+        fetch ())
+  with
+  | Hns.Cache.Hit v | Hns.Cache.Stale_hit v -> Hns.Nsm_intf.found v
+  | Hns.Cache.Fetched (Some v) ->
+      Hns.Cache.insert cache ~key ~ty ~ttl_ms v;
+      Hns.Nsm_intf.found v
+  | Hns.Cache.Fetched None | Hns.Cache.Negative_hit -> Hns.Nsm_intf.not_found
+  | Hns.Cache.Failed msg -> failwith msg
+
+type directory = (string, int * int) Hashtbl.t
+
+let directory services =
+  let d = Hashtbl.create 8 in
+  List.iter (fun (name, pv) -> Hashtbl.replace d name pv) services;
+  d
+
+(* ServiceName -> (prog, vers): the directory first, then "prog:vers". *)
+let service_numbers d service =
+  let unknown () = Error (Printf.sprintf "unknown ServiceName %S" service) in
+  match Hashtbl.find_opt d service with
+  | Some pv -> Ok pv
+  | None -> (
+      match String.split_on_char ':' service with
+      | [ p; v ] -> (
+          match (int_of_string_opt p, int_of_string_opt v) with
+          | Some prog, Some vers -> Ok (prog, vers)
+          | _ -> unknown ())
+      | _ -> unknown ())
+
+let bind_a resolver name =
+  match Dns.Resolver.lookup_a resolver (Dns.Name.of_string name) with
+  | Error (Dns.Resolver.Nxdomain | Dns.Resolver.No_data) -> Ok None
+  | Error e -> Error (Format.asprintf "BIND lookup failed: %a" Dns.Resolver.pp_error e)
+  | Ok ip -> Ok (Some ip)
+
+let ch_retrieve stack ~server ~credentials ~domain ~org ~prop local =
+  let obj = Clearinghouse.Ch_name.make ~local ~domain ~org in
+  let result =
+    match Clearinghouse.Ch_client.connect stack ~server ~credentials with
+    | exception Transport.Tcp.Connection_refused _ ->
+        Error (Clearinghouse.Ch_client.Rpc_error Rpc.Control.Refused)
+    | client ->
+        let result = Clearinghouse.Ch_client.retrieve_item client obj ~prop in
+        Clearinghouse.Ch_client.close client;
+        result
+  in
+  match result with
+  | Error Clearinghouse.Ch_client.Not_found -> Ok None
+  | Error (Clearinghouse.Ch_client.Rpc_error e) ->
+      Error (Format.asprintf "Clearinghouse lookup failed: %a" Rpc.Control.pp_error e)
+  | Ok bytes -> Ok (Some bytes)
 
 let parse_dotted_quad s =
   match String.split_on_char '.' (String.trim s) with
@@ -51,3 +117,29 @@ let parse_dotted_quad s =
           Some (Int32.of_int ((a lsl 24) lor (b lsl 16) lor (c lsl 8) lor d))
       | _ -> None)
   | _ -> None
+
+let yp_host_addr client name =
+  match Yp.Yp_client.match_ client ~map:Yp.Yp_proto.map_hosts_byname name with
+  | Error e -> Error (Format.asprintf "YP lookup failed: %a" Rpc.Control.pp_error e)
+  | Ok None -> Ok None
+  | Ok (Some entry) -> (
+      (* hosts.byname values look like "10.1.0.1 sparcstation1" *)
+      let addr =
+        match String.index_opt entry ' ' with Some i -> String.sub entry 0 i | None -> entry
+      in
+      match parse_dotted_quad addr with
+      | None -> Error (Printf.sprintf "malformed hosts.byname entry %S" entry)
+      | Some ip -> Ok (Some ip))
+
+(* The Sun binding protocol: ask the host's portmapper for the
+   program's port. *)
+let sun_binding stack host_ip ~prog ~vers =
+  match Rpc.Portmap.getport stack ~portmapper:host_ip ~prog ~vers () with
+  | Error e -> Error (Format.asprintf "portmapper failed: %a" Rpc.Control.pp_error e)
+  | Ok None -> Ok None
+  | Ok (Some port) ->
+      let binding =
+        Hrpc.Binding.make ~suite:Hrpc.Component.sunrpc_suite
+          ~server:(Transport.Address.make host_ip port) ~prog ~vers
+      in
+      Ok (Some (Hrpc.Binding.to_value binding))

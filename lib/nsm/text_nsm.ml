@@ -20,11 +20,7 @@ type t = {
 let cache_ttl_ms = 600_000.0
 
 let create stack backend ~tag ?cache ?(per_query_ms = 0.0) () =
-  let cache_ =
-    match cache with
-    | Some c -> c
-    | None -> Hns.Cache.create ~mode:Hns.Cache.Demarshalled ()
-  in
+  let cache_ = Nsm_common.own_cache cache in
   let resolver =
     match backend with
     | Bind { server } ->
@@ -40,41 +36,23 @@ let backend_lookup t (hns_name : Hns.Hns_name.t) =
       match
         Dns.Resolver.query resolver (Dns.Name.of_string hns_name.name) Dns.Rr.T_txt
       with
-      | Error Dns.Resolver.Nxdomain | Error Dns.Resolver.No_data -> None
-      | Error e ->
-          failwith (Format.asprintf "BIND lookup failed: %a" Dns.Resolver.pp_error e)
+      | Error Dns.Resolver.Nxdomain | Error Dns.Resolver.No_data -> Ok None
+      | Error e -> Error (Format.asprintf "BIND lookup failed: %a" Dns.Resolver.pp_error e)
       | Ok records ->
-          List.find_map
-            (fun (rr : Dns.Rr.t) ->
-              match rr.rdata with
-              | Dns.Rr.Txt (s :: _) -> Some s
-              | Dns.Rr.Txt [] | _ -> None)
-            records)
-  | Ch { server; credentials; domain; org; prop } -> (
-      let obj = Clearinghouse.Ch_name.make ~local:hns_name.name ~domain ~org in
-      let client = Clearinghouse.Ch_client.connect t.stack ~server ~credentials in
-      let result = Clearinghouse.Ch_client.retrieve_item client obj ~prop in
-      Clearinghouse.Ch_client.close client;
-      match result with
-      | Error Clearinghouse.Ch_client.Not_found -> None
-      | Error (Clearinghouse.Ch_client.Rpc_error e) ->
-          failwith
-            (Format.asprintf "Clearinghouse lookup failed: %a" Rpc.Control.pp_error e)
-      | Ok s -> Some s)
+          Ok
+            (List.find_map
+               (fun (rr : Dns.Rr.t) ->
+                 match rr.rdata with
+                 | Dns.Rr.Txt (s :: _) -> Some s
+                 | Dns.Rr.Txt [] | _ -> None)
+               records))
+  | Ch { server; credentials; domain; org; prop } ->
+      Nsm_common.ch_retrieve t.stack ~server ~credentials ~domain ~org ~prop hns_name.name
 
 let lookup t ~service ~(hns_name : Hns.Hns_name.t) =
-  let key = Nsm_common.cache_key ~tag:t.tag ~service hns_name in
-  match Hns.Cache.find t.cache_ ~key ~ty:Hns.Nsm_intf.text_payload_ty with
-  | Some v -> Hns.Nsm_intf.found v
-  | None -> (
-      Sim.Engine.charge t.per_query_ms;
-      match backend_lookup t hns_name with
-      | None -> Hns.Nsm_intf.not_found
-      | Some s ->
-          let v = Wire.Value.Str s in
-          Hns.Cache.insert t.cache_ ~key ~ty:Hns.Nsm_intf.text_payload_ty
-            ~ttl_ms:cache_ttl_ms v;
-          Hns.Nsm_intf.found v)
+  Nsm_common.lookup t.cache_ ~tag:t.tag ~service hns_name ~ty:Hns.Nsm_intf.text_payload_ty
+    ~ttl_ms:cache_ttl_ms ~per_query_ms:t.per_query_ms (fun () ->
+      Result.map (Option.map (fun s -> Wire.Value.Str s)) (backend_lookup t hns_name))
 
 let impl t =
   Nsm_common.instrument ~name:("text." ^ t.tag) (fun arg ->

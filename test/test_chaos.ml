@@ -244,6 +244,9 @@ let matrix_cases =
 
 (* --- serve-stale degradation --- *)
 
+(* A read of "k" whose backend fetch fails. *)
+let failed_read c ~ty = Hns.Cache.through c ~key:"k" ~ty ~fetch:(fun () -> Error ())
+
 let cache_serves_stale_within_budget () =
   let w = make_world ~hosts:1 () in
   in_sim w (fun () ->
@@ -255,15 +258,14 @@ let cache_serves_stale_within_budget () =
       Hns.Cache.insert c ~key:"k" ~ty ~ttl_ms:1_000.0 (Wire.Value.Str "v");
       check_bool "fresh hit" true (Hns.Cache.find c ~key:"k" ~ty <> None);
       Sim.Engine.sleep 2_000.0;
-      (* expired: find misses, find_stale still answers *)
+      (* expired: find misses, a read whose fetch fails is answered stale *)
       check_bool "expired entry misses" true (Hns.Cache.find c ~key:"k" ~ty = None);
       check_bool "stale answer served" true
-        (Hns.Cache.find_stale c ~key:"k" ~ty = Some (Wire.Value.Str "v"));
+        (failed_read c ~ty = Hns.Cache.Stale_hit (Wire.Value.Str "v"));
       check_int "stale serves counted" 1 (cache_count c "hns.cache.stale_served");
       Sim.Engine.sleep 5_000.0;
       (* past the budget: the entry is gone for good *)
-      check_bool "stale past budget refused" true
-        (Hns.Cache.find_stale c ~key:"k" ~ty = None));
+      check_bool "stale past budget refused" true (failed_read c ~ty = Hns.Cache.Failed ()));
   ()
 
 let cache_no_budget_no_stale () =
@@ -274,7 +276,7 @@ let cache_no_budget_no_stale () =
       Hns.Cache.insert c ~key:"k" ~ty ~ttl_ms:1_000.0 (Wire.Value.Str "v");
       Sim.Engine.sleep 2_000.0;
       check_bool "zero budget serves nothing stale" true
-        (Hns.Cache.find_stale c ~key:"k" ~ty = None);
+        (failed_read c ~ty = Hns.Cache.Failed ());
       check_int "nothing counted" 0 (cache_count c "hns.cache.stale_served"))
 
 (* End to end: with the meta server crashed and a short-TTL context

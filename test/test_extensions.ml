@@ -383,9 +383,12 @@ let well_known_ports () =
 let cache_default_ttl_applies () =
   let w = make_world ~hosts:1 () in
   in_sim w (fun () ->
-      let c = Hns.Cache.create ~mode:Hns.Cache.Demarshalled ~default_ttl_ms:50.0 () in
+      let c = Hns.Cache.create ~mode:Hns.Cache.Demarshalled () in
       Hns.Cache.insert c ~key:"k" ~ty:Wire.Idl.T_int (Wire.Value.int 1);
-      Sim.Engine.sleep 100.0;
+      Sim.Engine.sleep 3_599_999.0;
+      check_bool "fresh inside the hour" true
+        (Hns.Cache.find c ~key:"k" ~ty:Wire.Idl.T_int <> None);
+      Sim.Engine.sleep 2.0;
       check_bool "expired by default ttl" true
         (Hns.Cache.find c ~key:"k" ~ty:Wire.Idl.T_int = None))
 

@@ -168,6 +168,7 @@ let junk_never_raises =
 (* Value-level dispatch (the cache/meta-client entry point) agrees
    with Generic_marshal in both directions on every hot type. *)
 let value_dispatch_agrees =
+  let hand = { Wire.Hotcodec.per_call_ms = 0.0; per_record_ms = 0.0 } in
   QCheck.Test.make ~name:"decode_value/encode_value agree with the stubs"
     ~count:100 (arb nsm_info_gen) (fun i ->
       let checks =
@@ -182,9 +183,8 @@ let value_dispatch_agrees =
       in
       List.for_all
         (fun (ty, v) ->
-          HC.is_hot_ty ty
-          && HC.encode_value ty v = Some (generic ty v)
-          && HC.decode_value ty (generic ty v) = Some v)
+          HC.encode_value ty v = Some (generic ty v)
+          && HC.decode_hot (Some hand) ty (generic ty v) = Some v)
         checks)
 
 (* --- buffer pool accounting --- *)

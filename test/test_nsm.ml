@@ -71,7 +71,12 @@ let binding_nsm_caches () =
         in
         let (), cold = Workload.Scenario.timed go in
         let (), warm = Workload.Scenario.timed go in
-        (cold, warm, Nsm.Binding_nsm_bind.backend_queries nsm))
+        let misses =
+          match scn.Workload.Scenario.cache_mode with
+          | Hns.Cache.Marshalled -> "hns.cache.marshalled.misses"
+          | Hns.Cache.Demarshalled -> "hns.cache.demarshalled.misses"
+        in
+        (cold, warm, cache_count (Nsm.Binding_nsm_bind.cache nsm) misses))
   in
   check_bool "cold does real work" true (cold > 50.0);
   check_bool "warm is a cache hit" true (warm < cold /. 3.0);
@@ -117,6 +122,40 @@ let hostaddr_nsms_agree_with_sources () =
   in
   check_bool "bind-backed address" true (bind_ip = Transport.Netstack.ip scn.service_stack);
   check_bool "ch-backed address" true (ch_ip = Transport.Netstack.ip scn.ch_stack)
+
+(* Every NSM reads through its cache, so each serves stale within the
+   cache's budget: a Clearinghouse host-address NSM answers the expired
+   address while the Clearinghouse host is down. *)
+let ch_nsm_serves_stale () =
+  let scn = Workload.Scenario.build () in
+  let cache = Hns.Cache.create ~mode:Hns.Cache.Demarshalled ~staleness_budget_ms:600_000.0 () in
+  let before, during =
+    Workload.Scenario.in_sim scn (fun () ->
+        let nsm =
+          Nsm.Hostaddr_nsm_ch.create scn.client_stack
+            ~ch_server:(Clearinghouse.Ch_server.addr scn.ch)
+            ~credentials:scn.credentials ~domain:scn.ch_domain ~org:scn.ch_org ~cache
+            ~cache_ttl_ms:1_000.0 ()
+        in
+        let ask () =
+          call_linked (Nsm.Hostaddr_nsm_ch.impl nsm) ~service:"" ~name:"dandelion"
+            ~context:scn.ch_context
+        in
+        let before = ask () in
+        Sim.Engine.sleep 2_000.0;
+        let inj =
+          Chaos.Injector.install
+            [ Chaos.Plan.crash ~host:"dandelion" ~at:(Sim.Engine.time ()) () ]
+            scn.net
+        in
+        let during = ask () in
+        Chaos.Injector.uninstall inj;
+        (before, during))
+  in
+  let ch_ip = Ok (Some (Wire.Value.Uint (Transport.Netstack.ip scn.ch_stack))) in
+  check_bool "answered while up" true (before = ch_ip);
+  check_bool "the old address, while the Clearinghouse is down" true (during = ch_ip);
+  check_int "one stale answer" 1 (cache_count cache "hns.cache.stale_served")
 
 let text_nsm_file_location () =
   let scn = Lazy.force scn in
@@ -194,6 +233,7 @@ let suite =
     Alcotest.test_case "binding NSM (CH), same interface" `Quick
       binding_nsm_ch_same_interface;
     Alcotest.test_case "host-address NSMs" `Quick hostaddr_nsms_agree_with_sources;
+    Alcotest.test_case "CH NSM serves stale in its budget" `Quick ch_nsm_serves_stale;
     Alcotest.test_case "file NSM" `Quick text_nsm_file_location;
     Alcotest.test_case "mail NSM" `Quick text_nsm_mailbox_location;
     Alcotest.test_case "linked = remote answers" `Quick remote_nsm_same_answers_as_linked;

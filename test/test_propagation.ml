@@ -232,9 +232,10 @@ let client_applies_added_records () =
         | Error e -> Alcotest.failf "store failed: %s" (Hns.Errors.to_string e));
         Sim.Engine.sleep 2_000.0;
         let cached =
-          Hns.Cache.peek
+          Hns.Cache.probe
             (Hns.Meta_client.cache client)
             ~key:(Hns.Meta_schema.cache_key key)
+          = Some Hns.Cache.Fresh
         in
         let r =
           ( cached,
@@ -266,10 +267,10 @@ let client_invalidates_deleted_records () =
             Alcotest.failf "remove failed: %s" (Hns.Errors.to_string e));
         Sim.Engine.sleep 2_000.0;
         let gone =
-          not
-            (Hns.Cache.peek
-               (Hns.Meta_client.cache client)
-               ~key:(Hns.Meta_schema.cache_key key))
+          Hns.Cache.probe
+            (Hns.Meta_client.cache client)
+            ~key:(Hns.Meta_schema.cache_key key)
+          <> Some Hns.Cache.Fresh
         in
         let lookup_after =
           Hns.Meta_client.lookup client ~key ~ty:Hns.Meta_schema.string_ty

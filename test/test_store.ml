@@ -562,9 +562,10 @@ let serial_regression_triggers_resync () =
         | Error e -> Alcotest.failf "store failed: %s" (Hns.Errors.to_string e));
         Sim.Engine.sleep 2_000.0;
         let r =
-          ( Hns.Cache.peek
+          ( Hns.Cache.probe
               (Hns.Meta_client.cache client)
-              ~key:(Hns.Meta_schema.cache_key key),
+              ~key:(Hns.Meta_schema.cache_key key)
+            = Some Hns.Cache.Fresh,
             meta_count client "hns.meta.full_refreshes",
             Hns.Meta_client.zone_serial client,
             Dns.Zone.serial zone2 )

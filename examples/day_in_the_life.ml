@@ -105,7 +105,7 @@ let () =
   Printf.printf "public BIND served %d queries; meta-BIND %d; Clearinghouse %d accesses\n"
     (Dns.Server.queries_served scn.public_bind)
     (Dns.Server.queries_served scn.meta_bind)
-    (Clearinghouse.Ch_server.accesses scn.ch);
+    (Obs.Metrics.read (Clearinghouse.Ch_server.metrics scn.ch) "clearinghouse.server.accesses");
   Printf.printf "network: %d packets, %d bytes\n"
     (Obs.Metrics.read (Transport.Netstack.metrics scn.net) "transport.netstack.packets_sent")
     (Obs.Metrics.read (Transport.Netstack.metrics scn.net) "transport.netstack.bytes_sent")

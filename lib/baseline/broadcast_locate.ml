@@ -1,10 +1,11 @@
 let port = 137
+let m_heard = Obs.Metrics.counter "baseline.broadcast.queries_heard"
 
 type interpreter = {
   sock : Transport.Udp.socket;
   names : (string, Hrpc.Binding.t) Hashtbl.t;
   mutable running : bool;
-  mutable heard : int;
+  heard : Obs.Metrics.counter;
 }
 
 (* Wire format: query "Q<name>", response "R" ^ binding bytes. *)
@@ -13,13 +14,15 @@ let process_ms = 1.5
 
 let start_interpreter stack names =
   let sock = Transport.Udp.bind stack ~port in
-  let t = { sock; names = Hashtbl.create 8; running = true; heard = 0 } in
+  let t =
+    { sock; names = Hashtbl.create 8; running = true; heard = Obs.Metrics.owned m_heard }
+  in
   List.iter (fun (n, b) -> Hashtbl.replace t.names n b) names;
   Sim.Engine.spawn_child ~name:"v-interpreter" (fun () ->
       while t.running do
         let src, payload = Transport.Udp.recv sock in
         if String.length payload >= 1 && payload.[0] = 'Q' then begin
-          t.heard <- t.heard + 1;
+          Obs.Metrics.incr t.heard;
           (* every interpreter pays to parse and check the query *)
           Sim.Engine.sleep process_ms;
           let name = String.sub payload 1 (String.length payload - 1) in
@@ -35,7 +38,7 @@ let stop_interpreter t =
   t.running <- false;
   Transport.Udp.close t.sock
 
-let queries_heard t = t.heard
+let metrics t = Obs.Metrics.scope [ t.heard ]
 
 let locate stack ?(timeout = 500.0) name =
   let sock = Transport.Udp.bind_any stack in

@@ -20,8 +20,9 @@ val start_interpreter :
 
 val stop_interpreter : interpreter -> unit
 
-(** Queries this interpreter heard (including ones it did not own). *)
-val queries_heard : interpreter -> int
+(** This interpreter's own count: [baseline.broadcast.queries_heard]
+    (queries it heard, including ones it did not own). *)
+val metrics : interpreter -> Obs.Metrics.scope
 
 (** [locate stack name] broadcasts and waits for the first owner.
     [Ok None] when nobody answered within the timeout. *)

@@ -1,10 +1,12 @@
+let m_broadcasts = Obs.Metrics.counter "baseline.prefix_table.broadcasts"
+
 type t = {
   stack : Transport.Netstack.stack;
   mutable entries : (string list * Hrpc.Binding.t) list; (* component lists *)
-  mutable broadcast_count : int;
+  broadcasts : Obs.Metrics.counter;
 }
 
-let create stack = { stack; entries = []; broadcast_count = 0 }
+let create stack = { stack; entries = []; broadcasts = Obs.Metrics.owned m_broadcasts }
 
 let components path =
   String.split_on_char '/' path |> List.filter (fun c -> c <> "")
@@ -44,7 +46,7 @@ let locate t path =
       | [] -> Ok None
       | first :: _ -> (
           (* miss: broadcast for the path's first component *)
-          t.broadcast_count <- t.broadcast_count + 1;
+          Obs.Metrics.incr t.broadcasts;
           match Broadcast_locate.locate t.stack first with
           | Error _ as e -> e
           | Ok None -> Ok None
@@ -53,4 +55,4 @@ let locate t path =
               mount t ~prefix binding;
               Ok (Some (prefix, binding))))
 
-let broadcasts t = t.broadcast_count
+let metrics t = Obs.Metrics.scope [ t.broadcasts ]

@@ -27,5 +27,6 @@ val lookup_local : t -> string -> (string * Hrpc.Binding.t) option
 val locate :
   t -> string -> ((string * Hrpc.Binding.t) option, Rpc.Control.error) result
 
-(** Broadcasts performed (the fallback cost). *)
-val broadcasts : t -> int
+(** This table's own count: [baseline.prefix_table.broadcasts]
+    (broadcasts performed, the fallback cost). *)
+val metrics : t -> Obs.Metrics.scope

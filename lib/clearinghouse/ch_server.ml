@@ -4,13 +4,15 @@ type update_event =
   | Property_stored of Ch_name.t * Property.t
   | Member_added of Ch_name.t * int * Ch_name.t
 
+let m_accesses = Obs.Metrics.counter "clearinghouse.server.accesses"
+
 type t = {
   server : Rpc.Courier_rpc.server;
   database : Ch_db.t;
   users : (Ch_name.t * string) list ref;
   auth_ms : float;
   disk_ms : float;
-  mutable access_count : int;
+  accesses : Obs.Metrics.counter;
   mutable observers : (update_event -> unit) list;
 }
 
@@ -19,11 +21,11 @@ let on_update t f = t.observers <- f :: t.observers
 let notify t event = List.iter (fun f -> f event) (List.rev t.observers)
 let db t = t.database
 let add_user t user ~password = t.users := (user, password) :: !(t.users)
-let accesses t = t.access_count
+let metrics t = Obs.Metrics.scope [ t.accesses ]
 
 (* Authenticate, charge the per-access costs, and run the body. *)
 let access t cred_value body =
-  t.access_count <- t.access_count + 1;
+  Obs.Metrics.incr t.accesses;
   let cred = Ch_proto.credentials_of_value cred_value in
   if t.auth_ms > 0.0 then Sim.Engine.sleep t.auth_ms;
   let known =
@@ -49,7 +51,7 @@ let create stack ?(auth_ms = 0.0) ?(disk_ms = 0.0) () =
       users = ref [];
       auth_ms;
       disk_ms;
-      access_count = 0;
+      accesses = Obs.Metrics.owned m_accesses;
       observers = [];
     }
   in

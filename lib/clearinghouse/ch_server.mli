@@ -29,7 +29,10 @@ val db : t -> Ch_db.t
 val add_user : t -> Ch_name.t -> password:string -> unit
 
 val start : t -> unit
-val accesses : t -> int
+
+(** This server's own count: [clearinghouse.server.accesses] (calls
+    authenticated and charged, successful or not). *)
+val metrics : t -> Obs.Metrics.scope
 
 (** Register a mutation observer (replication hooks). Called inside
     the serving process after the mutation applies locally. *)

@@ -9,7 +9,7 @@ type member = {
   mutable mass_at : float;
   mutable latency_ms : float;  (* EWMA; < 0. = no sample yet *)
   mutable serial : int32 option;
-  mutable selected : int;
+  selected : Obs.Metrics.counter;  (* rolls up into the set's [routed] *)
   mutable quarantined_until : float;
 }
 
@@ -29,6 +29,7 @@ let quarantine_ms = 3000.
 let probe_interval_ms = 250.
 
 let create stack ~zone ~primary ~replicas =
+  let routed = Obs.Metrics.owned m_routed in
   let members =
     replicas
     |> List.sort_uniq Transport.Address.compare
@@ -39,7 +40,7 @@ let create stack ~zone ~primary ~replicas =
              mass_at = 0.;
              latency_ms = -1.;
              serial = None;
-             selected = 0;
+             selected = Obs.Metrics.owned routed;
              quarantined_until = 0.;
            })
   in
@@ -50,7 +51,7 @@ let create stack ~zone ~primary ~replicas =
     members;
     last_probe_ms = Float.neg_infinity;
     next_id = 0x5e00;
-    routed = Obs.Metrics.owned m_routed;
+    routed;
     primary_fallbacks = Obs.Metrics.owned m_fallbacks;
   }
 
@@ -159,8 +160,7 @@ let select ?min_serial t =
       in
       best.mass <- mass_now best ~now +. 1.;
       best.mass_at <- now;
-      best.selected <- best.selected + 1;
-      Obs.Metrics.incr t.routed;
+      Obs.Metrics.incr best.selected;
       best.addr
 
 type member_stats = {
@@ -181,7 +181,7 @@ let stats t =
         load = mass_now m ~now;
         latency_ms = m.latency_ms;
         serial = m.serial;
-        selected = m.selected;
+        selected = Obs.Metrics.value m.selected;
         quarantined = quarantined m ~now;
       })
     t.members

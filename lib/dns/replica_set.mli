@@ -57,8 +57,9 @@ val refresh_serials : t -> unit
 val primary : t -> Transport.Address.t
 
 (** This set's own counts: [dns.replica.routed] (reads routed to
-    replicas) and [dns.replica.primary_fallbacks] (reads that fell back
-    to the primary). *)
+    replicas: the sum of its members' [selected]) and
+    [dns.replica.primary_fallbacks] (reads that fell back to the
+    primary). *)
 val metrics : t -> Obs.Metrics.scope
 
 type member_stats = {
@@ -66,7 +67,7 @@ type member_stats = {
   load : float;  (** decayed request mass, as of now *)
   latency_ms : float;  (** EWMA; negative when no sample yet *)
   serial : int32 option;  (** last-seen SOA serial *)
-  selected : int;
+  selected : int;  (** reads routed to it, counted in [dns.replica.routed] *)
   quarantined : bool;
 }
 

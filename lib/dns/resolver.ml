@@ -31,6 +31,8 @@ type entry = { outcome : (Rr.t list, error) result; expires_at : float }
 (** A cached zone cut: where to go directly for names under it. *)
 type referral = { addrs : Transport.Address.t list; ref_expires_at : float }
 
+let m_cache_hits = Obs.Metrics.counter "dns.resolver.cache_hits"
+let m_negative_hits = Obs.Metrics.counter "dns.resolver.negative_hits"
 let m_referral_hits = Obs.Metrics.counter "dns.resolver.referral_hits"
 
 type t = {
@@ -41,8 +43,9 @@ type t = {
   cache : entry Cache_tbl.t;
   referrals : referral Name_tbl.t;
   mutable next_id : int;
-  mutable hits : int;
-  mutable neg_hits : int;
+  cache_hits : Obs.Metrics.counter;
+  negative_hits : Obs.Metrics.counter;
+  referral_hits : Obs.Metrics.counter;
 }
 
 (* Cached answers and referrals live at most an hour, whatever their
@@ -59,8 +62,9 @@ let create stack ~servers ?(enable_cache = true) ?(negative_ttl_ms = 0.0) () =
     cache = Cache_tbl.create 64;
     referrals = Name_tbl.create 16;
     next_id = 1;
-    hits = 0;
-    neg_hits = 0;
+    cache_hits = Obs.Metrics.owned m_cache_hits;
+    negative_hits = Obs.Metrics.owned m_negative_hits;
+    referral_hits = Obs.Metrics.owned m_referral_hits;
   }
 
 let min_ttl_ms records =
@@ -80,15 +84,27 @@ let store_negative t name rtype err =
     Cache_tbl.replace t.cache (name, rtype)
       { outcome = Error err; expires_at = Sim.Engine.time () +. t.negative_ttl_ms }
 
-let cache_lookup t name rtype =
-  if not t.enable_cache then None
-  else
-    match Cache_tbl.find_opt t.cache (name, rtype) with
-    | Some entry when entry.expires_at > Sim.Engine.time () -> Some entry.outcome
-    | Some _ ->
-        Cache_tbl.remove t.cache (name, rtype);
-        None
-    | None -> None
+(* The one cached read: an unexpired answer, positive or negative, is
+   counted and returned; anything else goes to [miss]. *)
+let cached t name rtype ~miss =
+  match if t.enable_cache then Cache_tbl.find_opt t.cache (name, rtype) else None with
+  | Some entry when entry.expires_at > Sim.Engine.time () ->
+      Obs.Metrics.incr t.cache_hits;
+      if Result.is_error entry.outcome then Obs.Metrics.incr t.negative_hits;
+      entry.outcome
+  | Some _ ->
+      Cache_tbl.remove t.cache (name, rtype);
+      miss ()
+  | None -> miss ()
+
+(* Cache what a resolution found: answers for their TTL, a definite
+   absence for the negative TTL. *)
+let remember t name rtype result =
+  (match result with
+  | Ok records -> store t name rtype records
+  | Error ((Nxdomain | No_data) as err) -> store_negative t name rtype err
+  | Error _ -> ());
+  result
 
 let store_referral t cut addrs ttl_ms =
   if t.enable_cache && addrs <> [] then begin
@@ -161,44 +177,20 @@ let fresh_request t name rtype =
   t.next_id <- t.next_id + 1;
   Msg.encode (Msg.query ~id name rtype)
 
+(* The configured servers in order, until one answers. *)
 let ask_servers t name rtype =
   let request = fresh_request t name rtype in
-  let interpret server reply rest ~try_servers =
-    match (reply : Msg.t).rcode with
-    | Msg.No_error ->
-        if reply.truncated then
-          (* TC: the full answer only fits over TCP. *)
-          match ask_tcp t server request with
-          | Error e -> try_servers e rest
-          | Ok full ->
-              if full.Msg.answers = [] then Error No_data else Ok full.Msg.answers
-        else if reply.answers = [] then Error No_data
-        else Ok reply.answers
-    | Msg.Nx_domain -> Error Nxdomain
-    | rc -> try_servers (Server_error rc) rest
-  in
   let rec try_servers last_err = function
     | [] -> Error last_err
     | server :: rest -> (
-        match Rpc.Rawrpc.call t.stack ~dst:server request with
-        | Error e -> try_servers (Rpc_error e) rest
-        | Ok payload -> (
-            match Msg.decode payload with
-            | exception Msg.Bad_message m ->
-                try_servers (Rpc_error (Rpc.Control.Protocol_error m)) rest
-            | reply -> interpret server reply rest ~try_servers))
+        match ask_one t server request with
+        | Error e -> try_servers e rest
+        | Ok { Msg.rcode = Msg.No_error; answers = []; _ } -> Error No_data
+        | Ok { Msg.rcode = Msg.No_error; answers; _ } -> Ok answers
+        | Ok { Msg.rcode = Msg.Nx_domain; _ } -> Error Nxdomain
+        | Ok { Msg.rcode = rc; _ } -> try_servers (Server_error rc) rest)
   in
   try_servers (Rpc_error (Rpc.Control.Timeout { elapsed_ms = 0.0 })) t.servers
-
-let query_uncached t name rtype =
-  match ask_servers t name rtype with
-  | Ok records ->
-      store t name rtype records;
-      Ok records
-  | Error ((Nxdomain | No_data) as err) ->
-      store_negative t name rtype err;
-      Error err
-  | Error _ as e -> e
 
 (* Iterative resolution: walk referrals from the configured roots. *)
 let rec iterate t ~depth servers name rtype =
@@ -281,19 +273,11 @@ and follow_referral t ~depth (reply : Msg.t) name rtype =
   end
 
 let query_iterative t name rtype =
-  match cache_lookup t name rtype with
-  | Some (Ok records) ->
-      t.hits <- t.hits + 1;
-      Ok records
-  | Some (Error err) ->
-      t.hits <- t.hits + 1;
-      t.neg_hits <- t.neg_hits + 1;
-      Error err
-  | None -> (
-      let result =
-        match referral_lookup t name with
+  cached t name rtype ~miss:(fun () ->
+      remember t name rtype
+        (match referral_lookup t name with
         | Some (cut, addrs) -> (
-            Obs.Metrics.incr m_referral_hits;
+            Obs.Metrics.incr t.referral_hits;
             (* Start at the cached cut; if its servers have gone bad,
                forget the entry and re-walk from the roots. *)
             match iterate t ~depth:1 addrs name rtype with
@@ -301,27 +285,10 @@ let query_iterative t name rtype =
                 Name_tbl.remove t.referrals cut;
                 iterate t ~depth:0 t.servers name rtype
             | r -> r)
-        | None -> iterate t ~depth:0 t.servers name rtype
-      in
-      match result with
-      | Ok records ->
-          store t name rtype records;
-          Ok records
-      | Error ((Nxdomain | No_data) as err) ->
-          store_negative t name rtype err;
-          Error err
-      | Error _ as e -> e)
+        | None -> iterate t ~depth:0 t.servers name rtype))
 
 let query t name rtype =
-  match cache_lookup t name rtype with
-  | Some (Ok records) ->
-      t.hits <- t.hits + 1;
-      Ok records
-  | Some (Error err) ->
-      t.hits <- t.hits + 1;
-      t.neg_hits <- t.neg_hits + 1;
-      Error err
-  | None -> query_uncached t name rtype
+  cached t name rtype ~miss:(fun () -> remember t name rtype (ask_servers t name rtype))
 
 let lookup_a t name =
   match query t name Rr.T_a with
@@ -336,5 +303,4 @@ let lookup_a t name =
 
 let seed t name rtype records = store t name rtype records
 
-let cache_hits t = t.hits
-let negative_hits t = t.neg_hits
+let metrics t = Obs.Metrics.scope [ t.cache_hits; t.negative_hits; t.referral_hits ]

@@ -48,9 +48,10 @@ val lookup_a : t -> Name.t -> (Transport.Address.ip, error) result
     TTL semantics match a normal answer. *)
 val seed : t -> Name.t -> Rr.rtype -> Rr.t list -> unit
 
-val cache_hits : t -> int
-
-(** Hits answered from the negative cache (name known absent). When
-    [negative_ttl_ms] is 0 (the default, as in 1987 BIND) there are
-    none; set it to enable RFC 2308-style negative caching. *)
-val negative_hits : t -> int
+(** This resolver's own counts: [dns.resolver.cache_hits] (answers
+    served from its cache, negative ones included),
+    [dns.resolver.negative_hits] (those answered from the negative
+    cache, name known absent: none while [negative_ttl_ms] is 0, the
+    default, as in 1987 BIND; set it to enable RFC 2308-style negative
+    caching) and [dns.resolver.referral_hits]. *)
+val metrics : t -> Obs.Metrics.scope

@@ -9,8 +9,8 @@ type t = {
   chain_depth : int;
   zone : Zone.t; (* our replica, registered with [server] *)
   mutable running : bool;
-  mutable fresh_count : int;
   mutable next_id : int;
+  fresh_checks : Obs.Metrics.counter;
   full_transfers : Obs.Metrics.counter;
   ixfr_applied : Obs.Metrics.counter;
   delta_records : Obs.Metrics.counter;
@@ -21,6 +21,7 @@ let m_ixfr_applied = Obs.Metrics.counter "dns.secondary.ixfr_applied"
 let m_full_transfers = Obs.Metrics.counter "dns.secondary.full_transfers"
 let m_delta_records = Obs.Metrics.counter "dns.secondary.delta_records"
 let m_notify_kicks = Obs.Metrics.counter "dns.secondary.notify_kicks"
+let m_fresh_checks = Obs.Metrics.counter "dns.secondary.fresh_checks"
 
 (* Deepest replica chain attached in this process: 1 = directly under
    the primary, 2 = fed by such a replica, and so on. *)
@@ -86,7 +87,7 @@ let pull t =
         Ixfr.fetch (Server.stack t.server) ~server:t.primary ~zone:t.zone_name
           ~serial:(Zone.serial t.zone)
       with
-      | Ok (Ixfr.Unchanged _) -> t.fresh_count <- t.fresh_count + 1
+      | Ok (Ixfr.Unchanged _) -> Obs.Metrics.incr t.fresh_checks
       | Ok (Ixfr.Deltas (soa, changes)) -> apply_deltas t soa changes
       | Ok (Ixfr.Full records) -> (
           match split_transfer t.zone_name records with
@@ -105,7 +106,7 @@ let refresh_once t =
   | None -> () (* primary unreachable: keep serving the last copy *)
   | Some serial ->
       if Int32.compare serial (Zone.serial t.zone) > 0 then pull t
-      else t.fresh_count <- t.fresh_count + 1
+      else Obs.Metrics.incr t.fresh_checks
 
 let attach server ~primary ~zone ?refresh_ms ?(mode = Ixfr) ?(chain_depth = 1)
     ?recovered () =
@@ -129,8 +130,8 @@ let attach server ~primary ~zone ?refresh_ms ?(mode = Ixfr) ?(chain_depth = 1)
         | Some z -> z
         | None -> Zone.simple ~origin:zone []);
       running = true;
-      fresh_count = 0;
       next_id = 0x5A00;
+      fresh_checks = Obs.Metrics.owned m_fresh_checks;
       full_transfers = Obs.Metrics.owned m_full_transfers;
       ixfr_applied = Obs.Metrics.owned m_ixfr_applied;
       delta_records = Obs.Metrics.owned m_delta_records;
@@ -185,7 +186,6 @@ let serial t = Zone.serial t.zone
 let chain_depth t = t.chain_depth
 let metrics t =
   Obs.Metrics.scope
-    [ t.full_transfers; t.ixfr_applied; t.delta_records; t.notify_kicks ]
+    [ t.full_transfers; t.ixfr_applied; t.delta_records; t.notify_kicks; t.fresh_checks ]
 
-let fresh_checks t = t.fresh_count
 let detach t = t.running <- false

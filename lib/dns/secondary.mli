@@ -66,13 +66,12 @@ val chain_depth : t -> int
     payloads adopted, 1 after a plain attach),
     [dns.secondary.ixfr_applied] (incremental refreshes from journal
     deltas), [dns.secondary.delta_records] (record changes those
-    carried) and [dns.secondary.notify_kicks] (NOTIFY pushes that
-    triggered an immediate pull). Refreshes that moved the replica are
-    full transfers plus IXFRs applied. *)
+    carried), [dns.secondary.notify_kicks] (NOTIFY pushes that
+    triggered an immediate pull) and [dns.secondary.fresh_checks]
+    (serial probes and IXFR pulls that found the replica current).
+    Refreshes that moved the replica are full transfers plus IXFRs
+    applied. *)
 val metrics : t -> Obs.Metrics.scope
-
-(** Serial probes that found the replica current. *)
-val fresh_checks : t -> int
 
 (** Stop refreshing (the replica keeps serving its last copy). *)
 val detach : t -> unit

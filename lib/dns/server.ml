@@ -1,6 +1,7 @@
 open Transport
 
 let m_notify_deregistered = Obs.Metrics.counter "dns.notify.deregistered"
+let m_queries = Obs.Metrics.counter "dns.server.queries"
 
 type t = {
   stack : Netstack.stack;
@@ -13,7 +14,7 @@ type t = {
   mutable stop_udp : (unit -> unit) option;
   mutable tcp_listener : Tcp.listener option;
   mutable running : bool;
-  mutable queries : int;
+  queries : Obs.Metrics.counter;
   mutable synthesizer : (Msg.question -> Rr.t list option) option;
   mutable notify_targets : Address.t list;
   mutable on_notify : (zone:Name.t -> serial:int32 option -> unit) list;
@@ -35,7 +36,7 @@ let create stack ?(port = Address.Well_known.dns) ?(service_overhead_ms = 0.0)
     stop_udp = None;
     tcp_listener = None;
     running = false;
-    queries = 0;
+    queries = Obs.Metrics.owned m_queries;
     synthesizer = None;
     notify_targets = [];
     on_notify = [];
@@ -349,7 +350,7 @@ let handle ?src t (request : Msg.t) : Msg.t =
       | _ -> ());
       Msg.notify_ack ~request
   | Msg.Query -> (
-      t.queries <- t.queries + 1;
+      Obs.Metrics.incr t.queries;
       match request.questions with
       | [ q ] -> (
           match answer_question t q with
@@ -457,7 +458,8 @@ let stop t =
   t.stop_udp <- None;
   t.tcp_listener <- None
 
-let queries_served t = t.queries
+let queries_served t = Obs.Metrics.value t.queries
+let metrics t = Obs.Metrics.scope [ t.queries ]
 
 let delegation_for t qname =
   match find_zone t qname with

@@ -90,6 +90,11 @@ val add_notify_handler :
 val start : t -> unit
 
 val stop : t -> unit
+
+(** This server's own count: [dns.server.queries] (the queries it
+    answered, off the network or through {!handle}), which
+    [queries_served] reads directly. *)
+val metrics : t -> Obs.Metrics.scope
 val queries_served : t -> int
 
 (** The [k] hottest names this server has answered A-record queries

@@ -297,9 +297,11 @@ let find_addr t ~key =
     when state t entry = Fresh ->
       (* A native entry, or one demand-filled by a legacy writer: the
          int is read straight out of the stored form. *)
+      let hit_t0 = Sim.Engine.time () in
       Sim.Engine.charge (t.hit_overhead_ms +. t.hit_per_node_ms);
       touch t entry;
       Obs.Metrics.incr t.hits;
+      Obs.Metrics.observe (metrics_of t.mode).m_hit_ms (Sim.Engine.time () -. hit_t0);
       Some ip
   | _ ->
       (* Not a fresh native/address entry: no miss counted — the

@@ -152,8 +152,9 @@ val insert_addr : t -> key:string -> int32 -> unit
 
 (** [find_addr t ~key] serves a fresh address entry natively, charging
     the demarshalled hit cost. Also reads demand-filled
-    [Value.Uint] entries without new allocation. [None] means "fall
-    through to {!find}" and counts no miss. *)
+    [Value.Uint] entries without new allocation. A hit is counted and
+    timed in [hns.cache.<mode>.hit_ms] like any other; [None] means
+    "fall through to {!find}" and counts no miss. *)
 val find_addr : t -> key:string -> int32 option
 
 (** [preload_addrs t rows] bulk-seeds [(key, ttl_ms, ip)] native

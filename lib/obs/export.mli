@@ -9,7 +9,11 @@
     gauges one per line, histograms as [n/mean/p50/p95/min/max]. *)
 val pp_metrics : Format.formatter -> unit -> unit
 
-(** The whole registry as one JSON object keyed by metric name. *)
+(** The whole registry as one JSON object keyed by metric name. A
+    histogram's fields are [n], [total], [mean], [p50], [p95], [p99],
+    [p999], [min] and [max]; all but [n] carry an [_ms] suffix when the
+    name says the histogram is in milliseconds (a segment [ms] or
+    ending in [_ms], as {!Metrics} states). *)
 val metrics_json : unit -> Json.t
 
 (** One compact JSON object per line per metric

@@ -1,6 +1,6 @@
 (* A global counter has no [rollup]; an owner counter rolls every
-   increment up into the global it was derived from (one level: owners
-   always roll up into a global). *)
+   increment up into the counter it was derived from, and on up the
+   chain to a global. *)
 type counter = { c_name : string; mutable count : int; rollup : counter option }
 type gauge = { mutable level : float }
 
@@ -77,9 +77,9 @@ let counter name =
       Hashtbl.replace registry name (M_counter c);
       c)
 
-let add c n =
+let rec add c n =
   c.count <- c.count + n;
-  match c.rollup with None -> () | Some g -> g.count <- g.count + n
+  match c.rollup with None -> () | Some g -> add g n
 
 let incr c = add c 1
 let value c = c.count
@@ -87,9 +87,7 @@ let zero c = c.count <- 0
 
 (* Owner counters are never entered in [registry]: the snapshot and
    [reset] see globals alone. *)
-let owned g =
-  let g = Option.value g.rollup ~default:g in
-  { c_name = g.c_name; count = 0; rollup = Some g }
+let owned g = { c_name = g.c_name; count = 0; rollup = Some g }
 
 type scope = counter list
 

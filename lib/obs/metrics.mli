@@ -10,15 +10,19 @@
 
     Instruments are cheap enough to leave always-on: callers obtain a
     handle once (one hashtable lookup, typically from a module-level
-    [let]) and then pay one mutable-field update per event (two for
-    an owner counter, which also bumps its global). Latency
-    histograms measure {e virtual} milliseconds — the same clock every
-    paper reproduction number is quoted in.
+    [let]) and then pay one mutable-field update per event (one more
+    for each counter an owner counter rolls up into).
+
+    A histogram's unit is read from its name: {e virtual} milliseconds,
+    the clock every paper number is quoted in, when a segment of the
+    name is [ms] or ends in [_ms] ([hns.find_nsm.ms]); a count
+    otherwise ([store.wal.commit_records]). {!Export} names its fields
+    by that rule.
 
     A histogram's memory is fixed, whatever its sample count: 32 KB of
     bucket counts from its first positive sample on. Its [n], [total],
     [mean], [min] and [max] are exact. Its percentiles come from
-    buckets that split each octave from 2^-30 to 2^34 ms into 64 equal
+    buckets that split each octave from 2^-30 to 2^34 into 64 equal
     parts. When every sample is [0.] or in that range, each percentile
     is within 1/128 (0.78%) of the exact one that {!Sim.Stats} would
     give. A sample below the range is counted in the first bucket, one
@@ -42,14 +46,15 @@ val value : counter -> int
 (** {1 Owner-scoped counters}
 
     A component instance that needs its own numbers (one cache, one
-    agent, one network) keeps {e owner} counters derived from the
+    agent, one server) keeps {e owner} counters derived from the
     global handles. Bumping an owner counter bumps its global in the
     same call, so the per-instance count and the panel's total come
     from one instrument. Owner counters never appear in {!snapshot} or
     {!find}, and {!reset} leaves them alone. *)
 
-(** [owned g] is a fresh zero counter under [g]'s name that rolls up
-    into [g]. *)
+(** [owned c] is a fresh zero counter under [c]'s name that rolls up
+    into [c] and on up [c]'s own chain: a replica set's members roll up
+    into the set's counter, and the set's into the global. *)
 val owned : counter -> counter
 
 (** An owner's counters, read by name. *)

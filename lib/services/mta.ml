@@ -1,5 +1,8 @@
 type outcome = Delivered of Hns.Hns_name.t | Bounced of string
 
+let m_delivered = Obs.Metrics.counter "services.mta.delivered"
+let m_attempts = Obs.Metrics.counter "services.mta.attempts"
+
 type item = {
   recipient : Hns.Hns_name.t;
   subject : string;
@@ -14,8 +17,8 @@ type t = {
   queue : item Queue.t;
   wakeup : unit Sim.Engine.Mailbox.mailbox;
   mutable running : bool;
-  mutable delivered_count : int;
-  mutable attempt_count : int;
+  delivered : Obs.Metrics.counter;
+  attempts : Obs.Metrics.counter;
   mutable bounce_log : (Hns.Hns_name.t * string) list; (* newest first *)
 }
 
@@ -27,8 +30,8 @@ let create hns ~from ?(retry_interval_ms = 30_000.0) ?(max_attempts = 8) () =
     queue = Queue.create ();
     wakeup = Sim.Engine.Mailbox.create ();
     running = false;
-    delivered_count = 0;
-    attempt_count = 0;
+    delivered = Obs.Metrics.owned m_delivered;
+    attempts = Obs.Metrics.owned m_attempts;
     bounce_log = [];
   }
 
@@ -37,9 +40,8 @@ let submit t ~recipient ~subject ~body =
   Sim.Engine.Mailbox.send t.wakeup ()
 
 let queue_length t = Queue.length t.queue
-let delivered t = t.delivered_count
 let bounces t = List.rev t.bounce_log
-let attempts t = t.attempt_count
+let metrics t = Obs.Metrics.scope [ t.delivered; t.attempts ]
 
 let bounce t item reason = t.bounce_log <- (item.recipient, reason) :: t.bounce_log
 
@@ -50,12 +52,12 @@ let run_queue_once t =
   for _ = 1 to pending do
     let item = Queue.pop t.queue in
     item.tries <- item.tries + 1;
-    t.attempt_count <- t.attempt_count + 1;
+    Obs.Metrics.incr t.attempts;
     match
       Mail.send t.mail ~recipient:item.recipient ~subject:item.subject
         ~body:item.body
     with
-    | Ok _site -> t.delivered_count <- t.delivered_count + 1
+    | Ok _site -> Obs.Metrics.incr t.delivered
     | Error (Access.Service_error reason) ->
         (* the site answered: the user does not exist there *)
         bounce t item reason

@@ -29,13 +29,13 @@ val submit : t -> recipient:Hns.Hns_name.t -> subject:string -> body:string -> u
 (** Messages waiting (including ones between retries). *)
 val queue_length : t -> int
 
-val delivered : t -> int
-
 (** (recipient, reason) for every bounce so far, oldest first. *)
 val bounces : t -> (Hns.Hns_name.t * string) list
 
-(** Total delivery attempts (for observing retry behaviour). *)
-val attempts : t -> int
+(** This MTA's own counts: [services.mta.delivered] (messages
+    delivered) and [services.mta.attempts] (delivery attempts, retries
+    included, for observing retry behaviour). *)
+val metrics : t -> Obs.Metrics.scope
 
 (** Spawn the queue runner. In-process only. *)
 val start : t -> unit

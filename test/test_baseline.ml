@@ -252,7 +252,8 @@ let prefix_broadcast_fallback () =
         in
         Baseline.Broadcast_locate.stop_interpreter owner;
         Baseline.Broadcast_locate.stop_interpreter bystander;
-        (first && second, Baseline.Prefix_table.broadcasts pt))
+        ( first && second,
+          Obs.Metrics.read (Baseline.Prefix_table.metrics pt) "baseline.prefix_table.broadcasts" ))
   in
   check_bool "learned via broadcast then cached" true learned;
   check_int "exactly one broadcast" 1 broadcasts

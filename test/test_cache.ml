@@ -140,9 +140,11 @@ let print_op = function
   | Flush -> "flush"
   | Advance d -> Printf.sprintf "advance %g" d
 
+let mode_name = function C.Marshalled -> "marshalled" | C.Demarshalled -> "demarshalled"
+
 let print_case (cfg, ops) =
   Printf.sprintf "%s max=%s budget=%g costs=%b hand=%b\n  %s"
-    (match cfg.mode with C.Marshalled -> "marshalled" | C.Demarshalled -> "demarshalled")
+    (mode_name cfg.mode)
     (Option.fold ~none:"-" ~some:string_of_int cfg.max_entries)
     cfg.budget cfg.costs cfg.hand
     (String.concat "\n  " (List.map print_op ops))
@@ -209,7 +211,12 @@ let cache_fetch c k f () =
   Option.iter (fun (s, ttl_ms) -> C.insert c ~key:(key k) ~ty:(key_ty k) ~ttl_ms (value k s)) f.fill;
   if f.ok then Ok () else Error ()
 
-let model_step c m op =
+(* The model's hit count before and after each op, summed over the ops
+   but [flush], which zeroes it: the hits the model served. *)
+let model_hits cfg m = List.assoc ("hns.cache." ^ mode_name cfg.mode ^ ".hits") (M.counts m)
+
+let model_step cfg c m served op =
+  let hits0 = model_hits cfg m in
   let* () =
     match op with
     | Insert (k, s, ttl_ms) ->
@@ -259,6 +266,7 @@ let model_step c m op =
         M.advance m d;
         Ok ()
   in
+  if op <> Flush then served := !served + model_hits cfg m - hits0;
   let* () =
     if same_bits (Sim.Engine.time ()) (M.now m) then Ok ()
     else Error (Printf.sprintf "clock: cache %h, model %h" (Sim.Engine.time ()) (M.now m))
@@ -271,11 +279,22 @@ let model_step c m op =
       same name string_of_int (cache_count c name) n)
     (Ok ()) (M.counts m)
 
+(* Samples in the mode's registry hit_ms histogram: every hit the cache
+   serves is timed there, whatever path served it. *)
+let hit_samples cfg =
+  match Obs.Metrics.find ("hns.cache." ^ mode_name cfg.mode ^ ".hit_ms") with
+  | Some (Obs.Metrics.Summary { n; _ }) -> n
+  | _ -> 0
+
 let agrees_with_model =
   QCheck.Test.make ~name:"agrees with its reference model" ~count:400 arb_case
     (fun (cfg, ops) ->
       let c = new_cache cfg and m = new_model cfg in
-      run_ops ops (model_step c m))
+      let samples0 = hit_samples cfg and served = ref 0 in
+      run_ops ops (model_step cfg c m served)
+      && (hit_samples cfg - samples0 = !served
+         || QCheck.Test.fail_reportf "hit_ms: %d samples for %d hits the model served"
+              (hit_samples cfg - samples0) !served))
 
 (* --- the serving rules, apart from the model --- *)
 

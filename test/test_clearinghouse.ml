@@ -162,7 +162,7 @@ let ch_access_counter () =
         let obj = Clearinghouse.Ch_name.of_string "o:parc:xerox" in
         get_ok ~msg:"store" (Clearinghouse.Ch_client.store_item client obj ~prop:4 "v");
         ignore (Clearinghouse.Ch_client.retrieve_item client obj ~prop:4);
-        Clearinghouse.Ch_server.accesses ch)
+        Obs.Metrics.read (Clearinghouse.Ch_server.metrics ch) "clearinghouse.server.accesses")
   in
   check_int "two authenticated accesses" 2 n
 

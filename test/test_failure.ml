@@ -53,7 +53,10 @@ let broadcast_costs_every_host () =
         Sim.Engine.sleep 100.0;
         let heard =
           List.fold_left
-            (fun acc it -> acc + Baseline.Broadcast_locate.queries_heard it)
+            (fun acc it ->
+              acc
+              + Obs.Metrics.read (Baseline.Broadcast_locate.metrics it)
+                  "baseline.broadcast.queries_heard")
             0 interpreters
         in
         List.iter Baseline.Broadcast_locate.stop_interpreter interpreters;

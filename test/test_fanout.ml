@@ -174,7 +174,8 @@ let chained_tree_converges_level_by_level () =
 let crash_rebootstrap_serves_through () =
   let w = make_world ~hosts:4 () in
   let routed0 = global_count "dns.replica.routed" in
-  let failures, routed_mid, routed_after, recovered_full, serial_ok, rs =
+  let queries0 = global_count "dns.server.queries" in
+  let failures, routed_mid, routed_after, recovered_full, serial_ok, rs, servers =
     in_sim w (fun () ->
         let zone =
           Dns.Zone.simple ~origin:Hns.Meta_schema.zone_origin
@@ -269,12 +270,19 @@ let crash_rebootstrap_serves_through () =
             routed_reads rs,
             recovered_full + secondary_count sec' "dns.secondary.full_transfers",
             Int32.equal (Dns.Secondary.serial sec') (Dns.Zone.serial zone),
-            rs )
+            rs,
+            [ primary; replica; replica' ] )
         in
         Dns.Secondary.detach sec';
         r)
   in
   check_fleet_sum "dns.replica.routed" ~before:routed0 [ Dns.Replica_set.metrics rs ];
+  check_int "dns.replica.routed: members' selected sum = registry delta"
+    (global_count "dns.replica.routed" - routed0)
+    (List.fold_left
+       (fun acc (m : Dns.Replica_set.member_stats) -> acc + m.selected)
+       0 (Dns.Replica_set.stats rs));
+  check_fleet_sum "dns.server.queries" ~before:queries0 (List.map Dns.Server.metrics servers);
   check_int "no resolve failed across crash and recovery" 0 failures;
   check_bool "reads kept routing to the replica again" true
     (routed_after > routed_mid);

@@ -90,6 +90,21 @@ let scoped_outside_registry () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "reading a name the scope lacks should raise"
 
+(* An owner derived from an owner: a replica set's members under the
+   set's own counter. Each level sums the one below, and the global
+   moves once per increment. *)
+let owners_chain () =
+  let g = Obs.Metrics.counter "test.obs.chain" in
+  let g0 = Obs.Metrics.value g in
+  let set = Obs.Metrics.owned g in
+  let a = Obs.Metrics.owned set and b = Obs.Metrics.owned set in
+  Obs.Metrics.incr a;
+  Obs.Metrics.add b 2;
+  Obs.Metrics.zero a;
+  check_int "a zeroed member" 0 (Obs.Metrics.value a);
+  check_int "the set sums its members" 3 (Obs.Metrics.read (Obs.Metrics.scope [ set ]) "test.obs.chain");
+  check_int "the global moves once per increment" 3 (Obs.Metrics.value g - g0)
+
 (* A registry percentile is within 1/128 of the exact one when every
    sample is 0 or from 2^-30 to 2^34 ms (metrics.mli); the factor
    absorbs the rounding of the interpolation. *)
@@ -330,6 +345,23 @@ let metrics_json_roundtrip () =
 
 (* --- exporters ------------------------------------------------------ *)
 
+(* A histogram's exported fields carry [_ms] only when its name says
+   milliseconds: a segment [ms], or one ending in [_ms]. *)
+let export_units_from_names () =
+  let fields name =
+    Obs.Metrics.observe (Obs.Metrics.histogram name) 3.0;
+    List.map fst (Obs.Json.to_obj (Obs.Json.get name (Obs.Export.metrics_json ())))
+  in
+  let unitless = [ "type"; "n"; "total"; "mean"; "p50"; "p95"; "p99"; "p999"; "min"; "max" ] in
+  let ms =
+    [ "type"; "n"; "total_ms"; "mean_ms"; "p50_ms"; "p95_ms"; "p99_ms"; "p999_ms"; "min_ms"; "max_ms" ]
+  in
+  check_strings "a count" unitless (fields "test.obs.batch_records");
+  check_strings "ms inside a word" unitless (fields "test.obs.msgs");
+  check_strings "a _ms segment" ms (fields "test.obs.wait_ms");
+  check_strings "an ms segment" ms (fields "test.obs.ms");
+  check_strings "a _ms segment before the last" ms (fields "test.wait_ms.obs")
+
 let pp_metrics_nonempty () =
   Obs.Metrics.reset ();
   Obs.Metrics.incr (Obs.Metrics.counter "test.obs.visible");
@@ -409,6 +441,7 @@ let suite =
     Alcotest.test_case "reset keeps handles" `Quick registry_reset_keeps_handles;
     qtest scoped_rollup;
     Alcotest.test_case "scoped counters outside registry" `Quick scoped_outside_registry;
+    Alcotest.test_case "owners chain" `Quick owners_chain;
     Alcotest.test_case "histogram percentiles" `Quick histogram_percentiles;
     Alcotest.test_case "empty histogram summary" `Quick histogram_empty_summary;
     qtest histogram_matches_exact;
@@ -424,5 +457,6 @@ let suite =
     Alcotest.test_case "json parse errors" `Quick json_parse_errors;
     Alcotest.test_case "metrics json round-trip" `Quick metrics_json_roundtrip;
     Alcotest.test_case "pp_metrics non-empty" `Quick pp_metrics_nonempty;
+    Alcotest.test_case "export units from names" `Quick export_units_from_names;
     Alcotest.test_case "bench json artifact" `Quick bench_json_artifact;
   ]

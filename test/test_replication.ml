@@ -22,7 +22,9 @@ let negative_cache_suppresses_requeries () =
         let ghost = Dns.Name.of_string "ghost.z" in
         let _first = Dns.Resolver.query r ghost Dns.Rr.T_a in
         let second = Dns.Resolver.query r ghost Dns.Rr.T_a in
-        (Dns.Server.queries_served server, Dns.Resolver.negative_hits r, second))
+        ( Dns.Server.queries_served server,
+          Obs.Metrics.read (Dns.Resolver.metrics r) "dns.resolver.negative_hits",
+          second ))
   in
   check_int "one server query" 1 served;
   check_int "one negative hit" 1 neg_hits;
@@ -128,7 +130,10 @@ let secondary_picks_up_updates () =
         Sim.Engine.sleep 12_000.0;
         let after = Dns.Resolver.lookup_a r (Dns.Name.of_string "new.z") in
         Dns.Secondary.detach secondary;
-        (before, after, secondary_transfers secondary, Dns.Secondary.fresh_checks secondary))
+        ( before,
+          after,
+          secondary_transfers secondary,
+          secondary_count secondary "dns.secondary.fresh_checks" ))
   in
   check_bool "absent before" true (before = Error Dns.Resolver.Nxdomain);
   check_bool "present after refresh" true (after = Ok 9l);

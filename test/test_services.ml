@@ -238,7 +238,7 @@ let mta_delivers_queued_mail () =
       Services.Mta.submit mta ~recipient:(Services.Setup.user_name s "dave")
         ~subject:"q2" ~body:"two";
       Sim.Engine.sleep 5_000.0;
-      check_int "both delivered" 2 (Services.Mta.delivered mta);
+      check_int "both delivered" 2 (Obs.Metrics.read (Services.Mta.metrics mta) "services.mta.delivered");
       check_int "queue empty" 0 (Services.Mta.queue_length mta);
       check_bool "alice's box has it" true
         (List.exists
@@ -258,12 +258,12 @@ let mta_retries_through_outage () =
       Services.Mta.submit mta ~recipient:(Services.Setup.user_name s "bob")
         ~subject:"patience" ~body:"retry me";
       Sim.Engine.sleep 60_000.0;
-      check_int "not delivered during the outage" 0 (Services.Mta.delivered mta);
-      check_bool "still queued, retrying" true (Services.Mta.attempts mta >= 2);
+      check_int "not delivered during the outage" 0 (Obs.Metrics.read (Services.Mta.metrics mta) "services.mta.delivered");
+      check_bool "still queued, retrying" true (Obs.Metrics.read (Services.Mta.metrics mta) "services.mta.attempts" >= 2);
       (* the site returns *)
       Services.Mailbox_server.start inst.Services.Setup.mailhub;
       Sim.Engine.sleep 120_000.0;
-      check_int "delivered after recovery" 1 (Services.Mta.delivered mta);
+      check_int "delivered after recovery" 1 (Obs.Metrics.read (Services.Mta.metrics mta) "services.mta.delivered");
       check_int "queue drained" 0 (Services.Mta.queue_length mta);
       Services.Mta.stop mta)
 
@@ -276,7 +276,7 @@ let mta_bounces_unknown_user () =
       Services.Mta.submit mta ~recipient:(Services.Setup.user_name s "mallory")
         ~subject:"bad" ~body:"y";
       Sim.Engine.sleep 5_000.0;
-      check_int "one delivered" 1 (Services.Mta.delivered mta);
+      check_int "one delivered" 1 (Obs.Metrics.read (Services.Mta.metrics mta) "services.mta.delivered");
       (match Services.Mta.bounces mta with
       | [ (recipient, _) ] ->
           check_bool "mallory bounced" true
@@ -296,7 +296,7 @@ let mta_gives_up_eventually () =
         ~subject:"doomed" ~body:"z";
       Sim.Engine.sleep 120_000.0;
       check_int "bounced after max attempts" 1 (List.length (Services.Mta.bounces mta));
-      check_int "nothing delivered" 0 (Services.Mta.delivered mta);
+      check_int "nothing delivered" 0 (Obs.Metrics.read (Services.Mta.metrics mta) "services.mta.delivered");
       Services.Mailbox_server.start inst.Services.Setup.mail_annex;
       Services.Mta.stop mta)
 

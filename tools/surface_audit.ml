@@ -1,5 +1,6 @@
-(* Surface audit: which exports of lib/ does another module use, and
-   which of their optional parameters does a call pass?
+(* Surface audit: which exports of lib/ does another module use, which
+   of their optional parameters does a call pass, and which mutable
+   record fields of lib/ does anything read?
 
    Run from the repository root after `dune build @check`, which writes
    a .cmt for every implementation and a .cmti for every interface under
@@ -18,9 +19,18 @@
      in the export's own module counts. The [None] that the type checker
      fills in for an omitted optional argument does not.
 
+   - A mutable field is declared in a record type of a lib/**/*.ml. It
+     is read when an expression anywhere takes its value ([t.f]) or a
+     record pattern names it ([{ f; _ }]). A read inside the value
+     assigned to the same field ([t.f <- t.f + 1]) does not count. A
+     field is keyed by the location of its declaration, and by that of
+     the same type's field in the unit's .mli, which is where a reader
+     in another unit finds it.
+
    Uses from test/ are counted apart. The tool prints the counts, lists
-   each lib/ export that nothing uses and each optional parameter that
-   nothing passes, and exits 1 when there is one. *)
+   each lib/ export that nothing uses, each optional parameter that
+   nothing passes and each mutable field that nothing reads, and exits 1
+   when there is one. *)
 
 open Typedtree
 
@@ -96,6 +106,38 @@ let runtime_fields (sg : Types.signature) =
     sg
   |> Array.of_list
 
+(* Mutable fields: the declarations in lib/**/*.ml, and the keys of
+   every field that is read. A key is a declaration's location. *)
+type field = { owner : string; type_name : string; label : string; loc : Location.t }
+
+let key (loc : Location.t) = (loc.loc_start.pos_fname, loc.loc_start.pos_cnum)
+let declared = ref []
+let in_mli = Hashtbl.create 64  (* (unit, type, field) -> key *)
+let reads = Hashtbl.create 1024
+
+let mutable_fields modname td =
+  match td.typ_kind with
+  | Ttype_record lds ->
+      List.filter_map
+        (fun ld ->
+          if ld.ld_mutable = Asttypes.Mutable then
+            Some
+              { owner = modname; type_name = td.typ_name.txt; label = ld.ld_name.txt; loc = ld.ld_loc }
+          else None)
+        lds
+  | _ -> []
+
+let add_mli_fields u sg =
+  let super = Tast_iterator.default_iterator in
+  let type_declaration self td =
+    List.iter
+      (fun f -> Hashtbl.replace in_mli (f.owner, f.type_name, f.label) (key f.loc))
+      (mutable_fields u.modname td);
+    super.type_declaration self td
+  in
+  let iter = { super with type_declaration } in
+  iter.signature iter sg
+
 (* Interfaces by unit name, and their exports by uid. *)
 let interfaces = Hashtbl.create 256
 let by_uid = Hashtbl.create 2048
@@ -103,6 +145,7 @@ let by_uid = Hashtbl.create 2048
 let add_interface u =
   match u.annots with
   | Cmt_format.Interface sg ->
+      add_mli_fields u sg;
       let exports =
         List.filter_map
           (fun item ->
@@ -223,8 +266,15 @@ let scan u str =
     | _ -> None
   in
   let super = Tast_iterator.default_iterator in
+  (* The fields whose assigned value is being walked. *)
+  let assigning = ref [] in
+  let read (lbl : Types.label_description) =
+    let k = key lbl.lbl_loc in
+    if not (List.mem k !assigning) then Hashtbl.replace reads k ()
+  in
   let expr self e =
     (match e.exp_desc with
+    | Texp_field (_, _, lbl) -> read lbl
     | Texp_ident (_, _, vd) ->
         Option.iter (fun e -> mark ~test e.used) (other_unit_export vd)
     | Texp_apply ({ exp_desc = Texp_ident (path, _, vd); _ }, args) ->
@@ -238,7 +288,24 @@ let scan u str =
     match e.exp_desc with
     | Texp_letmodule (_, _, _, me, body) when is_alias me ->
         self.Tast_iterator.expr self body
+    | Texp_setfield (target, _, lbl, value) ->
+        self.expr self target;
+        let outer = !assigning in
+        assigning := key lbl.lbl_loc :: outer;
+        self.expr self value;
+        assigning := outer
     | _ -> super.expr self e
+  in
+  let pat : type k. Tast_iterator.iterator -> k general_pattern -> unit =
+   fun self p ->
+    (match p.pat_desc with
+    | Tpat_record (fields, _) -> List.iter (fun (_, lbl, _) -> read lbl) fields
+    | _ -> ());
+    super.pat self p
+  in
+  let type_declaration self td =
+    if in_dir "lib" u then declared := mutable_fields u.modname td @ !declared;
+    super.type_declaration self td
   in
   let module_expr self me =
     match me.mod_desc with
@@ -266,7 +333,15 @@ let scan u str =
     if not (is_alias od.open_expr) then super.open_declaration self od
   in
   let iter =
-    { super with expr; module_expr; module_binding; open_declaration }
+    {
+      super with
+      expr;
+      pat;
+      type_declaration;
+      module_expr;
+      module_binding;
+      open_declaration;
+    }
   in
   iter.structure iter str
 
@@ -313,6 +388,15 @@ let () =
     (counts (List.map (fun (_, e) -> e.used) exports));
   Printf.printf "their optional parameters: %s\n"
     (counts (List.map (fun (_, _, _, use) -> use) options));
+  let write_only =
+    List.filter
+      (fun f ->
+        let keys = key f.loc :: Option.to_list (Hashtbl.find_opt in_mli (f.owner, f.type_name, f.label)) in
+        not (List.exists (Hashtbl.mem reads) keys))
+      (List.sort (fun a b -> compare (key a.loc) (key b.loc)) !declared)
+  in
+  Printf.printf "mutable fields in lib/**/*.ml: %d (never read %d)\n" (List.length !declared)
+    (List.length write_only);
   let failures = ref 0 in
   List.iter
     (fun (i, e) ->
@@ -328,4 +412,10 @@ let () =
         Printf.printf "never-passed optional parameter: %s.%s ?%s (%s)\n"
           (display i.unit_name) e.name l i.mli))
     options;
+  List.iter
+    (fun f ->
+      incr failures;
+      Printf.printf "write-only field: %s.%s.%s (%s:%d)\n" (display f.owner) f.type_name f.label
+        f.loc.loc_start.pos_fname f.loc.loc_start.pos_lnum)
+    write_only;
   exit (if !failures > 0 then 1 else 0)

@@ -64,7 +64,10 @@ let serve_udp sock ~name ~service_overhead_ms ~concurrent handler =
       let serve src payload =
         if service_overhead_ms > 0.0 then Sim.Engine.sleep service_overhead_ms;
         match handler ~src payload with
-        | Some response -> Udp.sendto sock ~dst:src response
+        | Some response ->
+            (* A service stopped while the handler ran has closed its
+               socket: the reply is dropped and the client times out. *)
+            if !running then Udp.sendto sock ~dst:src response
         | None -> ()
         | exception (Failure _ | Invalid_argument _) ->
             () (* a crashed handler stays silent; the client times out *)

@@ -64,7 +64,8 @@ val await :
     does a handler that raises [Failure] or [Invalid_argument]. Each
     request is charged [service_overhead_ms]; with [concurrent] each
     runs on a fiber of its own. Returns a stop function, which closes
-    the socket. *)
+    the socket; a handler still running then has its reply dropped, so
+    its client times out. *)
 val serve_udp :
   Transport.Udp.socket ->
   name:string ->

@@ -39,63 +39,75 @@ let rate_at arrival t_ms =
    homogeneous Poisson process at [peak]; each is kept with
    probability rate(t)/peak. A plain Poisson process accepts every
    candidate (no thinning draw), so its schedule is exactly the
-   exponential-interarrival stream the mean test checks. *)
-let schedule arrival ~rng ~duration_ms =
+   exponential-interarrival stream the mean test checks. The one draw
+   loop: [schedule] collects the kept offsets, [run] starts each as the
+   clock reaches it. *)
+let fold_arrivals arrival ~rng ~duration_ms ~init f =
   validate_arrival arrival;
   if duration_ms < 0.0 then invalid_arg "Openloop.schedule: duration < 0";
   let peak = peak_rate arrival in
   let mean_ms = 1000.0 /. peak in
   let rec go acc t =
     let t = t +. Sim.Rng.exponential rng ~mean:mean_ms in
-    if t >= duration_ms then List.rev acc
+    if t >= duration_ms then acc
     else
       let keep =
         match arrival with
         | Poisson _ -> true
         | Diurnal _ -> Sim.Rng.float rng 1.0 < rate_at arrival t /. peak
       in
-      go (if keep then t :: acc else acc) t
+      go (if keep then f acc t else acc) t
   in
-  go [] 0.0
+  go init 0.0
 
-let schedule_digest samples =
-  let h =
-    List.fold_left
-      (fun acc t ->
-        Int64.mul (Int64.logxor acc (Int64.bits_of_float t)) 0x100000001b3L)
-      0xcbf29ce484222325L samples
-  in
-  Printf.sprintf "%016Lx" h
+let schedule arrival ~rng ~duration_ms =
+  List.rev (fold_arrivals arrival ~rng ~duration_ms ~init:[] (fun acc t -> t :: acc))
+
+(* FNV-1a, one float at a time. *)
+let fnv_basis = 0xcbf29ce484222325L
+let fnv_step h t = Int64.mul (Int64.logxor h (Int64.bits_of_float t)) 0x100000001b3L
+let digest_hex h = Printf.sprintf "%016Lx" h
+let schedule_digest samples = digest_hex (List.fold_left fnv_step fnv_basis samples)
 
 (* --- generic drivers --------------------------------------------- *)
 
 type drive_result = { latency : Sim.Stats.t; errors : int }
 
-let drive ~times ~submit () =
+(* The open-loop core. [arrivals start] runs in the arrivals fiber and
+   calls [start at x] for each arrival in order, [at] its offset from
+   the virtual time of the call; [start] sleeps until then and runs
+   [submit x] in a fiber of its own. Returns once [arrivals] has
+   returned and every arrival it started has completed. *)
+let open_loop ~arrivals ~submit =
   let latency = Sim.Stats.create ~name:"openloop" () in
-  let errors = ref 0 in
-  let total = List.length times in
-  if total = 0 then { latency; errors = 0 }
-  else begin
-    let completed = ref 0 in
-    let all_done = Sim.Engine.Ivar.create () in
-    let t0 = Sim.Engine.time () in
-    Sim.Engine.spawn_child ~name:"openloop.arrivals" (fun () ->
-        List.iteri
-          (fun i at ->
-            let lag = t0 +. at -. Sim.Engine.time () in
-            if lag > 0.0 then Sim.Engine.sleep lag;
-            let scheduled = t0 +. at in
-            Sim.Engine.spawn_child ~name:"openloop.arrival" (fun () ->
-                if not (submit i) then incr errors;
-                Sim.Stats.add latency (Sim.Engine.time () -. scheduled);
-                incr completed;
-                if !completed = total then
-                  ignore (Sim.Engine.Ivar.fill_if_empty all_done ())))
-          times);
-    Sim.Engine.Ivar.read all_done;
-    { latency; errors = !errors }
-  end
+  let errors = ref 0 and started = ref 0 and completed = ref 0 in
+  let drawn = ref false in
+  let all_done = Sim.Engine.Ivar.create () in
+  let settle () =
+    if !drawn && !completed = !started then
+      ignore (Sim.Engine.Ivar.fill_if_empty all_done ())
+  in
+  let t0 = Sim.Engine.time () in
+  Sim.Engine.spawn_child ~name:"openloop.arrivals" (fun () ->
+      arrivals (fun at x ->
+          let lag = t0 +. at -. Sim.Engine.time () in
+          if lag > 0.0 then Sim.Engine.sleep lag;
+          let scheduled = t0 +. at in
+          incr started;
+          Sim.Engine.spawn_child ~name:"openloop.arrival" (fun () ->
+              if not (submit x) then incr errors;
+              Sim.Stats.add latency (Sim.Engine.time () -. scheduled);
+              incr completed;
+              settle ()));
+      drawn := true;
+      settle ());
+  Sim.Engine.Ivar.read all_done;
+  { latency; errors = !errors }
+
+let drive ~times ~submit () =
+  match times with
+  | [] -> { latency = Sim.Stats.create ~name:"openloop" (); errors = 0 }
+  | _ -> open_loop ~arrivals:(fun start -> List.iteri (fun i at -> start at i) times) ~submit
 
 let drive_closed ~n ~submit () =
   let latency = Sim.Stats.create ~name:"closedloop" () in
@@ -187,8 +199,9 @@ let validate cfg =
       if s.count > 0 && (s.every_ms <= 0.0 || s.hold_ms <= 0.0) then
         invalid_arg "Openloop: storm period/hold <= 0"
 
-(* One precomputed arrival: everything random is drawn up front so the
-   measured run's choices cannot depend on fiber interleaving. *)
+(* One arrival, drawn in the arrivals fiber as the clock reaches it.
+   Only that fiber reads the schedule and mix streams, and it reads
+   them in arrival order, so fiber interleaving cannot move a draw. *)
 type path = Agent_path of int | Legacy_path of int
 
 type entry = {
@@ -226,8 +239,9 @@ let run cfg =
   let host_names = Array.of_list (Namegen.hosts ~count:cfg.names ~zone:scn.zone) in
   let perm = Array.init cfg.names (fun i -> i) in
   Sim.Rng.shuffle rng_perm perm;
-  let name_of_rank r =
-    Hns.Hns_name.make ~context:scn.bind_context ~name:host_names.(perm.(r))
+  let rank_names =
+    Array.init cfg.names (fun r ->
+        Hns.Hns_name.make ~context:scn.bind_context ~name:host_names.(perm.(r)))
   in
   let ch_name = Hns.Hns_name.make ~context:scn.ch_context ~name:"dandelion" in
   let zipf = Zipf.create ~n:cfg.names ~s:cfg.zipf_s in
@@ -262,9 +276,6 @@ let run cfg =
           S.new_hns ~enable_bundle:false ~hand_codec:false ~nsm_cache_ttl_ms scn
             ~on:stack ))
   in
-  (* The schedule, then the full arrival plan. *)
-  let times = schedule cfg.arrival ~rng:rng_sched ~duration_ms:cfg.duration_ms in
-  let digest = schedule_digest times in
   let flash_active at =
     match cfg.flash with
     | None -> false
@@ -272,35 +283,40 @@ let run cfg =
         at >= f.at_ms && at < f.at_ms +. f.len_ms
         && Sim.Rng.float rng_mix 1.0 < f.fraction
   in
-  let plan =
-    Array.of_list
-      (List.map
-         (fun at ->
-           let client = Sim.Rng.int rng_mix cfg.clients in
-           let p = Sim.Rng.float rng_mix 1.0 in
-           let epath =
-             if p < cfg.legacy_fraction then
-               Legacy_path (client mod cfg.legacy_hosts)
-             else Agent_path (client mod cfg.agent_hosts)
-           in
-           let is_ch = Sim.Rng.float rng_mix 1.0 < cfg.ch_fraction in
-           let rank = Zipf.sample zipf rng_mix in
-           if flash_active at then
-             let rank = (Option.get cfg.flash).rank in
-             { at; epath; hname = name_of_rank rank; is_steady = false;
-               is_flash = true }
-           else if is_ch then
-             { at; epath; hname = ch_name; is_steady = false; is_flash = false }
-           else
-             let is_flash =
-               match cfg.flash with Some f -> rank = f.rank | None -> false
-             in
-             let is_steady =
-               (not is_flash) && rank < cfg.steady_k
-               && match epath with Agent_path _ -> true | Legacy_path _ -> false
-             in
-             { at; epath; hname = name_of_rank rank; is_steady; is_flash })
-         times)
+  let draw at =
+    let client = Sim.Rng.int rng_mix cfg.clients in
+    let p = Sim.Rng.float rng_mix 1.0 in
+    let epath =
+      if p < cfg.legacy_fraction then Legacy_path (client mod cfg.legacy_hosts)
+      else Agent_path (client mod cfg.agent_hosts)
+    in
+    let is_ch = Sim.Rng.float rng_mix 1.0 < cfg.ch_fraction in
+    let rank = Zipf.sample zipf rng_mix in
+    if flash_active at then
+      let rank = (Option.get cfg.flash).rank in
+      { at; epath; hname = rank_names.(rank); is_steady = false; is_flash = true }
+    else if is_ch then
+      { at; epath; hname = ch_name; is_steady = false; is_flash = false }
+    else
+      let is_flash =
+        match cfg.flash with Some f -> rank = f.rank | None -> false
+      in
+      let is_steady =
+        (not is_flash) && rank < cfg.steady_k
+        && match epath with Agent_path _ -> true | Legacy_path _ -> false
+      in
+      { at; epath; hname = rank_names.(rank); is_steady; is_flash }
+  in
+  (* The schedule's fingerprint, folded as its arrivals are drawn. *)
+  let digest = ref "" in
+  let arrivals start =
+    let h =
+      fold_arrivals cfg.arrival ~rng:rng_sched ~duration_ms:cfg.duration_ms
+        ~init:fnv_basis (fun h at ->
+          start at (draw at);
+          fnv_step h at)
+    in
+    digest := digest_hex h
   in
   let steady = Sim.Stats.create ~name:"steady" () in
   let flashed = Sim.Stats.create ~name:"flash" () in
@@ -343,14 +359,14 @@ let run cfg =
             for r = 0 to cfg.steady_k - 1 do
               ignore
                 (Hns.Agent.remote_resolve_addr stack ~agent:binding
-                   (name_of_rank r))
+                   rank_names.(r))
             done;
             ignore (Hns.Agent.remote_resolve_addr stack ~agent:binding ch_name))
           agents;
         Array.iter
           (fun (_, hns) ->
             for r = 0 to cfg.steady_k - 1 do
-              ignore (resolve_legacy hns (name_of_rank r))
+              ignore (resolve_legacy hns rank_names.(r))
             done;
             ignore (resolve_legacy hns ch_name))
           legacy;
@@ -414,8 +430,7 @@ let run cfg =
             "transport.netstack.bytes_sent"
         in
         before_bytes := bytes_sent ();
-        let submit i =
-          let e = plan.(i) in
+        let submit e =
           let scheduled = t0 +. e.at in
           let ok =
             match e.epath with
@@ -433,27 +448,30 @@ let run cfg =
           end;
           ok
         in
-        let result = drive ~times ~submit () in
+        let result = open_loop ~arrivals ~submit in
         bind_q := Dns.Server.queries_served scn.public_bind - !before_bind;
         meta_q := Dns.Server.queries_served scn.meta_bind - !before_meta;
         replica_q := replica_queries () - !before_replica;
         wire_bytes := bytes_sent () - !before_bytes;
         S.detach_meta_replicas scn meta_secs;
         (* The agents are left running: straggler duplicates from
-           timed-out callers may still be in flight, and a stopped
-           server's socket would turn their replies into crashes. The
-           engine quiesces fine around a blocked recv. *)
+           timed-out callers may still be in flight, which a stopped
+           agent would drop unanswered (Rpc.Rawrpc.serve_udp replies
+           only while its service runs). The engine quiesces fine
+           around a blocked recv. *)
         result)
   in
   let duration_s = cfg.duration_ms /. 1000.0 in
   let compliance =
-    match Sim.Stats.samples steady with
-    | [] -> 1.0
-    | samples ->
+    match Sim.Stats.count steady with
+    | 0 -> 1.0
+    | n ->
         let ok =
-          List.length (List.filter (fun l -> l <= cfg.slo_target_ms) samples)
+          List.fold_left
+            (fun ok l -> if l <= cfg.slo_target_ms then ok + 1 else ok)
+            0 (Sim.Stats.samples steady)
         in
-        float_of_int ok /. float_of_int (List.length samples)
+        float_of_int ok /. float_of_int n
   in
   let sum_agents name =
     Array.fold_left
@@ -466,7 +484,7 @@ let run cfg =
   in
   {
     config = cfg;
-    arrivals = Array.length plan;
+    arrivals = Sim.Stats.count result.latency;
     errors = result.errors;
     all = result.latency;
     steady;
@@ -482,7 +500,7 @@ let run cfg =
     sim_events = Sim.Engine.events_executed scn.engine;
     prefetch_seeded = sum_agents "hns.meta.bundle_prefetched";
     prefetch_hits = sum_agents "hns.meta.prefetch_hits";
-    digest;
+    digest = !digest;
   }
 
 (* --- presets ------------------------------------------------------ *)

@@ -4,8 +4,8 @@
     before issuing the next request, so a slow server quietly slows
     the {e offered} load and hides its own queueing delay. An
     open-loop driver fixes the arrival process instead: requests
-    arrive on a schedule drawn up front from a seeded RNG, each in its
-    own fiber, whether or not earlier ones have completed — latency is
+    arrive on a schedule drawn from a seeded RNG, each in its own
+    fiber, whether or not earlier ones have completed — latency is
     measured from the {e scheduled} arrival instant, so queueing delay
     is part of the number (the coordinated-omission-free view).
 
@@ -17,7 +17,13 @@
     crowd concentrated on one name, optional partition storms from
     {!Chaos}, and periodic agent cache churn (the event that consumes
     the meta-BIND's prefetch hints). Everything is deterministic in
-    [seed]: same seed, byte-identical report. *)
+    [seed]: same seed, byte-identical report.
+
+    [run] draws each arrival as the virtual clock reaches it: its
+    offset, then its client, path and name. The streams it draws from
+    are read by its arrivals fiber alone, in arrival order, so the
+    draws equal those of a schedule drawn up front, and a run holds no
+    whole-run plan in memory. *)
 
 (** {1 Arrival processes} *)
 
@@ -42,7 +48,7 @@ val rate_at : arrival -> float -> float
 (** Draw a full arrival schedule for [duration_ms] of virtual time:
     strictly increasing offsets in milliseconds from the schedule
     origin. Pure function of ([arrival], [rng]); no simulation
-    needed. *)
+    needed. [run] draws the same offsets one at a time. *)
 val schedule : arrival -> rng:Sim.Rng.t -> duration_ms:float -> float list
 
 (** FNV-1a over the raw float bits of a schedule (or any sample
@@ -59,7 +65,9 @@ type drive_result = { latency : Sim.Stats.t; errors : int }
     (relative to the virtual time at the call); [submit i] performs
     arrival [i] and reports success. Latency samples run from the
     scheduled arrival to completion — service time {e plus} queueing
-    delay. Returns when every arrival has completed. *)
+    delay. Returns when every arrival has completed; with no arrivals,
+    at once, spawning nothing. [run] drives its arrivals through the
+    same loop, drawn as they fall due instead of listed in [times]. *)
 val drive : times:float list -> submit:(int -> bool) -> unit -> drive_result
 
 (** Closed-loop comparator: [n] sequential submissions, each latency
@@ -118,7 +126,7 @@ type config = {
 
 type report = {
   config : config;
-  arrivals : int;
+  arrivals : int;  (** the schedule's length *)
   errors : int;
   all : Sim.Stats.t;  (** every measured resolve *)
   steady : Sim.Stats.t;
@@ -136,7 +144,11 @@ type report = {
   sim_events : int;  (** engine events executed, total *)
   prefetch_seeded : int;  (** hint rows the agent fleet seeded *)
   prefetch_hits : int;  (** resolves answered straight from a hint *)
-  digest : string;  (** {!schedule_digest} of the arrival schedule *)
+  digest : string;
+      (** {!schedule_digest} of the arrival schedule, folded as its
+          arrivals are drawn: that of {!schedule} [config.arrival]
+          over [duration_ms], from the first stream {!Sim.Rng.split}
+          takes from [Sim.Rng.create ~seed] *)
 }
 
 (** Build the scenario, attach the fleets, warm the caches, and drive

@@ -1,8 +1,9 @@
 (* The open-loop load harness: schedule determinism, open- vs
    closed-loop queueing visibility, arrival-process statistics, the
    Hotrank scoring laws behind the flash-crowd A/B, the ranking held to
-   its reference model and to an allocation bound, and a sim-event
-   budget guard on the harness itself. *)
+   its reference model and to an allocation bound, a sim-event budget
+   guard on the harness itself, and its live heap during and after a
+   run. *)
 
 open Helpers
 module O = Workload.Openloop
@@ -433,6 +434,30 @@ let harness_deterministic () =
   let r3 = O.run (tiny ~seed:8 ()) in
   check_bool "different seed, different digest" false (r3.O.digest = r1.O.digest)
 
+(* A run draws each arrival as it falls due; its digest and count are
+   still those of the whole schedule drawn up front from the stream the
+   run splits off first for it. *)
+let streamed_schedule_pinned () =
+  List.iter
+    (fun (what, cfg) ->
+      let rng = Sim.Rng.split (Sim.Rng.create ~seed:(Int64.of_int cfg.O.seed)) in
+      let times = O.schedule cfg.O.arrival ~rng ~duration_ms:cfg.O.duration_ms in
+      let r = O.run cfg in
+      check_string (what ^ ": digest") (O.schedule_digest times) r.O.digest;
+      check_int (what ^ ": arrivals") (List.length times) r.O.arrivals;
+      if cfg.O.flash <> None then
+        check_bool (what ^ ": the crowd arrived") true (Sim.Stats.count r.O.flashed > 0))
+    [
+      ("poisson", { (tiny ()) with O.flash = None });
+      ( "diurnal with a flash crowd",
+        {
+          (tiny ()) with
+          O.arrival =
+            O.Diurnal
+              { base_per_s = 2.0; peak_per_s = 12.0; period_ms = 10_000.0; phase_ms = 0.0 };
+        } );
+    ]
+
 let harness_event_budget () =
   (* The CI guard: the tiny config must stay inside a fixed sim-event
      budget, so a runaway fiber (or an accidental retry storm) fails
@@ -473,6 +498,55 @@ let live_heap_flat_in_run_length () =
   if x4 > x1 + 4_096 then
     Alcotest.failf "live words %d after the 4x window, %d after the 1x" x4 x1
 
+(* Nor does anything grow while a run goes on. A CPU-time timer stops
+   the smoke config every few milliseconds, at 4x and then at 8x its
+   window, and counts the live heap after a full major collection. The
+   peak may grow by the latency samples' few words per extra arrival
+   and no more; drawing every arrival before the first one ran held
+   about 17 words an arrival all run long. A Gc alarm cannot take the
+   timer's place: under OCaml 5.1 it fires every other major cycle at
+   best, and it did not fire once during a 4x run after the earlier
+   tests had grown the heap. *)
+let live_heap_flat_during_run () =
+  let peak = ref 0 and sampling = ref false in
+  let arm s =
+    ignore (Unix.setitimer Unix.ITIMER_VIRTUAL { Unix.it_interval = 0.0; it_value = s })
+  in
+  (* The next sample waits four times this one's cost, so collecting
+     takes at most a fifth of the run. *)
+  let sample _ =
+    if !sampling then begin
+      let t = Sys.time () in
+      Gc.full_major ();
+      peak := max !peak (Gc.stat ()).live_words;
+      arm (Float.max 0.005 (4.0 *. (Sys.time () -. t)))
+    end
+  in
+  let peak_live scale =
+    let c = O.smoke () in
+    peak := 0;
+    let previous = Sys.signal Sys.sigvtalrm (Sys.Signal_handle sample) in
+    sampling := true;
+    arm 0.005;
+    let r =
+      Fun.protect
+        ~finally:(fun () ->
+          sampling := false;
+          arm 0.0;
+          Sys.set_signal Sys.sigvtalrm previous)
+        (fun () -> O.run { c with O.duration_ms = c.O.duration_ms *. scale })
+    in
+    (!peak, r.O.arrivals)
+  in
+  let p4, a4 = peak_live 4.0 in
+  let p8, a8 = peak_live 8.0 in
+  let per_arrival = float_of_int (p8 - p4) /. float_of_int (a8 - a4) in
+  if per_arrival > 8.0 then
+    Alcotest.failf
+      "peak live words %d during the 4x window (%d arrivals), %d during the \
+       8x (%d): %.1f words an extra arrival"
+      p4 a4 p8 a8 per_arrival
+
 let suite =
   [
     Alcotest.test_case "schedule determinism" `Quick schedule_deterministic;
@@ -486,7 +560,9 @@ let suite =
     qtest hotrank_matches_model;
     Alcotest.test_case "hot ranking top allocation" `Quick hotrank_top_allocation;
     Alcotest.test_case "harness determinism" `Quick harness_deterministic;
+    Alcotest.test_case "streamed schedule pinned" `Quick streamed_schedule_pinned;
     Alcotest.test_case "harness event budget" `Quick harness_event_budget;
     Alcotest.test_case "load gate: sim-event budget" `Quick load_gate_budget;
     Alcotest.test_case "live heap flat in run length" `Quick live_heap_flat_in_run_length;
+    Alcotest.test_case "live heap flat during a run" `Quick live_heap_flat_during_run;
   ]

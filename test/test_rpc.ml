@@ -318,6 +318,34 @@ let rawrpc_silent_server_times_out () =
   check_bool "timeout" true
     (match r with Error (Rpc.Control.Timeout _) -> true | _ -> false)
 
+(* Stopping a service while its handler is blocked drops the reply
+   instead of sending it on the closed socket, which would abort the
+   run: the run completes and the caller times out. *)
+let rawrpc_stop_mid_request_drops_reply () =
+  List.iter
+    (fun concurrent ->
+      let w = make_world () in
+      let r =
+        in_sim w (fun () ->
+            let stop =
+              Rpc.Rawrpc.serve_udp
+                (Transport.Udp.bind w.stacks.(0) ~port:6002)
+                ~name:"raw" ~service_overhead_ms:0.0 ~concurrent
+                (fun ~src:_ payload ->
+                  Sim.Engine.sleep 50.0;
+                  Some payload)
+            in
+            Sim.Engine.spawn_child ~name:"stopper" (fun () ->
+                Sim.Engine.sleep 10.0;
+                stop ());
+            Rpc.Rawrpc.call w.stacks.(1)
+              ~dst:(Transport.Address.make (Transport.Netstack.ip w.stacks.(0)) 6002)
+              ~timeout:200.0 ~attempts:1 "late")
+      in
+      check_bool "timeout" true
+        (match r with Error (Rpc.Control.Timeout _) -> true | _ -> false))
+    [ false; true ]
+
 let suite =
   [
     Alcotest.test_case "xids unique" `Quick control_xids_unique;
@@ -337,4 +365,6 @@ let suite =
     Alcotest.test_case "courier abort" `Quick courier_abort;
     Alcotest.test_case "rawrpc native payload" `Quick rawrpc_native_payload;
     Alcotest.test_case "rawrpc timeout" `Quick rawrpc_silent_server_times_out;
+    Alcotest.test_case "rawrpc stop drops the reply" `Quick
+      rawrpc_stop_mid_request_drops_reply;
   ]

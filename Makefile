@@ -62,7 +62,15 @@ fmt:
 # Rpc.Courier_rpc for it. The third keeps every NSM's cached read in
 # one place: an NSM reads and fills its cache only through
 # Nsm_common.lookup, so the TTL, per-query charge and serve-stale rules
-# cannot drift apart between NSMs again. The surface audit reads the typed trees that
+# cannot drift apart between NSMs again. The fourth keeps every DNS
+# request in one client exchange: in lib/dns and lib/hns only
+# Dns.Exchange encodes a request and decodes its reply (message id, TC
+# rule, Bad_message -> Protocol_error), so every query, update, SOA
+# probe, NOTIFY and zone transfer goes through Dns.Exchange.call.
+# Dns.Server encodes replies and decodes requests (its NOTIFY listener
+# too), Dns.Durable stores deltas and snapshots as DNS messages on disk,
+# and Hns.Meta_bundle sizes the replies it synthesizes; none of them is
+# a client. The surface audit reads the typed trees that
 # `dune build @check` writes and fails on a lib/ export no other module
 # uses, an optional parameter no call passes, or a mutable field of lib/
 # that nothing reads except to assign it again, as a hand-kept counter
@@ -72,6 +80,7 @@ check: fmt
 	! grep -rn 'Effect.Unhandled' lib bin bench examples
 	! grep -rn 'Sunrpc_wire\.\|Courier_wire\.' lib bin bench examples --include='*.ml' --include='*.mli' | grep -v '^lib/rpc/'
 	! grep -rn 'Cache\.\(find\|insert\|through\)\b' lib/nsm --include='*.ml' | grep -v '^lib/nsm/nsm_common.ml:'
+	! grep -rn 'Msg\.\(encode\|decode\)' lib/dns lib/hns --include='*.ml' | grep -v '^lib/dns/\(exchange\|server\|durable\)\.ml:\|^lib/hns/meta_bundle\.ml:'
 	dune build
 	dune build @check
 	dune exec tools/surface_audit.exe

@@ -1,34 +1,24 @@
-open Transport
-
 type error = Refused | Transfer_failed of string
 
 let pp_error ppf = function
   | Refused -> Format.pp_print_string ppf "transfer refused"
   | Transfer_failed m -> Format.fprintf ppf "transfer failed: %s" m
 
-let id_counter = ref 0x4000
+let transfer stack ~server ~on_answers build =
+  match Exchange.call (Exchange.tcp stack ~dst:server ~timeout:10_000.0) build with
+  | Error e ->
+      Error
+        (Transfer_failed
+           (match e with
+           | Rpc.Control.Refused -> "connection refused"
+           | Rpc.Control.Timeout _ -> "timeout"
+           | Rpc.Control.Protocol_error m -> m
+           | e -> Rpc.Control.error_to_string e))
+  | Ok { Msg.rcode = Msg.No_error; answers; _ } -> on_answers answers
+  | Ok { Msg.rcode = Msg.Refused; _ } -> Error Refused
+  | Ok { Msg.rcode; _ } -> Error (Transfer_failed (Msg.rcode_to_string rcode))
 
 let fetch stack ~server ~zone =
-  incr id_counter;
-  match Tcp.connect stack server with
-  | exception Tcp.Connection_refused _ -> Error (Transfer_failed "connection refused")
-  | conn ->
-      let finish r =
-        Tcp.close conn;
-        r
-      in
-      let request =
-        { (Msg.query ~id:!id_counter zone Rr.T_axfr) with Msg.recursion_desired = false }
-      in
-      Tcp.send conn (Msg.encode request);
-      (match Tcp.recv_timeout conn 10_000.0 with
-      | exception Tcp.Connection_closed -> finish (Error (Transfer_failed "connection closed"))
-      | None -> finish (Error (Transfer_failed "timeout"))
-      | Some payload -> (
-          match Msg.decode payload with
-          | exception Msg.Bad_message m -> finish (Error (Transfer_failed m))
-          | reply -> (
-              match reply.rcode with
-              | Msg.No_error -> finish (Ok reply.answers)
-              | Msg.Refused -> finish (Error Refused)
-              | rc -> finish (Error (Transfer_failed (Msg.rcode_to_string rc))))))
+  transfer stack ~server
+    ~on_answers:(fun answers -> Ok answers)
+    (fun id -> { (Msg.query ~id zone Rr.T_axfr) with Msg.recursion_desired = false })

@@ -27,28 +27,13 @@ let m_recovery_ms = Obs.Metrics.histogram "dns.durable.recovery_ms"
 
 (* --- codecs --------------------------------------------------------- *)
 
-(* Only the serial field of these SOAs is meaningful — exactly the
-   convention the IXFR request's authority section uses. *)
-let serial_soa origin serial =
-  Rr.make origin
-    (Rr.Soa
-       {
-         Rr.mname = origin;
-         rname = origin;
-         serial;
-         refresh = 0l;
-         retry = 0l;
-         expire = 0l;
-         minimum = 0l;
-       })
-
 let encode_delta ~origin (d : Journal.delta) =
-  let to_soa = serial_soa origin d.Journal.to_serial in
+  let to_soa = Ixfr.serial_soa origin d.Journal.to_serial in
   let msg =
     {
       (Msg.query ~id:0 origin Rr.T_ixfr) with
       Msg.recursion_desired = false;
-      authority = [ serial_soa origin d.Journal.from_serial ];
+      authority = [ Ixfr.serial_soa origin d.Journal.from_serial ];
       answers =
         (to_soa :: List.map Ixfr.rr_of_change d.Journal.changes) @ [ to_soa ];
     }

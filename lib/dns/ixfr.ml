@@ -1,5 +1,3 @@
-open Transport
-
 type response =
   | Unchanged of Rr.soa
   | Deltas of Rr.soa * Journal.change list
@@ -12,11 +10,7 @@ let m_changes_sent = Obs.Metrics.counter "dns.ixfr.changes_sent"
 
 (* --- server side --- *)
 
-let request_serial (request : Msg.t) =
-  List.find_map
-    (fun (rr : Rr.t) ->
-      match rr.rdata with Rr.Soa s -> Some s.Rr.serial | _ -> None)
-    request.Msg.authority
+let request_serial (request : Msg.t) = Rr.first_serial request.Msg.authority
 
 (* A change as an answer record: additions keep C_in, deletions are
    marked C_none — the same marker class the update encoding uses. *)
@@ -72,55 +66,27 @@ let parse_answers answers =
           | _ -> Ok (Full answers)))
   | _ -> Error "IXFR response does not start with an SOA"
 
-let id_counter = ref 0x6000
+let serial_soa origin serial =
+  Rr.make origin
+    (Rr.Soa
+       {
+         Rr.mname = origin;
+         rname = origin;
+         serial;
+         refresh = 0l;
+         retry = 0l;
+         expire = 0l;
+         minimum = 0l;
+       })
 
 let fetch stack ~server ~zone ~serial =
-  incr id_counter;
-  match Tcp.connect stack server with
-  | exception Tcp.Connection_refused _ ->
-      Error (Axfr.Transfer_failed "connection refused")
-  | conn -> (
-      let finish r =
-        Tcp.close conn;
-        r
-      in
-      (* The authority SOA carries the serial we hold; only the serial
-         field is meaningful to the server. *)
-      let have =
-        Rr.make zone
-          (Rr.Soa
-             {
-               Rr.mname = zone;
-               rname = zone;
-               serial;
-               refresh = 0l;
-               retry = 0l;
-               expire = 0l;
-               minimum = 0l;
-             })
-      in
-      let request =
-        {
-          (Msg.query ~id:!id_counter zone Rr.T_ixfr) with
-          Msg.recursion_desired = false;
-          authority = [ have ];
-        }
-      in
-      Tcp.send conn (Msg.encode request);
-      match Tcp.recv_timeout conn 10_000.0 with
-      | exception Tcp.Connection_closed ->
-          finish (Error (Axfr.Transfer_failed "connection closed"))
-      | None -> finish (Error (Axfr.Transfer_failed "timeout"))
-      | Some payload -> (
-          match Msg.decode payload with
-          | exception Msg.Bad_message m ->
-              finish (Error (Axfr.Transfer_failed m))
-          | reply -> (
-              match reply.Msg.rcode with
-              | Msg.No_error -> (
-                  match parse_answers reply.Msg.answers with
-                  | Ok r -> finish (Ok r)
-                  | Error m -> finish (Error (Axfr.Transfer_failed m)))
-              | Msg.Refused -> finish (Error Axfr.Refused)
-              | rc ->
-                  finish (Error (Axfr.Transfer_failed (Msg.rcode_to_string rc))))))
+  Axfr.transfer stack ~server
+    ~on_answers:(fun answers ->
+      Result.map_error (fun m -> Axfr.Transfer_failed m) (parse_answers answers))
+    (fun id ->
+      {
+        (Msg.query ~id zone Rr.T_ixfr) with
+        Msg.recursion_desired = false;
+        (* the serial we hold *)
+        authority = [ serial_soa zone serial ];
+      })

@@ -30,6 +30,11 @@ type response =
     marked [C_none]. *)
 val rr_of_change : Journal.change -> Rr.t
 
+(** [serial_soa origin serial] — an SOA record of which only the serial
+    is meaningful: the one an IXFR request's authority section carries,
+    and the durable store's delta and snapshot framing. *)
+val serial_soa : Name.t -> int32 -> Rr.t
+
 (** {1 Server side} *)
 
 (** The serial the requester claims to hold: the first SOA in the
@@ -51,9 +56,10 @@ val answers_for_zone :
     payload (no leading SOA). *)
 val parse_answers : Rr.t list -> (response, string) result
 
-(** [fetch stack ~server ~zone ~serial] — one IXFR exchange over TCP.
-    Shares {!Axfr.error} so callers handle both transfer kinds
-    uniformly. *)
+(** [fetch stack ~server ~zone ~serial] — one IXFR exchange over TCP,
+    through {!Axfr.transfer}. Shares {!Axfr.error} so callers handle
+    both transfer kinds uniformly; an answer section that does not
+    parse is [Transfer_failed]. *)
 val fetch :
   Transport.Netstack.stack ->
   server:Transport.Address.t ->

@@ -3,8 +3,6 @@ let m_acked = Obs.Metrics.counter "dns.notify.acked"
 let m_failed = Obs.Metrics.counter "dns.notify.failed"
 let m_ack_ms = Obs.Metrics.histogram "dns.notify.ack_ms"
 
-let id_counter = ref 0x7000
-
 let max_inflight = 8
 
 let push stack ~zone ~on_result targets =
@@ -16,17 +14,17 @@ let push stack ~zone ~on_result targets =
        pops never race. *)
     let queue = ref targets in
     let send target =
-      incr id_counter;
-      let id = !id_counter in
-      let msg = Msg.notify ~id ~zone:(Zone.origin zone) (Zone.soa_rr zone) in
       Obs.Metrics.incr m_sent;
       let started = Sim.Engine.time () in
       let ok =
         match
-          Rpc.Rawrpc.call stack ~dst:target ~timeout:500.0 ~attempts:2
-            (Msg.encode msg)
+          Exchange.call
+            (Rpc.Rawrpc.call stack ~dst:target ~timeout:500.0 ~attempts:2)
+            (fun id -> Msg.notify ~id ~zone:(Zone.origin zone) (Zone.soa_rr zone))
         with
-        | Ok _ ->
+        | Ok _ | Error (Rpc.Control.Protocol_error _) ->
+            (* Any reply acks: even one that does not decode shows the
+               target is up. *)
             Obs.Metrics.incr m_acked;
             Obs.Metrics.observe m_ack_ms (Sim.Engine.time () -. started);
             true

@@ -6,7 +6,9 @@
     receivers' refresh intervals. Delivery is best-effort over UDP
     with a couple of retransmissions; a lost NOTIFY costs only
     latency — receivers keep their SOA-poll loops as the backstop, so
-    chaos-dropped notifies degrade to polling, never divergence. *)
+    chaos-dropped notifies degrade to polling, never divergence. Each
+    send is one {!Exchange.call}; any reply acks it, even one that
+    does not decode. *)
 
 (** [push stack ~zone ~on_result targets] — fire-and-forget: a bounded
     pool of 8 worker fibers drains the target list concurrently, each send

@@ -19,7 +19,6 @@ type t = {
   primary : Transport.Address.t;
   members : member list;  (* sorted by address *)
   mutable last_probe_ms : float;
-  mutable next_id : int;
   routed : Obs.Metrics.counter;
   primary_fallbacks : Obs.Metrics.counter;
 }
@@ -50,7 +49,6 @@ let create stack ~zone ~primary ~replicas =
     primary;
     members;
     last_probe_ms = Float.neg_infinity;
-    next_id = 0x5e00;
     routed;
     primary_fallbacks = Obs.Metrics.owned m_fallbacks;
   }
@@ -93,24 +91,9 @@ let note_result t addr ~ok ~latency_ms =
         Obs.Metrics.incr m_quarantines)
 
 let probe_member t m =
-  t.next_id <- t.next_id + 1;
-  let q = Msg.query ~id:t.next_id t.zone Rr.T_soa in
   Obs.Metrics.incr m_probes;
-  match
-    Rpc.Rawrpc.call t.stack ~dst:m.addr ~timeout:80. ~attempts:1
-      (Msg.encode q)
-  with
-  | Error _ -> ()
-  | Ok bytes -> (
-      match Msg.decode bytes with
-      | exception Msg.Bad_message _ -> ()
-      | reply ->
-          List.iter
-            (fun (rr : Rr.t) ->
-              match rr.rdata with
-              | Rr.Soa soa -> note_serial t m.addr soa.Rr.serial
-              | _ -> ())
-            reply.Msg.answers)
+  Option.iter (note_serial t m.addr)
+    (Exchange.soa_serial (Rpc.Rawrpc.call t.stack ~dst:m.addr ~timeout:80. ~attempts:1) t.zone)
 
 let refresh_serials t =
   t.last_probe_ms <- Sim.Engine.time ();

@@ -24,7 +24,10 @@
 
     Members that time out are quarantined for 3000 ms and the
     set routes around them, which is what keeps resolves flowing while
-    a replica crashes and re-bootstraps from its durable image. *)
+    a replica crashes and re-bootstraps from its durable image.
+
+    A serial probe is {!Exchange.soa_serial} over one 80 ms UDP
+    attempt, counted in [dns.replica.serial_probes]. *)
 
 type t
 

@@ -19,17 +19,7 @@ end
 
 module Cache_tbl = Hashtbl.Make (Key)
 
-module Name_tbl = Hashtbl.Make (struct
-  type t = Name.t
-
-  let equal = Name.equal
-  let hash = Name.hash
-end)
-
 type entry = { outcome : (Rr.t list, error) result; expires_at : float }
-
-(** A cached zone cut: where to go directly for names under it. *)
-type referral = { addrs : Transport.Address.t list; ref_expires_at : float }
 
 let m_cache_hits = Obs.Metrics.counter "dns.resolver.cache_hits"
 let m_negative_hits = Obs.Metrics.counter "dns.resolver.negative_hits"
@@ -41,8 +31,8 @@ type t = {
   enable_cache : bool;
   negative_ttl_ms : float;
   cache : entry Cache_tbl.t;
-  referrals : referral Name_tbl.t;
-  mutable next_id : int;
+  referrals : Transport.Address.t list Referral.cuts;
+      (* where to go directly for names under a cut *)
   cache_hits : Obs.Metrics.counter;
   negative_hits : Obs.Metrics.counter;
   referral_hits : Obs.Metrics.counter;
@@ -60,8 +50,7 @@ let create stack ~servers ?(enable_cache = true) ?(negative_ttl_ms = 0.0) () =
     enable_cache;
     negative_ttl_ms;
     cache = Cache_tbl.create 64;
-    referrals = Name_tbl.create 16;
-    next_id = 1;
+    referrals = Referral.cuts ();
     cache_hits = Obs.Metrics.owned m_cache_hits;
     negative_hits = Obs.Metrics.owned m_negative_hits;
     referral_hits = Obs.Metrics.owned m_referral_hits;
@@ -106,84 +95,18 @@ let remember t name rtype result =
   | Error _ -> ());
   result
 
-let store_referral t cut addrs ttl_ms =
-  if t.enable_cache && addrs <> [] then begin
-    let ttl = Float.min ttl_ms max_ttl_ms in
-    Name_tbl.replace t.referrals cut
-      { addrs; ref_expires_at = Sim.Engine.time () +. ttl }
-  end
-
-(* Deepest unexpired cached cut covering [name], if any. Expired
-   entries are collected during the scan and dropped afterwards (a
-   hashtable must not be mutated mid-fold). *)
-let referral_lookup t name =
-  if not t.enable_cache then None
-  else begin
-    let now = Sim.Engine.time () in
-    let expired = ref [] in
-    let best =
-      Name_tbl.fold
-        (fun cut r best ->
-          if r.ref_expires_at <= now then begin
-            expired := cut :: !expired;
-            best
-          end
-          else if not (Name.is_subdomain ~of_:cut name) then best
-          else
-            match best with
-            | Some (best_cut, _)
-              when Name.label_count best_cut >= Name.label_count cut ->
-                best
-            | _ -> Some (cut, r.addrs))
-        t.referrals None
-    in
-    List.iter (Name_tbl.remove t.referrals) !expired;
-    best
-  end
-
-(* Retry a truncated answer over TCP, as resolvers do when a UDP reply
-   carries TC. *)
-let ask_tcp t server request =
-  match Transport.Tcp.connect t.stack server with
-  | exception Transport.Tcp.Connection_refused _ -> Error (Rpc_error Rpc.Control.Refused)
-  | conn -> (
-      Transport.Tcp.send conn request;
-      let r =
-        match Transport.Tcp.recv_timeout conn 5_000.0 with
-        | exception Transport.Tcp.Connection_closed ->
-            Error (Rpc_error Rpc.Control.Refused)
-        | None -> Error (Rpc_error (Rpc.Control.Timeout { elapsed_ms = 5_000.0 }))
-        | Some payload -> (
-            match Msg.decode payload with
-            | exception Msg.Bad_message m ->
-                Error (Rpc_error (Rpc.Control.Protocol_error m))
-            | reply -> Ok reply)
-      in
-      Transport.Tcp.close conn;
-      r)
-
-(* One UDP exchange with a server, following the TC bit to TCP. *)
-let ask_one t server request =
-  match Rpc.Rawrpc.call t.stack ~dst:server request with
-  | Error e -> Error (Rpc_error e)
-  | Ok payload -> (
-      match Msg.decode payload with
-      | exception Msg.Bad_message m -> Error (Rpc_error (Rpc.Control.Protocol_error m))
-      | reply ->
-          if reply.Msg.truncated then ask_tcp t server request else Ok reply)
-
-let fresh_request t name rtype =
-  let id = t.next_id in
-  t.next_id <- t.next_id + 1;
-  Msg.encode (Msg.query ~id name rtype)
+(* One query to a server over UDP; a reply with TC set is asked again
+   over TCP, as resolvers do. *)
+let ask_one t server name rtype =
+  Exchange.call_tc t.stack ~dst:server ~tcp_timeout:5_000.0 (fun id -> Msg.query ~id name rtype)
+  |> Result.map_error (fun e -> Rpc_error e)
 
 (* The configured servers in order, until one answers. *)
 let ask_servers t name rtype =
-  let request = fresh_request t name rtype in
   let rec try_servers last_err = function
     | [] -> Error last_err
     | server :: rest -> (
-        match ask_one t server request with
+        match ask_one t server name rtype with
         | Error e -> try_servers e rest
         | Ok { Msg.rcode = Msg.No_error; answers = []; _ } -> Error No_data
         | Ok { Msg.rcode = Msg.No_error; answers; _ } -> Ok answers
@@ -196,93 +119,67 @@ let ask_servers t name rtype =
 let rec iterate t ~depth servers name rtype =
   if depth > 12 then Error (Server_error Msg.Refused)
   else begin
-    let request = fresh_request t name rtype in
     let rec try_servers last_err = function
       | [] -> Error last_err
       | server :: rest -> (
-          match ask_one t server request with
+          match ask_one t server name rtype with
           | Error e -> try_servers e rest
           | Ok reply -> (
               match reply.Msg.rcode with
               | Msg.Nx_domain -> Error Nxdomain
               | Msg.No_error when reply.Msg.answers <> [] -> Ok reply.Msg.answers
-              | Msg.No_error
-                when List.exists
-                       (fun (rr : Rr.t) ->
-                         match rr.rdata with Rr.Ns _ -> true | _ -> false)
-                       reply.Msg.authority ->
-                  (* NS records in authority: a referral. An SOA there
-                     is RFC 2308 negative-TTL info, not a referral. *)
-                  follow_referral t ~depth reply name rtype
-              | Msg.No_error -> Error No_data
+              | Msg.No_error -> (
+                  match Referral.of_reply reply with
+                  | Some referral -> follow_referral t ~depth reply referral name rtype
+                  | None -> Error No_data)
               | rc -> try_servers (Server_error rc) rest))
     in
     try_servers (Rpc_error (Rpc.Control.Timeout { elapsed_ms = 0.0 })) servers
   end
 
-and follow_referral t ~depth (reply : Msg.t) name rtype =
+and follow_referral t ~depth reply (referral : Referral.t) name rtype =
   (* Collect child-server addresses: glue first, then resolve NS names
      from the roots when the referral came without glue. *)
-  let glue_addr (ns_rr : Rr.t) =
-    match ns_rr.rdata with
-    | Rr.Ns target ->
-        List.filter_map
-          (fun (rr : Rr.t) ->
-            match rr.rdata with
-            | Rr.A ip when Name.equal rr.name target ->
-                Some (Transport.Address.make ip Transport.Address.Well_known.dns)
-            | _ -> None)
-          reply.additional
-    | _ -> []
-  in
-  let direct = List.concat_map glue_addr reply.authority in
+  let port = Transport.Address.Well_known.dns in
   let addrs =
-    if direct <> [] then direct
-    else
-      List.concat_map
-        (fun (ns_rr : Rr.t) ->
-          match ns_rr.rdata with
-          | Rr.Ns target -> (
-              match iterate t ~depth:(depth + 1) t.servers target Rr.T_a with
-              | Ok rrs ->
-                  List.filter_map
-                    (fun (rr : Rr.t) ->
-                      match rr.rdata with
-                      | Rr.A ip ->
-                          Some (Transport.Address.make ip Transport.Address.Well_known.dns)
-                      | _ -> None)
-                    rrs
-              | Error _ -> [])
-          | _ -> [])
-        reply.authority
+    match Referral.glue referral reply ~port with
+    | [] ->
+        List.concat_map
+          (fun target ->
+            match iterate t ~depth:(depth + 1) t.servers target Rr.T_a with
+            | Ok rrs ->
+                List.filter_map
+                  (fun (rr : Rr.t) ->
+                    match rr.rdata with
+                    | Rr.A ip -> Some (Transport.Address.make ip port)
+                    | _ -> None)
+                  rrs
+            | Error _ -> [])
+          referral.servers
+    | direct -> direct
   in
   if addrs = [] then Error (Server_error Msg.Serv_fail)
   else begin
     (* Remember the zone cut for the NS TTL, so the next cold resolve
        under it skips straight to the child servers. *)
-    (match
-       List.filter
-         (fun (rr : Rr.t) ->
-           match rr.rdata with Rr.Ns _ -> true | _ -> false)
-         reply.authority
-     with
-    | [] -> ()
-    | (cut_rr :: _) as ns_rrs ->
-        store_referral t cut_rr.Rr.name addrs (min_ttl_ms ns_rrs));
+    if t.enable_cache then
+      Referral.remember t.referrals referral.cut
+        ~ttl_ms:(Float.min referral.ttl_ms max_ttl_ms)
+        addrs;
     iterate t ~depth:(depth + 1) addrs name rtype
   end
 
 let query_iterative t name rtype =
   cached t name rtype ~miss:(fun () ->
       remember t name rtype
-        (match referral_lookup t name with
+        (match if t.enable_cache then Referral.covering t.referrals name else None with
         | Some (cut, addrs) -> (
             Obs.Metrics.incr t.referral_hits;
             (* Start at the cached cut; if its servers have gone bad,
                forget the entry and re-walk from the roots. *)
             match iterate t ~depth:1 addrs name rtype with
             | Error (Server_error _ | Rpc_error _) ->
-                Name_tbl.remove t.referrals cut;
+                Referral.forget t.referrals cut;
                 iterate t ~depth:0 t.servers name rtype
             | r -> r)
         | None -> iterate t ~depth:0 t.servers name rtype))

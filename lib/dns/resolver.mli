@@ -1,7 +1,9 @@
 (** Stub resolver with a TTL cache.
 
     Queries go to the configured servers in order (raw request/response
-    over UDP, as BIND clients did) until one answers. Positive answers
+    over UDP, as BIND clients did: {!Exchange.call_tc} over
+    [Rpc.Rawrpc.call]'s defaults, a TC reply asked again over TCP with
+    5 s for the reply) until one answers. Positive answers
     are cached against the virtual clock for the minimum TTL of the
     returned records — the same time-to-live invalidation the paper's
     HNS cache adopts "because the source of our cached data (BIND) also
@@ -34,18 +36,20 @@ val query : t -> Name.t -> Rr.rtype -> (Rr.t list, error) result
     and follow zone-cut referrals (using glue addresses when present,
     resolving nameserver names from the roots otherwise) until an
     authoritative answer arrives. Results are cached like any other.
-    Each referral followed is remembered for its NS records' TTL, so a
-    later resolve below a cached cut skips the root walk (counted in
-    [dns.resolver.referral_hits]); a cut whose servers stop answering
-    is dropped and the walk restarts from the roots. Fails with
-    [Server_error Refused] on referral loops. *)
+    Referrals are read with {!Referral.of_reply}. Each referral followed
+    is remembered in a {!Referral.cuts} table for its smallest NS TTL
+    (at most an hour), so a later resolve below a cached cut skips the
+    root walk (counted in [dns.resolver.referral_hits]); a cut whose
+    servers stop answering is dropped and the walk restarts from the
+    roots. Fails with [Server_error Refused] on referral loops. *)
 val query_iterative : t -> Name.t -> Rr.rtype -> (Rr.t list, error) result
 
 (** Convenience: first A record. *)
 val lookup_a : t -> Name.t -> (Transport.Address.ip, error) result
 
-(** Insert records directly (used by zone-transfer preloading).
-    TTL semantics match a normal answer. *)
+(** Insert records directly, as if a query had answered them: TTL
+    semantics match a normal answer. No code in the library calls it;
+    tests use it to warm a cache without traffic. *)
 val seed : t -> Name.t -> Rr.rtype -> Rr.t list -> unit
 
 (** This resolver's own counts: [dns.resolver.cache_hits] (answers

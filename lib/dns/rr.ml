@@ -107,6 +107,9 @@ let matches ~qtype rtype =
 
 let make ?(ttl = 3600l) name rdata = { name; ttl; rclass = C_in; rdata }
 
+let first_serial records =
+  List.find_map (fun r -> match r.rdata with Soa s -> Some s.serial | _ -> None) records
+
 let equal_soa a b =
   Name.equal a.mname b.mname && Name.equal a.rname b.rname
   && Int32.equal a.serial b.serial && Int32.equal a.refresh b.refresh

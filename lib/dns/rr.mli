@@ -63,6 +63,11 @@ val matches : qtype:rtype -> rtype -> bool
 
 (** A record of class [C_in]; [ttl] defaults to 3600 s. *)
 val make : ?ttl:int32 -> Name.t -> rdata -> t
+
+(** The serial of the first SOA among [records], if any: what an SOA
+    probe's answers, an update ack, a NOTIFY or an IXFR request
+    carries. *)
+val first_serial : t list -> int32 option
 val equal_rdata : rdata -> rdata -> bool
 val pp_rdata : Format.formatter -> rdata -> unit
 val pp : Format.formatter -> t -> unit

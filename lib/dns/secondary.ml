@@ -9,7 +9,6 @@ type t = {
   chain_depth : int;
   zone : Zone.t; (* our replica, registered with [server] *)
   mutable running : bool;
-  mutable next_id : int;
   fresh_checks : Obs.Metrics.counter;
   full_transfers : Obs.Metrics.counter;
   ixfr_applied : Obs.Metrics.counter;
@@ -60,20 +59,8 @@ let apply_deltas t (soa : Rr.soa) changes =
   Obs.Metrics.incr t.ixfr_applied;
   Obs.Metrics.add t.delta_records (List.length changes)
 
-(* Probe the primary's serial with a plain SOA query. *)
 let primary_serial t =
-  t.next_id <- (t.next_id + 1) land 0xFFFF;
-  let request = Msg.encode (Msg.query ~id:t.next_id t.zone_name Rr.T_soa) in
-  match Rpc.Rawrpc.call (Server.stack t.server) ~dst:t.primary request with
-  | Error _ -> None
-  | Ok payload -> (
-      match Msg.decode payload with
-      | exception Msg.Bad_message _ -> None
-      | reply ->
-          List.find_map
-            (fun (rr : Rr.t) ->
-              match rr.rdata with Rr.Soa soa -> Some soa.Rr.serial | _ -> None)
-            reply.answers)
+  Exchange.soa_serial (Rpc.Rawrpc.call (Server.stack t.server) ~dst:t.primary) t.zone_name
 
 let pull t =
   let before = Zone.serial t.zone in
@@ -130,7 +117,6 @@ let attach server ~primary ~zone ?refresh_ms ?(mode = Ixfr) ?(chain_depth = 1)
         | Some z -> z
         | None -> Zone.simple ~origin:zone []);
       running = true;
-      next_id = 0x5A00;
       fresh_checks = Obs.Metrics.owned m_fresh_checks;
       full_transfers = Obs.Metrics.owned m_full_transfers;
       ixfr_applied = Obs.Metrics.owned m_ixfr_applied;

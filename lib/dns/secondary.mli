@@ -4,8 +4,11 @@
     implementation must be distributed and replicated for the usual
     reasons of performance, availability, and scalability." BIND's
     replication is the secondary server: it polls the primary's SOA
-    serial on the zone's refresh interval and pulls a full zone
-    transfer when the serial has advanced.
+    serial ({!Exchange.soa_serial}, 1000 ms and 3 attempts) on the
+    zone's refresh interval and pulls a zone transfer only when the
+    primary is ahead of it, so a primary that comes back at a lower
+    serial never takes the replica backwards. A NOTIFY at a serial the
+    replica already holds is acked and starts nothing.
 
     [attach] adds a secondary copy of a zone to an existing (usually
     otherwise-empty) {!Server} and returns a handle; the refresh

@@ -340,12 +340,7 @@ let handle ?src t (request : Msg.t) : Msg.t =
   | Msg.Notify ->
       (match request.questions with
       | [ { qname; _ } ] ->
-          let serial =
-            List.find_map
-              (fun (rr : Rr.t) ->
-                match rr.rdata with Rr.Soa s -> Some s.Rr.serial | _ -> None)
-              request.answers
-          in
+          let serial = Rr.first_serial request.answers in
           List.iter (fun f -> f ~zone:qname ~serial) t.on_notify
       | _ -> ());
       Msg.notify_ack ~request
@@ -457,6 +452,25 @@ let stop t =
   (match t.tcp_listener with Some l -> Tcp.close_listener l | None -> ());
   t.stop_udp <- None;
   t.tcp_listener <- None
+
+let notify_listener stack ~name ~zone on_notify =
+  let port = Netstack.alloc_udp_port stack in
+  let stop =
+    Rpc.Rawrpc.serve_udp (Udp.bind stack ~port) ~name ~service_overhead_ms:0.0
+      ~concurrent:false (fun ~src:_ payload ->
+        match Msg.decode payload with
+        | exception Msg.Bad_message _ -> None
+        | request ->
+            if
+              request.opcode = Msg.Notify
+              && List.exists (fun (q : Msg.question) -> Name.equal q.qname zone) request.questions
+            then begin
+              on_notify (Rr.first_serial request.answers);
+              Some (Msg.encode (Msg.notify_ack ~request))
+            end
+            else None)
+  in
+  (Address.make (Netstack.ip stack) port, stop)
 
 let queries_served t = Obs.Metrics.value t.queries
 let metrics t = Obs.Metrics.scope [ t.queries ]

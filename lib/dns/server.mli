@@ -86,6 +86,19 @@ val notify_downstream : t -> zone:Zone.t -> unit
 val add_notify_handler :
   t -> (zone:Name.t -> serial:int32 option -> unit) -> unit
 
+(** [notify_listener stack ~name ~zone on_notify] answers NOTIFYs for
+    [zone] on a fresh UDP port of [stack], for a subscriber that is not
+    itself a name server (the HNS meta client's cache). Each is acked
+    after [on_notify] runs with the serial of the SOA it carries, if
+    any; anything else gets no reply. [name] names the service fiber.
+    Returns the listener's address and a stop function. *)
+val notify_listener :
+  Transport.Netstack.stack ->
+  name:string ->
+  zone:Name.t ->
+  (int32 option -> unit) ->
+  Transport.Address.t * (unit -> unit)
+
 (** Spawn the UDP query loop and the TCP transfer loop. *)
 val start : t -> unit
 

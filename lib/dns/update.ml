@@ -10,21 +10,12 @@ let pp_error ppf = function
   | Server_error rc -> Format.fprintf ppf "server error %s" (Msg.rcode_to_string rc)
   | Rpc_error e -> Rpc.Control.pp_error ppf e
 
-let id_counter = ref 0
-
-let send stack ~server ~zone ops =
-  incr id_counter;
-  let request = Msg.update_request ~id:!id_counter ~zone ops in
-  match Rpc.Rawrpc.call stack ~dst:server (Msg.encode request) with
+let send transport ~zone ops =
+  match Exchange.call transport (fun id -> Msg.update_request ~id ~zone ops) with
   | Error e -> Error (Rpc_error e)
-  | Ok payload -> (
-      match Msg.decode payload with
-      | exception Msg.Bad_message m -> Error (Rpc_error (Rpc.Control.Protocol_error m))
-      | reply -> (
-          match reply.rcode with
-          | Msg.No_error -> Ok ()
-          | Msg.Refused -> Error Refused
-          | Msg.Not_zone -> Error Not_zone
-          | rc -> Error (Server_error rc)))
+  | Ok { Msg.rcode = Msg.No_error; answers; _ } -> Ok (Rr.first_serial answers)
+  | Ok { Msg.rcode = Msg.Refused; _ } -> Error Refused
+  | Ok { Msg.rcode = Msg.Not_zone; _ } -> Error Not_zone
+  | Ok { Msg.rcode; _ } -> Error (Server_error rcode)
 
-let add_rr stack ~server ~zone rr = send stack ~server ~zone [ Msg.Add rr ]
+let add_rr transport ~zone rr = send transport ~zone [ Msg.Add rr ]

@@ -1,16 +1,5 @@
 type bundle_support = B_unknown | B_supported | B_unsupported
 
-module N_tbl = Hashtbl.Make (struct
-  type t = Dns.Name.t
-
-  let equal = Dns.Name.equal
-  let hash = Dns.Name.hash
-end)
-
-(* A delegated partition learned from a referral: who serves the
-   subtree under the cut, cached for the NS records' TTL. *)
-type partition = { rs : Dns.Replica_set.t; expires_at : float }
-
 let m_lookups = Obs.Metrics.counter "hns.meta.lookups"
 let m_remote_lookups = Obs.Metrics.counter "hns.meta.remote_lookups"
 let m_lookup_ms = Obs.Metrics.histogram "hns.meta.lookup_ms"
@@ -36,7 +25,8 @@ type t = {
   replica_set : Dns.Replica_set.t option;
       (* read routing over the root zone's replica tree *)
   read_your_writes : bool;
-  referrals : partition N_tbl.t; (* learned partition cuts *)
+  referrals : Dns.Replica_set.t Dns.Referral.cuts;
+      (* learned partition cuts: who serves the subtree under each *)
   mutable write_floors : (Dns.Name.t * int32) list;
       (* per zone origin: the serial our last write landed at *)
   cache_ : Cache.t;
@@ -60,7 +50,6 @@ type t = {
   prefetched : (string, unit) Hashtbl.t; (* addr cache keys seeded by prefetch *)
   raw_binding : Hrpc.Binding.t;
   policy : Rpc.Control.retry_policy option;
-  mutable next_id : int;
   lookups : Obs.Metrics.counter; (* remote round trips *)
   referral_chases : Obs.Metrics.counter;
   referral_hits : Obs.Metrics.counter;
@@ -85,7 +74,7 @@ let create stack ~meta_server ?(fallback_servers = []) ?replica_set
     fallback_servers;
     replica_set;
     read_your_writes;
-    referrals = N_tbl.create 8;
+    referrals = Dns.Referral.cuts ();
     write_floors = [];
     cache_ = cache;
     generated_cost;
@@ -106,7 +95,6 @@ let create stack ~meta_server ?(fallback_servers = []) ?replica_set
       Hrpc.Binding.make ~suite:Hrpc.Component.raw_udp_suite ~server:meta_server
         ~prog:0 ~vers:0;
     policy;
-    next_id = 1;
     lookups = Obs.Metrics.owned m_remote_lookups;
     referral_chases = Obs.Metrics.owned m_referral_chases;
     referral_hits = Obs.Metrics.owned m_referral_hits;
@@ -128,10 +116,11 @@ let metrics t =
 let bundle_enabled t = t.enable_bundle
 let negative_ttl_ms t = t.negative_ttl_ms
 
-let fresh_id t =
-  let id = t.next_id in
-  t.next_id <- (t.next_id + 1) land 0xFFFF;
-  id
+(* The transport of every exchange with a meta server: HRPC's raw
+   call, which pays its costs and counts. *)
+let call_raw t server request =
+  Hrpc.Client.call_raw t.stack { t.raw_binding with Hrpc.Binding.server } ?policy:t.policy
+    request
 
 (* {1 Partition routing}
 
@@ -141,30 +130,6 @@ let fresh_id t =
    known cut goes straight to that partition's replica set; an unknown
    cut announces itself as a referral reply, which we chase once and
    cache for the NS TTL. *)
-
-(* Deepest unexpired learned cut covering [key], if any. Expired
-   entries found during the scan are dropped afterwards. *)
-let cut_for t key =
-  let now = Sim.Engine.time () in
-  let expired = ref [] in
-  let best =
-    N_tbl.fold
-      (fun cut part best ->
-        if part.expires_at <= now then begin
-          expired := cut :: !expired;
-          best
-        end
-        else if not (Dns.Name.is_subdomain ~of_:cut key) then best
-        else
-          match best with
-          | Some (c, _) when Dns.Name.label_count c >= Dns.Name.label_count cut
-            ->
-              best
-          | _ -> Some (cut, part))
-      t.referrals None
-  in
-  List.iter (N_tbl.remove t.referrals) !expired;
-  best
 
 (* The read-your-writes floor for a zone: the serial our last write to
    it landed at, when pinning is on. *)
@@ -202,78 +167,28 @@ let read_route t key =
     in
     (Some rs, chain)
   in
-  match cut_for t key with
-  | Some (cut, part) ->
+  match Dns.Referral.covering t.referrals key with
+  | Some (cut, rs) ->
       Obs.Metrics.incr t.referral_hits;
-      via part.rs ~zone:cut
+      via rs ~zone:cut
   | None -> (
       match t.replica_set with
       | Some rs -> via rs ~zone:Meta_schema.zone_origin
       | None -> (None, t.meta_server :: t.fallback_servers))
-
-(* A referral: a positive, answerless reply whose authority section
-   names the delegation's servers. *)
-let is_referral (reply : Dns.Msg.t) =
-  reply.rcode = Dns.Msg.No_error
-  && reply.answers = []
-  && List.exists
-       (fun (rr : Dns.Rr.t) ->
-         match rr.rdata with Dns.Rr.Ns _ -> true | _ -> false)
-       reply.authority
 
 (* Cache the partition a referral describes. Glue order is the
    deployment's contract: the partition primary's NS record is
    registered first, so the first glue address is the update target
    and the rest are its replicas. All partition servers answer on the
    meta deployment's common port. *)
-let learn_referral t (reply : Dns.Msg.t) =
-  let ns_rrs =
-    List.filter
-      (fun (rr : Dns.Rr.t) ->
-        match rr.rdata with Dns.Rr.Ns _ -> true | _ -> false)
-      reply.authority
-  in
-  match ns_rrs with
+let learn_referral t (referral : Dns.Referral.t) reply =
+  match Dns.Referral.glue referral reply ~port:t.meta_server.Transport.Address.port with
   | [] -> ()
-  | first :: _ -> (
-      let cut = first.Dns.Rr.name in
-      let port = t.meta_server.Transport.Address.port in
-      let addrs =
-        List.concat_map
-          (fun (ns_rr : Dns.Rr.t) ->
-            match ns_rr.rdata with
-            | Dns.Rr.Ns target ->
-                List.filter_map
-                  (fun (rr : Dns.Rr.t) ->
-                    match rr.rdata with
-                    | Dns.Rr.A ip when Dns.Name.equal rr.name target ->
-                        Some (Transport.Address.make ip port)
-                    | _ -> None)
-                  reply.additional
-            | _ -> [])
-          ns_rrs
-      in
-      match addrs with
-      | [] -> ()
-      | primary :: rest ->
-          let replicas =
-            List.filter
-              (fun a -> not (Transport.Address.equal a primary))
-              rest
-          in
-          let rs =
-            Dns.Replica_set.create t.stack ~zone:cut ~primary ~replicas
-          in
-          let ttl_ms =
-            List.fold_left
-              (fun acc (rr : Dns.Rr.t) ->
-                Float.min acc (Int32.to_float rr.ttl *. 1000.0))
-              Float.infinity ns_rrs
-          in
-          let ttl_ms = if Float.is_finite ttl_ms then ttl_ms else 0.0 in
-          N_tbl.replace t.referrals cut
-            { rs; expires_at = Sim.Engine.time () +. ttl_ms };
-          Obs.Metrics.incr t.referral_chases)
+  | primary :: rest ->
+      let replicas = List.filter (fun a -> not (Transport.Address.equal a primary)) rest in
+      Dns.Referral.remember t.referrals referral.cut ~ttl_ms:referral.ttl_ms
+        (Dns.Replica_set.create t.stack ~zone:referral.cut ~primary ~replicas);
+      Obs.Metrics.incr t.referral_chases
 
 (* One raw DNS exchange, paying the generated-stub marshalling price
    on both directions. Reads are routed: through the partition's
@@ -285,7 +200,6 @@ let rec raw_query_routed t ~depth key =
   Obs.Metrics.incr t.lookups;
   (* A remote round trip makes the enclosing query at least a miss. *)
   Obs.Qlog.note_outcome Obs.Qlog.Miss;
-  let request = Dns.Msg.query ~id:(fresh_id t) key Dns.Rr.T_unspec in
   (* Request encode: the generated path's fixed entry cost, or the
      hand codec's when one is configured. *)
   (match t.hand_codec with
@@ -297,22 +211,24 @@ let rec raw_query_routed t ~depth key =
     | Some rs -> Dns.Replica_set.note_result rs server ~ok ~latency_ms:elapsed
     | None -> ()
   in
+  let send server request =
+    let r = call_raw t server request in
+    (match r with
+    | Ok reply -> Obs.Qlog.add_bytes (String.length request + String.length reply)
+    | Error _ -> ());
+    r
+  in
   let exchange server =
-    let binding = { t.raw_binding with Hrpc.Binding.server } in
-    let req_bytes = Dns.Msg.encode request in
     if Obs.Qlog.enabled () then Obs.Qlog.note_server (Transport.Address.to_string server);
     let t0 = Sim.Engine.time () in
-    match Hrpc.Client.call_raw t.stack binding ?policy:t.policy req_bytes with
+    match Dns.Exchange.call (send server) (fun id -> Dns.Msg.query ~id key Dns.Rr.T_unspec) with
+    | Error (Rpc.Control.Protocol_error m) -> Error (Errors.Meta_error m)
     | Error e ->
         feedback server ~ok:false ~elapsed:(Sim.Engine.time () -. t0);
         Error (Errors.Rpc_error e)
-    | Ok payload -> (
-        Obs.Qlog.add_bytes (String.length req_bytes + String.length payload);
-        match Dns.Msg.decode payload with
-        | exception Dns.Msg.Bad_message m -> Error (Errors.Meta_error m)
-        | reply ->
-            feedback server ~ok:true ~elapsed:(Sim.Engine.time () -. t0);
-            Ok reply)
+    | Ok reply ->
+        feedback server ~ok:true ~elapsed:(Sim.Engine.time () -. t0);
+        Ok reply
   in
   let rec go last = function
     | [] -> last
@@ -326,9 +242,12 @@ let rec raw_query_routed t ~depth key =
       (Error (Errors.Rpc_error (Rpc.Control.Timeout { elapsed_ms = 0.0 })))
       servers
   with
-  | Ok reply when is_referral reply && depth < 3 ->
-      learn_referral t reply;
-      raw_query_routed t ~depth:(depth + 1) key
+  | Ok reply when depth < 3 -> (
+      match Dns.Referral.of_reply reply with
+      | Some referral ->
+          learn_referral t referral reply;
+          raw_query_routed t ~depth:(depth + 1) key
+      | None -> Ok reply)
   | outcome -> outcome
 
 let raw_query t key = raw_query_routed t ~depth:0 key
@@ -735,47 +654,36 @@ let op_key (op : Dns.Msg.update_op) =
    otherwise. Ops AT a cut maintain the delegation itself (NS + glue)
    and belong to the parent. *)
 let write_route t key =
-  match cut_for t key with
-  | Some (cut, part)
+  match Dns.Referral.covering t.referrals key with
+  | Some (cut, rs)
     when List.length (Dns.Name.labels key) > List.length (Dns.Name.labels cut)
     ->
-      (cut, Dns.Replica_set.primary part.rs)
+      (cut, Dns.Replica_set.primary rs)
   | _ -> (Meta_schema.zone_origin, t.meta_server)
 
 let rec transact_routed t ~retried ops =
   let key = match ops with [] -> Meta_schema.zone_origin | op :: _ -> op_key op in
   let zone, server = write_route t key in
-  let request = Dns.Msg.update_request ~id:(fresh_id t) ~zone ops in
-  let binding = { t.raw_binding with Hrpc.Binding.server } in
-  match
-    Hrpc.Client.call_raw t.stack binding ?policy:t.policy
-      (Dns.Msg.encode request)
-  with
-  | Error e -> Error (Errors.Rpc_error e)
-  | Ok payload -> (
-      match Dns.Msg.decode payload with
-      | exception Dns.Msg.Bad_message m -> Error (Errors.Meta_error m)
-      | reply -> (
-          match reply.rcode with
-          | Dns.Msg.No_error ->
-              (* The ack carries the zone's new SOA: the serial this
-                 write landed at, which pins subsequent routed reads
-                 until a replica has caught up. *)
-              List.iter
-                (fun (rr : Dns.Rr.t) ->
-                  match rr.rdata with
-                  | Dns.Rr.Soa soa -> note_write_floor t zone soa.Dns.Rr.serial
-                  | _ -> ())
-                reply.answers;
-              Ok ()
-          | Dns.Msg.Not_zone when not retried ->
-              (* The key is delegated away from where we sent the
-                 update and we hold no (or a stale) cut for it: a probe
-                 read chases the referral chain and caches the cut,
-                 then the write retries once against the owner. *)
-              ignore (raw_query t key);
-              transact_routed t ~retried:true ops
-          | rc -> Error (Errors.Meta_error ("update: " ^ Dns.Msg.rcode_to_string rc))))
+  let rejected rc = Error (Errors.Meta_error ("update: " ^ Dns.Msg.rcode_to_string rc)) in
+  match Dns.Update.send (call_raw t server) ~zone ops with
+  | Ok serial ->
+      (* The ack carries the zone's new SOA: the serial this write
+         landed at, which pins subsequent routed reads until a replica
+         has caught up. *)
+      Option.iter (note_write_floor t zone) serial;
+      Ok ()
+  | Error (Dns.Update.Rpc_error (Rpc.Control.Protocol_error m)) -> Error (Errors.Meta_error m)
+  | Error (Dns.Update.Rpc_error e) -> Error (Errors.Rpc_error e)
+  | Error Dns.Update.Not_zone when not retried ->
+      (* The key is delegated away from where we sent the update and we
+         hold no (or a stale) cut for it: a probe read chases the
+         referral chain and caches the cut, then the write retries once
+         against the owner. *)
+      ignore (raw_query t key);
+      transact_routed t ~retried:true ops
+  | Error Dns.Update.Not_zone -> rejected Dns.Msg.Not_zone
+  | Error Dns.Update.Refused -> rejected Dns.Msg.Refused
+  | Error (Dns.Update.Server_error rc) -> rejected rc
 
 let transact t ops = transact_routed t ~retried:false ops
 
@@ -919,23 +827,7 @@ let zone_serial t = t.zone_serial
 
 (* Probe the primary's serial with a plain SOA query — control-plane
    traffic, not counted as a meta lookup. *)
-let primary_serial t =
-  let request =
-    Dns.Msg.encode
-      (Dns.Msg.query ~id:(fresh_id t) Meta_schema.zone_origin Dns.Rr.T_soa)
-  in
-  match Hrpc.Client.call_raw t.stack t.raw_binding ?policy:t.policy request with
-  | Error _ -> None
-  | Ok payload -> (
-      match Dns.Msg.decode payload with
-      | exception Dns.Msg.Bad_message _ -> None
-      | reply ->
-          List.find_map
-            (fun (rr : Dns.Rr.t) ->
-              match rr.rdata with
-              | Dns.Rr.Soa soa -> Some soa.Dns.Rr.serial
-              | _ -> None)
-            reply.answers)
+let primary_serial t = Dns.Exchange.soa_serial (call_raw t t.meta_server) Meta_schema.zone_origin
 
 let start_preload_refresher ?interval_ms t =
   let running = ref true in
@@ -978,74 +870,44 @@ let start_preload_refresher ?interval_ms t =
 
 (* {1 NOTIFY subscription} *)
 
-let notify_serial (request : Dns.Msg.t) =
-  List.find_map
-    (fun (rr : Dns.Rr.t) ->
-      match rr.rdata with
-      | Dns.Rr.Soa soa -> Some soa.Dns.Rr.serial
-      | _ -> None)
-    request.answers
-
 let start_notify_listener t =
-  let port = Transport.Netstack.alloc_udp_port t.stack in
-  let stop =
-    Rpc.Rawrpc.serve_udp (Transport.Udp.bind t.stack ~port) ~name:"hns-notify"
-      ~service_overhead_ms:0.0 ~concurrent:false (fun ~src:_ payload ->
-        match Dns.Msg.decode payload with
-        | exception Dns.Msg.Bad_message _ -> None
-        | request ->
-            if
-              request.opcode = Dns.Msg.Notify
-              && List.exists
-                   (fun (q : Dns.Msg.question) ->
-                     Dns.Name.equal q.Dns.Msg.qname Meta_schema.zone_origin)
-                   request.questions
-            then begin
-              (* Refresh only when the pushed serial is actually ahead
-                 of our snapshot (or carries no serial at all); NOTIFY
-                 is best-effort and may arrive duplicated or late. *)
-              let kick () =
-                Obs.Metrics.incr t.notify_kicks;
-                Sim.Engine.spawn_child ~name:"hns-notify-refresh" (fun () ->
-                    match refresh t with
-                    | Ok (Applied_deltas _ | Full_reload _) ->
-                        Obs.Metrics.incr m_preload_refreshes
-                    | Ok Unchanged | Error _ -> ())
-              in
-              (match (notify_serial request, t.zone_serial) with
-              | Some pushed, Some held when Int32.compare pushed held > 0 ->
-                  (* Ahead: ordinary update push. *)
-                  kick ()
-              | Some pushed, Some held when Int32.compare pushed held < 0 ->
-                  (* Behind: usually just a late or duplicated NOTIFY,
-                     but it can also mean the primary restarted from an
-                     older durable image and our cache holds state it
-                     lost. Confirm with a direct SOA probe (off the
-                     handler fiber — the probe is an RPC) before
-                     counting a regression and resyncing. *)
-                  Sim.Engine.spawn_child ~name:"hns-notify-regress" (fun () ->
-                      match (primary_serial t, t.zone_serial) with
-                      | Some live, Some held when Int32.compare live held < 0 ->
-                          Obs.Metrics.incr m_serial_regressions;
-                          Obs.Metrics.incr t.notify_kicks;
-                          (match refresh t with
-                          | Ok (Applied_deltas _ | Full_reload _) ->
-                              Obs.Metrics.incr m_preload_refreshes
-                          | Ok Unchanged | Error _ -> ())
-                      | _ -> () (* stale notify; primary is fine *))
-              | Some _, Some _ -> () (* duplicate of what we hold *)
-              | _ -> kick ());
-              Some (Dns.Msg.encode (Dns.Msg.notify_ack ~request))
-            end
-            else None)
-  in
-  (Transport.Address.make (Transport.Netstack.ip t.stack) port, stop)
+  Dns.Server.notify_listener t.stack ~name:"hns-notify" ~zone:Meta_schema.zone_origin
+    (fun pushed ->
+      (* Refresh only when the pushed serial is actually ahead of our
+         snapshot (or carries no serial at all); NOTIFY is best-effort
+         and may arrive duplicated or late. *)
+      let kick () =
+        Obs.Metrics.incr t.notify_kicks;
+        Sim.Engine.spawn_child ~name:"hns-notify-refresh" (fun () ->
+            match refresh t with
+            | Ok (Applied_deltas _ | Full_reload _) -> Obs.Metrics.incr m_preload_refreshes
+            | Ok Unchanged | Error _ -> ())
+      in
+      match (pushed, t.zone_serial) with
+      | Some pushed, Some held when Int32.compare pushed held > 0 ->
+          (* Ahead: ordinary update push. *)
+          kick ()
+      | Some pushed, Some held when Int32.compare pushed held < 0 ->
+          (* Behind: usually just a late or duplicated NOTIFY, but it
+             can also mean the primary restarted from an older durable
+             image and our cache holds state it lost. Confirm with a
+             direct SOA probe (off the handler fiber — the probe is an
+             RPC) before counting a regression and resyncing. *)
+          Sim.Engine.spawn_child ~name:"hns-notify-regress" (fun () ->
+              match (primary_serial t, t.zone_serial) with
+              | Some live, Some held when Int32.compare live held < 0 ->
+                  Obs.Metrics.incr m_serial_regressions;
+                  Obs.Metrics.incr t.notify_kicks;
+                  (match refresh t with
+                  | Ok (Applied_deltas _ | Full_reload _) -> Obs.Metrics.incr m_preload_refreshes
+                  | Ok Unchanged | Error _ -> ())
+              | _ -> () (* stale notify; primary is fine *))
+      | Some _, Some _ -> () (* duplicate of what we hold *)
+      | _ -> kick ())
 
 let replica_set t = t.replica_set
 
-let partitions t =
-  N_tbl.fold (fun cut part acc -> (cut, part.rs) :: acc) t.referrals []
-  |> List.sort (fun (a, _) (b, _) -> Dns.Name.compare a b)
+let partitions t = Dns.Referral.learned t.referrals
 
 let cache_host_addr t ~context ~host ip =
   let key = Meta_schema.host_addr_cache_key ~context ~host in

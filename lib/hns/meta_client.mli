@@ -10,7 +10,14 @@
 
     Writes are dynamic-update transactions: replace-rrset semantics,
     one UNSPEC record per key. Preloading transfers the whole meta
-    zone (AXFR) and seeds the cache, as BIND secondaries do. *)
+    zone (AXFR) and seeds the cache, as BIND secondaries do.
+
+    Every request goes through {!Dns.Exchange}: reads and SOA probes
+    with {!Dns.Exchange.call}, writes with {!Dns.Update.send}, both
+    over [Hrpc.Client.call_raw], which pays HRPC's costs and counts;
+    transfers with {!Dns.Axfr.fetch} and {!Dns.Ixfr.fetch}. Referral
+    replies are read with {!Dns.Referral.of_reply} and the partition
+    cuts kept in a {!Dns.Referral.cuts} table. *)
 
 type t
 
@@ -176,8 +183,9 @@ val zone_serial : t -> int32 option
     truncation fallbacks); [hns.meta.notify_kicks] the NOTIFY pushes
     that triggered a refresh. *)
 
-(** [start_notify_listener t] registers a NOTIFY endpoint on an
-    allocated UDP port of the client's stack and returns its
+(** [start_notify_listener t] registers a NOTIFY endpoint
+    ({!Dns.Server.notify_listener}) on an allocated UDP port of the
+    client's stack and returns its
     address plus a stop closure. Register the address with the
     primary ({!Dns.Server.register_notify}) and the client refreshes
     the moment the meta zone's serial advances — the

@@ -1,5 +1,3 @@
-open Transport
-
 let m_calls = Obs.Metrics.counter "hrpc.client.calls"
 let m_raw_calls = Obs.Metrics.counter "hrpc.client.raw_calls"
 let m_errors = Obs.Metrics.counter "hrpc.client.errors"
@@ -39,16 +37,10 @@ let exchange stack (b : Binding.t) ~policy (payload, accept) =
         Obs.Metrics.observe m_backoff_ms pause
       in
       Rpc.Rawrpc.exchange stack ~dst:b.server ~policy ~on_retry ~accept payload
-  | Component.T_tcp -> (
-      let t0 = Sim.Engine.time () in
+  | Component.T_tcp ->
       let timeout = policy.Rpc.Control.attempt_timeout_ms in
-      match Tcp.connect ~timeout_ms:timeout stack b.server with
-      | exception Tcp.Connection_refused _ -> Error Rpc.Control.Refused
-      | conn ->
-          Tcp.send conn payload;
-          let result = Rpc.Rawrpc.await conn ~t0 ~timeout ~accept in
-          Tcp.close conn;
-          result)
+      Rpc.Rawrpc.call_tcp stack ~dst:b.server ~connect_timeout_ms:timeout ~timeout ~accept
+        payload
 
 let call_raw stack (b : Binding.t) ?policy payload =
   Obs.Metrics.incr m_raw_calls;

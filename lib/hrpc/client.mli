@@ -9,7 +9,7 @@
     protocol depending on what it is bound to. Each component is the
     native implementation in [lib/rpc] ({!Rpc.Sunrpc.frame},
     {!Rpc.Courier_rpc.frame}, {!Rpc.Rawrpc.exchange},
-    {!Rpc.Rawrpc.await}); this module adds the caller's retry policy,
+    {!Rpc.Rawrpc.call_tcp}); this module adds the caller's retry policy,
     the [hrpc.client.*] metrics, the [hrpc_call] span and the trace
     stamp ({!Rpc.Trace_header}).
 

@@ -58,6 +58,16 @@ let await conn ~t0 ~timeout ~(accept : matcher) =
   in
   wait ()
 
+let call_tcp stack ~dst ~connect_timeout_ms ~timeout ~accept payload =
+  let t0 = Sim.Engine.time () in
+  match Tcp.connect ~timeout_ms:connect_timeout_ms stack dst with
+  | exception Tcp.Connection_refused _ -> Error Control.Refused
+  | conn ->
+      Tcp.send conn payload;
+      let result = await conn ~t0 ~timeout ~accept in
+      Tcp.close conn;
+      result
+
 let serve_udp sock ~name ~service_overhead_ms ~concurrent handler =
   let running = ref true in
   Sim.Engine.spawn_child ~name (fun () ->

@@ -1,6 +1,7 @@
 (** The Raw HRPC protocol suite: request/response message passing with
-    a program's {e native} wire format — and the exchange, reply wait
-    and service loops that Sun RPC, Courier and HRPC run too.
+    a program's {e native} wire format — and the exchange, reply wait,
+    one-request TCP call and service loops that Sun RPC, Courier, HRPC
+    and the DNS client run too.
 
     Section 3 of the paper: the HNS talks to BIND not through the
     standard BIND library but through "an HRPC interface to BIND ...
@@ -56,6 +57,21 @@ val await :
   t0:float ->
   timeout:float ->
   accept:matcher ->
+  (string, Control.error) result
+
+(** [call_tcp stack ~dst ~connect_timeout_ms ~timeout ~accept payload]
+    is one request on a fresh connection: connect (the handshake
+    bounded by [connect_timeout_ms]), send, {!await} the reply for up
+    to [timeout] ms, close. A refused or unfinished handshake is
+    [Refused], as is a connection the peer closes before replying;
+    [Timeout] carries the time since the call began. *)
+val call_tcp :
+  Transport.Netstack.stack ->
+  dst:Transport.Address.t ->
+  connect_timeout_ms:float ->
+  timeout:float ->
+  accept:matcher ->
+  string ->
   (string, Control.error) result
 
 (** [serve_udp sock ~name ~service_overhead_ms ~concurrent handler]

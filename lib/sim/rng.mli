@@ -2,7 +2,10 @@
 
     The simulator must be fully reproducible, so nothing in this
     repository uses [Random] from the stdlib; every stochastic choice
-    flows through an explicitly-seeded [Rng.t]. *)
+    flows through an explicitly-seeded [Rng.t].
+
+    The state is kept unboxed, so a draw allocates only its boxed
+    result, if any: {!int} allocates nothing. *)
 
 type t
 

@@ -24,10 +24,14 @@ val accept : listener -> conn
 (** Stop listening; established connections are unaffected. *)
 val close_listener : listener -> unit
 
+(** 30 s: a partitioned peer must not hang a connecting caller
+    forever. *)
+val default_connect_timeout_ms : float
+
 (** Block through the SYN/ACK round trip. In-process only.
     Raises {!Connection_refused} when nothing listens at [dst], or when
-    the handshake does not complete within [timeout_ms] (default 30 s —
-    a partitioned peer must not hang the caller forever). *)
+    the handshake does not complete within [timeout_ms] (default
+    {!default_connect_timeout_ms}). *)
 val connect : ?timeout_ms:float -> Netstack.stack -> Address.t -> conn
 
 (** Queue one message for in-order delivery. Never blocks.

@@ -250,11 +250,11 @@ let dns_dynamic_update () =
         let name = Dns.Name.of_string "new.cs.washington.edu" in
         let before = Dns.Resolver.lookup_a r name in
         (match
-           Dns.Update.add_rr f.w.stacks.(1) ~server:(Dns.Server.addr f.server)
+           Dns.Update.add_rr (Rpc.Rawrpc.call f.w.stacks.(1) ~dst:(Dns.Server.addr f.server))
              ~zone:(Dns.Name.of_string "cs.washington.edu")
              (mk_a "new.cs.washington.edu" 0x0A0000FFl)
          with
-        | Ok () -> ()
+        | Ok _ -> ()
         | Error e -> Alcotest.failf "update failed: %a" Dns.Update.pp_error e);
         (before, Dns.Resolver.lookup_a r name))
   in
@@ -265,7 +265,7 @@ let dns_update_refused_when_static () =
   let f = make_fixture ~allow_update:false () in
   let r =
     serve f (fun () ->
-        Dns.Update.add_rr f.w.stacks.(1) ~server:(Dns.Server.addr f.server)
+        Dns.Update.add_rr (Rpc.Rawrpc.call f.w.stacks.(1) ~dst:(Dns.Server.addr f.server))
           ~zone:(Dns.Name.of_string "cs.washington.edu")
           (mk_a "x.cs.washington.edu" 1l))
   in
@@ -275,7 +275,7 @@ let dns_update_outside_zone () =
   let f = make_fixture ~allow_update:true () in
   let r =
     serve f (fun () ->
-        Dns.Update.add_rr f.w.stacks.(1) ~server:(Dns.Server.addr f.server)
+        Dns.Update.add_rr (Rpc.Rawrpc.call f.w.stacks.(1) ~dst:(Dns.Server.addr f.server))
           ~zone:(Dns.Name.of_string "mit.edu")
           (mk_a "x.mit.edu" 1l))
   in
@@ -288,10 +288,10 @@ let dns_update_delete_ops () =
         let server = Dns.Server.addr f.server in
         let zone = Dns.Name.of_string "cs.washington.edu" in
         (match
-           Dns.Update.send f.w.stacks.(1) ~server ~zone
+           Dns.Update.send (Rpc.Rawrpc.call f.w.stacks.(1) ~dst:server) ~zone
              [ Dns.Msg.Delete_name (Dns.Name.of_string "fiji.cs.washington.edu") ]
          with
-        | Ok () -> ()
+        | Ok _ -> ()
         | Error e -> Alcotest.failf "delete failed: %a" Dns.Update.pp_error e);
         Dns.Resolver.lookup_a (resolver_of f) (Dns.Name.of_string "fiji.cs.washington.edu"))
   in
@@ -682,8 +682,126 @@ let iterative_answers_parent_data_directly () =
   check_bool "non-delegated name answered by parent" true
     (match r with Ok [ { Dns.Rr.rdata = Dns.Rr.A 0x0A00EE01l; _ } ] -> true | _ -> false)
 
+(* The referral reader: the cut, the smallest NS TTL, the servers in
+   order and their glue at the asked port; an answer or a bare SOA is
+   not a referral. *)
+let referral_reader () =
+  let n = Dns.Name.of_string in
+  let ns ttl target = Dns.Rr.make ~ttl (n "cs.washington.edu") (Dns.Rr.Ns (n target)) in
+  let request = Dns.Msg.query ~id:1 (n "fiji.cs.washington.edu") Dns.Rr.T_a in
+  let reply =
+    {
+      (Dns.Msg.response ~request []) with
+      Dns.Msg.authority = [ ns 300l "ns1.cs.washington.edu"; ns 100l "ns2.cs.washington.edu" ];
+      additional = [ mk_a "ns2.cs.washington.edu" 2l; mk_a "ns1.cs.washington.edu" 1l ];
+    }
+  in
+  (match Dns.Referral.of_reply reply with
+  | None -> Alcotest.fail "NS in authority is a referral"
+  | Some r ->
+      check_string "cut" "cs.washington.edu" (Dns.Name.to_string r.Dns.Referral.cut);
+      check_float_near "smallest NS TTL" 100_000.0 r.Dns.Referral.ttl_ms;
+      check_strings "servers in order"
+        [ "ns1.cs.washington.edu"; "ns2.cs.washington.edu" ]
+        (List.map Dns.Name.to_string r.Dns.Referral.servers);
+      check_strings "glue follows the NS order, at the asked port"
+        [ "0.0.0.1:5300"; "0.0.0.2:5300" ]
+        (List.map Transport.Address.to_string (Dns.Referral.glue r reply ~port:5300)));
+  let soa =
+    Dns.Rr.make (n "washington.edu")
+      (Dns.Rr.Soa
+         { Dns.Rr.mname = n "washington.edu"; rname = n "washington.edu"; serial = 1l;
+           refresh = 0l; retry = 0l; expire = 0l; minimum = 0l })
+  in
+  check_bool "a bare SOA is not a referral" true
+    (Dns.Referral.of_reply { reply with Dns.Msg.authority = [ soa ] } = None);
+  check_bool "an answer is not a referral" true
+    (Dns.Referral.of_reply { reply with Dns.Msg.answers = [ mk_a "fiji.cs.washington.edu" 1l ] }
+    = None)
+
+(* The cut table: the deepest unexpired cut covering a name wins; an
+   expired cut is dropped on the lookup that finds it expired, and the
+   name falls back to the next cut up, then to none (the roots). *)
+let referral_cut_table () =
+  let w = make_world ~hosts:1 () in
+  let route, outer, elsewhere, after, held_after, root, held_end =
+    in_sim w (fun () ->
+        let n = Dns.Name.of_string in
+        let cuts = Dns.Referral.cuts () in
+        Dns.Referral.remember cuts (n "washington.edu") ~ttl_ms:10_000.0 "parent";
+        Dns.Referral.remember cuts (n "cs.washington.edu") ~ttl_ms:1_000.0 "child";
+        let route name = Option.map snd (Dns.Referral.covering cuts (n name)) in
+        let held () =
+          List.map (fun (c, _) -> Dns.Name.to_string c) (Dns.Referral.learned cuts)
+        in
+        let under_both = route "fiji.cs.washington.edu" in
+        let outer = route "ee.washington.edu" in
+        let elsewhere = route "mit.edu" in
+        Sim.Engine.sleep 1_000.0;
+        let after = route "fiji.cs.washington.edu" in
+        let held_after = held () in
+        Sim.Engine.sleep 9_000.0;
+        let root = route "fiji.cs.washington.edu" in
+        (under_both, outer, elsewhere, after, held_after, root, held ()))
+  in
+  check_bool "a name under both cuts routes to the deeper" true (route = Some "child");
+  check_bool "a name under the outer cut only" true (outer = Some "parent");
+  check_bool "a name under no cut" true (elsewhere = None);
+  check_bool "the expired inner cut falls back to the outer" true (after = Some "parent");
+  check_strings "the expired cut was dropped" [ "washington.edu" ] held_after;
+  check_bool "every cut expired: back to the roots" true (root = None);
+  check_strings "nothing held" [] held_end
+
+(* A referral cached by the iterative resolver lives for its NS TTL, but
+   never past the one-hour cap: with a two-hour NS TTL, a resolve under
+   the cut just inside the hour skips the parent, and one a minute past
+   it walks from the parent again. *)
+let resolver_referral_cap () =
+  let w = make_world ~hosts:3 () in
+  let parent_server = Dns.Server.create w.stacks.(0) () in
+  let child_server = Dns.Server.create w.stacks.(1) () in
+  let child_ip = Transport.Netstack.ip w.stacks.(1) in
+  let n = Dns.Name.of_string in
+  Dns.Server.add_zone parent_server
+    (Dns.Zone.simple ~origin:(n "washington.edu")
+       [
+         Dns.Rr.make ~ttl:7200l (n "cs.washington.edu") (Dns.Rr.Ns (n "ns.cs.washington.edu"));
+         mk_a "ns.cs.washington.edu" child_ip;
+       ]);
+  Dns.Server.add_zone child_server
+    (Dns.Zone.simple ~origin:(n "cs.washington.edu")
+       [
+         mk_a "fiji.cs.washington.edu" 1l;
+         mk_a "samoa.cs.washington.edu" 2l;
+         mk_a "june.cs.washington.edu" 3l;
+       ]);
+  let parent_q, hits =
+    in_sim w (fun () ->
+        Dns.Server.start parent_server;
+        Dns.Server.start child_server;
+        let res = Dns.Resolver.create w.stacks.(2) ~servers:[ Dns.Server.addr parent_server ] () in
+        let ask name =
+          match Dns.Resolver.query_iterative res (n name) Dns.Rr.T_a with
+          | Ok _ -> Dns.Server.queries_served parent_server
+          | Error e -> Alcotest.failf "%s: %a" name Dns.Resolver.pp_error e
+        in
+        let t0 = Sim.Engine.time () in
+        let first = ask "fiji.cs.washington.edu" in
+        Sim.Engine.sleep (t0 +. 3_599_000.0 -. Sim.Engine.time ());
+        let inside = ask "samoa.cs.washington.edu" in
+        Sim.Engine.sleep 60_000.0;
+        let past = ask "june.cs.washington.edu" in
+        ( [ first; inside; past ],
+          Obs.Metrics.read (Dns.Resolver.metrics res) "dns.resolver.referral_hits" ))
+  in
+  Alcotest.(check (list int)) "parent queries after each resolve" [ 1; 1; 2 ] parent_q;
+  check_int "one referral hit, inside the hour" 1 hits
+
 let delegation_cases =
   [
+    Alcotest.test_case "referral reader" `Quick referral_reader;
+    Alcotest.test_case "referral cut table" `Quick referral_cut_table;
+    Alcotest.test_case "referral cut capped at an hour" `Quick resolver_referral_cap;
     Alcotest.test_case "referral shape" `Quick referral_shape;
     Alcotest.test_case "iterative follows glue" `Quick iterative_follows_glue;
     Alcotest.test_case "missing glue" `Quick iterative_without_glue;

@@ -164,11 +164,11 @@ let secondary_refresh_override () =
         (* two updates, each picked up by a later cycle *)
         let upd name =
           match
-            Dns.Update.add_rr w.stacks.(1) ~server:(Dns.Server.addr primary)
+            Dns.Update.add_rr (Rpc.Rawrpc.call w.stacks.(1) ~dst:(Dns.Server.addr primary))
               ~zone:(Dns.Name.of_string "z")
               (Dns.Rr.make (Dns.Name.of_string name) (Dns.Rr.A 9l))
           with
-          | Ok () -> ()
+          | Ok _ -> ()
           | Error e -> Alcotest.failf "update failed: %a" Dns.Update.pp_error e
         in
         upd "a.z";
@@ -227,14 +227,14 @@ let update_acl_enforced () =
       let rr = Dns.Rr.make (Dns.Name.of_string "h.z") (Dns.Rr.A 1l) in
       (* the trusted admin host succeeds *)
       (match
-         Dns.Update.add_rr w.stacks.(1) ~server:(Dns.Server.addr server)
+         Dns.Update.add_rr (Rpc.Rawrpc.call w.stacks.(1) ~dst:(Dns.Server.addr server))
            ~zone:(Dns.Name.of_string "z") rr
        with
-      | Ok () -> ()
+      | Ok _ -> ()
       | Error e -> Alcotest.failf "trusted update failed: %a" Dns.Update.pp_error e);
       (* an untrusted host is refused *)
       match
-        Dns.Update.add_rr w.stacks.(2) ~server:(Dns.Server.addr server)
+        Dns.Update.add_rr (Rpc.Rawrpc.call w.stacks.(2) ~dst:(Dns.Server.addr server))
           ~zone:(Dns.Name.of_string "z")
           (Dns.Rr.make (Dns.Name.of_string "evil.z") (Dns.Rr.A 2l))
       with

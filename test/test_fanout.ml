@@ -140,11 +140,11 @@ let chained_tree_converges_level_by_level () =
         let s2, sec2 = attach_level s1 2 w.stacks.(2) in
         let _s3, sec3 = attach_level s2 3 w.stacks.(3) in
         (match
-           Dns.Update.add_rr w.stacks.(4) ~server:(Dns.Server.addr primary)
+           Dns.Update.add_rr (Rpc.Rawrpc.call w.stacks.(4) ~dst:(Dns.Server.addr primary))
              ~zone:zname
              (Dns.Rr.make (Dns.Name.of_string "new.z") (Dns.Rr.A 9l))
          with
-        | Ok () -> ()
+        | Ok _ -> ()
         | Error e -> Alcotest.failf "update failed: %a" Dns.Update.pp_error e);
         Sim.Engine.sleep 2_000.0;
         let target = Dns.Zone.serial zone in

@@ -29,10 +29,10 @@ let make_pair w ~refresh_ms ?journal_deltas ?(register_notify = true) () =
 
 let update w primary rr =
   match
-    Dns.Update.add_rr w.stacks.(2) ~server:(Dns.Server.addr primary)
+    Dns.Update.add_rr (Rpc.Rawrpc.call w.stacks.(2) ~dst:(Dns.Server.addr primary))
       ~zone:zname rr
   with
-  | Ok () -> ()
+  | Ok _ -> ()
   | Error e -> Alcotest.failf "update failed: %a" Dns.Update.pp_error e
 
 (* --- NOTIFY + IXFR: push-driven incremental convergence --- *)
@@ -61,6 +61,80 @@ let notify_ixfr_converges_without_polling () =
   check_int "one incremental refresh" 1 ixfrs;
   check_int "only the initial transfer was full" 1 fulls;
   check_bool "the delta carried the change" true (deltas >= 1)
+
+(* --- replica serials never go backwards --- *)
+
+(* The primary comes back from an older image, at a lower serial and
+   without a record the replica already serves. The refresh loop probes
+   it (fresh checks rise) but pulls only from a primary that is ahead,
+   so the replica keeps its serial and its records. *)
+let replica_keeps_serial_when_primary_goes_back () =
+  let w = make_world ~hosts:3 () in
+  let caught, older, held, served, probes =
+    in_sim w (fun () ->
+        let zone, primary, secondary =
+          make_pair w ~refresh_ms:1_000.0 ~register_notify:false ()
+        in
+        update w primary (mk_a "new.z" 9l);
+        Sim.Engine.sleep 1_500.0;
+        let caught = Int32.equal (Dns.Secondary.serial secondary) (Dns.Zone.serial zone) in
+        let held = Dns.Secondary.serial secondary in
+        Dns.Server.stop primary;
+        let restarted = Dns.Server.create w.stacks.(0) () in
+        let old_zone = Dns.Zone.simple ~origin:zname [ mk_a "h.z" 7l ] in
+        Dns.Server.add_zone restarted old_zone;
+        Dns.Server.start restarted;
+        let checks = secondary_count secondary "dns.secondary.fresh_checks" in
+        Sim.Engine.sleep 3_500.0;
+        let replica =
+          Dns.Resolver.create w.stacks.(2)
+            ~servers:[ Transport.Address.make (Transport.Netstack.ip w.stacks.(1)) 53 ]
+            ~enable_cache:false ()
+        in
+        let r =
+          ( caught,
+            Int32.compare (Dns.Zone.serial old_zone) held < 0,
+            Int32.equal (Dns.Secondary.serial secondary) held,
+            Dns.Resolver.lookup_a replica (Dns.Name.of_string "new.z"),
+            secondary_count secondary "dns.secondary.fresh_checks" - checks )
+        in
+        Dns.Secondary.detach secondary;
+        r)
+  in
+  check_bool "replica caught up before the restart" true caught;
+  check_bool "the primary came back behind" true older;
+  check_bool "replica serial did not go back" true held;
+  check_bool "replica still serves the newer record" true (served = Ok 9l);
+  check_bool "the refresh loop probed the older primary" true (probes >= 3)
+
+(* A NOTIFY carrying the serial the replica already holds is a
+   duplicate: acked, but no kick and no pull. *)
+let notify_at_own_serial_starts_nothing () =
+  let w = make_world ~hosts:3 () in
+  let acked, kicks, checks, transfers, same =
+    in_sim w (fun () ->
+        let zone, primary, secondary = make_pair w ~refresh_ms:60_000.0 () in
+        let acked = global_count "dns.notify.acked" in
+        let kicks = secondary_count secondary "dns.secondary.notify_kicks" in
+        let checks = secondary_count secondary "dns.secondary.fresh_checks" in
+        let transfers = secondary_transfers secondary in
+        Dns.Server.notify_downstream primary ~zone;
+        Sim.Engine.sleep 2_000.0;
+        let r =
+          ( global_count "dns.notify.acked" - acked,
+            secondary_count secondary "dns.secondary.notify_kicks" - kicks,
+            secondary_count secondary "dns.secondary.fresh_checks" - checks,
+            secondary_transfers secondary - transfers,
+            Int32.equal (Dns.Secondary.serial secondary) (Dns.Zone.serial zone) )
+        in
+        Dns.Secondary.detach secondary;
+        r)
+  in
+  check_int "the NOTIFY was acked" 1 acked;
+  check_int "no kick" 0 kicks;
+  check_int "no pull" 0 checks;
+  check_int "no transfer" 0 transfers;
+  check_bool "serials equal" true same
 
 (* --- journal truncation: IXFR degrades to a full transfer --- *)
 
@@ -438,4 +512,8 @@ let suite =
     Alcotest.test_case "negative TTL follows SOA minimum" `Quick
       negative_ttl_follows_soa_minimum;
     qtest ixfr_equivalence_prop;
+    Alcotest.test_case "replica keeps its serial when the primary goes back" `Quick
+      replica_keeps_serial_when_primary_goes_back;
+    Alcotest.test_case "NOTIFY at the replica's own serial starts nothing" `Quick
+      notify_at_own_serial_starts_nothing;
   ]

@@ -118,10 +118,10 @@ let secondary_picks_up_updates () =
         let before = Dns.Resolver.lookup_a r (Dns.Name.of_string "new.z") in
         (* a native application updates the PRIMARY *)
         (match
-           Dns.Update.add_rr w.stacks.(2) ~server:(Dns.Server.addr primary)
+           Dns.Update.add_rr (Rpc.Rawrpc.call w.stacks.(2) ~dst:(Dns.Server.addr primary))
              ~zone:(Dns.Name.of_string "z") (mk_a "new.z" 9l)
          with
-        | Ok () -> ()
+        | Ok _ -> ()
         | Error e -> Alcotest.failf "update failed: %a" Dns.Update.pp_error e);
         (* within the refresh window the replica is stale *)
         let still_stale = Dns.Resolver.lookup_a r (Dns.Name.of_string "new.z") in

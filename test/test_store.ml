@@ -408,10 +408,10 @@ let restarted_primary_resumes_ixfr () =
       let s0 = Dns.Secondary.serial secondary in
       let update rr =
         match
-          Dns.Update.add_rr w.stacks.(2) ~server:(Dns.Server.addr primary)
+          Dns.Update.add_rr (Rpc.Rawrpc.call w.stacks.(2) ~dst:(Dns.Server.addr primary))
             ~zone:zname rr
         with
-        | Ok () -> ()
+        | Ok _ -> ()
         | Error e -> Alcotest.failf "update failed: %a" Dns.Update.pp_error e
       in
       update (mk_a "a.z" 1l);
@@ -459,10 +459,10 @@ let durable_secondary_bootstraps_by_delta () =
       Dns.Server.start primary;
       let update rr =
         match
-          Dns.Update.add_rr w.stacks.(2) ~server:(Dns.Server.addr primary)
+          Dns.Update.add_rr (Rpc.Rawrpc.call w.stacks.(2) ~dst:(Dns.Server.addr primary))
             ~zone:zname rr
         with
-        | Ok () -> ()
+        | Ok _ -> ()
         | Error e -> Alcotest.failf "update failed: %a" Dns.Update.pp_error e
       in
       update (mk_a "a.z" 1l);
